@@ -1,83 +1,23 @@
 """Dense row reduction mod p.
 
-The compiled path uses numba when it imports cleanly and FROBPI_NO_NUMBA is
-unset; otherwise a vectorized numpy routine computes the identical reduced
-form.  Reduced row echelon form is unique, so the two paths agree entry for
-entry and callers never need to know which one ran.
+A vectorized numpy Gauss-Jordan elimination.  Reduced row echelon form is
+unique, so the result agrees entry for entry with the sparse generic lane
+in `linalg`.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-HAVE_NUMBA = False
-if not os.environ.get("FROBPI_NO_NUMBA"):
-    try:
-        from numba import njit
 
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
+def rref_mod(a: np.ndarray, p: int):
+    """Reduce a copy of the int64 matrix a mod p.
 
-
-def _rref_mod_py(a, p):
-    """In-place Gauss-Jordan on int64 array a, entries reduced mod p.
-
-    Returns (rank, pivot column array).  Written in the subset of Python
-    numba can compile; also runs uncompiled as the fallback reference.
+    Returns (rank, pivot columns as a list, reduced matrix).
     """
-    nrows, ncols = a.shape
-    for i in range(nrows):
-        for j in range(ncols):
-            a[i, j] %= p
-    pivots = np.empty(ncols, dtype=np.int64)
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = -1
-        for i in range(r, nrows):
-            if a[i, c] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            for j in range(ncols):
-                t = a[r, j]
-                a[r, j] = a[piv, j]
-                a[piv, j] = t
-        # scale pivot row by a[r,c]^(p-2) mod p
-        x = a[r, c]
-        e = p - 2
-        inv = 1
-        base = x % p
-        while e > 0:
-            if e & 1:
-                inv = inv * base % p
-            base = base * base % p
-            e >>= 1
-        if inv != 1:
-            for j in range(c, ncols):
-                a[r, j] = a[r, j] * inv % p
-        for i in range(nrows):
-            if i != r and a[i, c] != 0:
-                f = a[i, c]
-                for j in range(c, ncols):
-                    a[i, j] = (a[i, j] - f * a[r, j]) % p
-        pivots[r] = c
-        r += 1
-    return r, pivots[:r]
-
-
-if HAVE_NUMBA:
-    _rref_mod_jit = njit(cache=True)(_rref_mod_py)
-
-
-def _rref_mod_numpy(a, p):
-    """Vectorized fallback with the same contract as _rref_mod_py."""
+    a = np.array(a, dtype=np.int64, copy=True)
+    if a.ndim != 2:
+        raise ValueError("rref_mod expects a 2d array")
     a %= p
     nrows, ncols = a.shape
     pivots = []
@@ -101,19 +41,4 @@ def _rref_mod_numpy(a, p):
             a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
         pivots.append(c)
         r += 1
-    return r, np.array(pivots, dtype=np.int64)
-
-
-def rref_mod(a: np.ndarray, p: int, force_fallback: bool = False):
-    """Reduce a copy of the int64 matrix a mod p.
-
-    Returns (rank, pivot columns as a list, reduced matrix).
-    """
-    a = np.array(a, dtype=np.int64, copy=True)
-    if a.ndim != 2:
-        raise ValueError("rref_mod expects a 2d array")
-    if HAVE_NUMBA and not force_fallback:
-        rank, piv = _rref_mod_jit(a, p)
-    else:
-        rank, piv = _rref_mod_numpy(a, p)
-    return int(rank), [int(c) for c in piv], a
+    return r, pivots, a

@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 
-from .engine import GradedAlgebra
+from .engine import GradedAlgebra, unit_weighted
 from .frobenius import algebra_to_json
 
 CACHE_FORMAT = 1
@@ -89,20 +89,7 @@ def _decode(pair, D: int, data: dict, key: str) -> GradedAlgebra:
     g.E = [None] + [_dec_oprows(f, deg) for deg in data["E"][1:]]
     g.FB = [None] + [[_dec_oprows(f, rows) for rows in deg] for deg in data["FB"][1:]]
     g.B = [[_dec_oprows(f, rows) for rows in deg] for deg in data["B"]]
-    unit = pair.algebra.unit
-    g.F = [None]
-    for d in range(1, D + 1):
-        rows = []
-        for i in range(len(g.words[d - 1])):
-            acc = {}
-            for j in range(g.n):
-                if f.is_zero(unit[j]):
-                    continue
-                for w, c in g.FB[d][j][i].items():
-                    s = f.add(acc.get(w, f.zero), f.mul(c, unit[j]))
-                    acc[w] = s
-            rows.append(f.post_reduce(acc))
-        g.F.append(rows)
+    g.F = [None] + [unit_weighted(f, pair.algebra.unit, fb) for fb in g.FB[1:]]
     g._l0 = {}
     g._l1 = {}
     g._split = {}

@@ -321,38 +321,3 @@ def sigma_surjectivity_check(g: GradedAlgebra, D: int) -> bool:
             return False
         images[d] = None
     return True
-
-
-# ---------------------------------------------------------------------------
-# deformation comparison
-
-
-def center_deformation_compare(n: int, D: int = 8, char2: bool = False):
-    """Center dimensions along a family against its special fiber.
-
-    Returns per-degree records; semicontinuity says the special fiber can
-    only be at least as big, and for these families it stays equal.
-    """
-    from .engine import build
-    from .frobenius import deformation, make_frobenius, specialize_pair
-
-    fam = deformation(n, char2)
-    p_u = make_frobenius(fam.algebra, fam.lam)
-    p_0 = specialize_pair(p_u, "q", 0)
-    g_u = build(p_u, D + 1)
-    g_0 = build(p_0, D + 1)
-    records = []
-    for d in range(D + 1):
-        zu = center_degree(g_u, d).dim
-        z0 = center_degree(g_0, d).dim
-        records.append(
-            {
-                "family": n,
-                "degree": d,
-                "dim_generic": zu,
-                "dim_special": z0,
-                "semicontinuous": z0 >= zu,
-                "equal": z0 == zu,
-            }
-        )
-    return records

@@ -10,6 +10,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from .center import (
     center_degree,
@@ -33,16 +35,6 @@ from .frobenius import (
 )
 from . import splitcase
 
-SUITES = (
-    "ranks",
-    "split",
-    "center",
-    "resolution",
-    "sigma",
-    "invariants",
-    "deformations",
-    "classification",
-)
 RANK_FIELDS = ("q", "fp:2", "fp:3", "fp:5", "fp:7")
 CENTER_FIELDS = ("q", "fp:2", "fp:5")
 GENERIC_SAMPLE = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3}
@@ -60,13 +52,6 @@ def _expected_split(d):
     if d % 2 == 0:
         return d + 1, 4 * (d + 1)
     return 2 * (d + 1), 2 * (d + 1)
-
-
-def _suite_cap(tag, flag):
-    # degree cap: 12 over Q, 16 over a prime field, unless overridden
-    if flag is not None:
-        return flag
-    return 12 if tag == "q" else 16
 
 
 # ---------------------------------------------------------------------------
@@ -87,38 +72,15 @@ class _Builds:
         return self._memo[key]
 
 
-def _build_plan(suites, dmax):
-    plan = {}
-
-    def bump(tag, d):
-        plan[tag] = max(plan.get(tag, 0), d)
-
-    if "ranks" in suites or "split" in suites:
-        for tag in RANK_FIELDS:
-            bump(tag, dmax if dmax is not None else 12)
-    if "center" in suites:
-        for tag in CENTER_FIELDS:
-            bump(tag, _suite_cap(tag, dmax) + 1)
-    if "sigma" in suites:
-        for tag in CENTER_FIELDS:
-            bump(tag, max(_suite_cap(tag, dmax), 5))
-    if "resolution" in suites:
-        bump("q", dmax if dmax is not None else 16)
-    if "invariants" in suites:
-        bump("q", (dmax if dmax is not None else 12) + 1)
-    return plan
-
-
 # ---------------------------------------------------------------------------
 # verification suites; each yields records ending in a boolean "pass"
 
 
-def _suite_ranks(builds, fields, dmax):
-    cap = dmax if dmax is not None else 12
+def _suite_ranks(builds, fields, cap):
     for name in CATALOG_NAMES:
         for tag in fields:
             g = builds.get(name, tag)
-            for d in range(cap + 1):
+            for d in range(cap[tag] + 1):
                 dim = g.dim(d)
                 exp = _expected_dim(d)
                 yield {
@@ -132,12 +94,11 @@ def _suite_ranks(builds, fields, dmax):
                 }
 
 
-def _suite_split(builds, fields, dmax):
-    cap = dmax if dmax is not None else 12
+def _suite_split(builds, fields, cap):
     for name in CATALOG_NAMES:
         for tag in fields:
             g = builds.get(name, tag)
-            for d in range(cap + 1):
+            for d in range(cap[tag] + 1):
                 dr, ds = g.split_dims(d)
                 er, es = _expected_split(d)
                 yield {
@@ -153,12 +114,11 @@ def _suite_split(builds, fields, dmax):
                 }
 
 
-def _suite_center(builds, fields, dmax):
+def _suite_center(builds, fields, cap):
     for name in CATALOG_NAMES:
         for tag in fields:
-            cap = _suite_cap(tag, dmax)
             g = builds.get(name, tag)
-            for d in range(cap + 1):
+            for d in range(cap[tag] + 1):
                 dim = center_degree(g, d).dim
                 exp = expected_center_dim(d)
                 yield {
@@ -172,49 +132,36 @@ def _suite_center(builds, fields, dmax):
                 }
 
 
-def _suite_resolution(builds, fields, dmax):
-    cap = dmax if dmax is not None else 16
-    if "q" not in fields:
-        return
-    for name in CATALOG_NAMES:
-        g = builds.get(name, "q")
-        hr = [g.split_dims(d)[0] for d in range(cap + 1)]
-        hs = [g.split_dims(d)[1] for d in range(cap + 1)]
-
-        def h(seq, d):
-            return seq[d] if d >= 0 else 0
-
-        for d in range(cap + 1):
-            lhs_r = h(hr, d - 2) - h(hs, d - 1) + hr[d] - (1 if d == 0 else 0)
-            lhs_s = h(hs, d - 2) - 4 * h(hr, d - 1) + hs[d] - (4 if d == 0 else 0)
-            yield {
-                "suite": "resolution",
-                "pair": name,
-                "field": "q",
-                "degree": d,
-                "alternating_r": lhs_r,
-                "alternating_s": lhs_s,
-                "pass": lhs_r == 0 and lhs_s == 0,
-            }
-
-
-def _suite_sigma(builds, fields, dmax):
+def _suite_resolution(builds, fields, cap):
     for name in CATALOG_NAMES:
         for tag in fields:
-            cap = _suite_cap(tag, dmax)
             g = builds.get(name, tag)
-            ok = sigma_surjectivity_check(g, cap)
+            for d, (alt_r, alt_s) in enumerate(g.resolution_sums(cap[tag])):
+                yield {
+                    "suite": "resolution",
+                    "pair": name,
+                    "field": tag,
+                    "degree": d,
+                    "alternating_r": alt_r,
+                    "alternating_s": alt_s,
+                    "pass": alt_r == 0 and alt_s == 0,
+                }
+
+
+def _suite_sigma(builds, fields, cap):
+    for name in CATALOG_NAMES:
+        for tag in fields:
+            g = builds.get(name, tag)
             yield {
                 "suite": "sigma",
                 "pair": name,
                 "field": tag,
-                "max_degree": cap,
-                "pass": ok,
+                "max_degree": cap[tag],
+                "pass": sigma_surjectivity_check(g, cap[tag]),
             }
 
 
-def _suite_invariants(builds, fields, dmax):
-    cap = dmax if dmax is not None else 12
+def _suite_invariants(builds, fields, cap):
     yield {
         "suite": "invariants",
         "check": "relation",
@@ -225,11 +172,9 @@ def _suite_invariants(builds, fields, dmax):
         "check": "no-lower-relation",
         "pass": splitcase.no_lower_relation_check(),
     }
-    if "q" not in fields:
-        return
     g = builds.get("split4", "q")
-    inv = splitcase.invariant_dims(cap)
-    for d in range(cap + 1):
+    inv = splitcase.invariant_dims(cap["q"])
+    for d in range(cap["q"] + 1):
         zc = center_degree(g, d).dim
         yield {
             "suite": "invariants",
@@ -241,9 +186,16 @@ def _suite_invariants(builds, fields, dmax):
         }
 
 
+def _fibres(n, char2, D, cache_dir):
+    """Family n over Q(u) and its u = 0 fibre over Q, both built to degree D."""
+    fam = deformation(n, char2)
+    p_u = make_frobenius(fam.algebra, fam.lam)
+    p_0 = specialize_pair(p_u, "q", 0)
+    return fam, build(p_u, D, cache_dir=cache_dir), build(p_0, D, cache_dir=cache_dir)
+
+
 def _deformation_records(n, char2, cap, cache_dir):
     label = f"{n}c" if char2 else str(n)
-    fam = deformation(n, char2)
     yield {
         "suite": "deformations",
         "family": label,
@@ -258,10 +210,7 @@ def _deformation_records(n, char2, cap, cache_dir):
             "check": f"generic-fiber-at-{at}",
             "pass": generic_fiber_matches_catalog(n, at, char2),
         }
-    p_u = make_frobenius(fam.algebra, fam.lam)
-    p_0 = specialize_pair(p_u, "q", 0)
-    g_u = build(p_u, cap + 1, cache_dir=cache_dir)
-    g_0 = build(p_0, cap + 1, cache_dir=cache_dir)
+    _, g_u, g_0 = _fibres(n, char2, cap + 1, cache_dir)
     for d in range(cap + 1):
         du, d0 = g_u.dim(d), g_0.dim(d)
         zu = center_degree(g_u, d).dim
@@ -279,14 +228,13 @@ def _deformation_records(n, char2, cap, cache_dir):
         }
 
 
-def _suite_deformations(builds, fields, dmax):
-    cap = dmax if dmax is not None else 8
+def _suite_deformations(builds, fields, cap):
     for n in range(1, 7):
-        yield from _deformation_records(n, False, cap, builds.cache_dir)
-    yield from _deformation_records(6, True, cap, builds.cache_dir)
+        yield from _deformation_records(n, False, cap["qu"], builds.cache_dir)
+    yield from _deformation_records(6, True, cap["qu"], builds.cache_dir)
 
 
-def _suite_classification(builds, fields, dmax):
+def _suite_classification(builds, fields, cap):
     for name in CATALOG_NAMES + REJECT_NAMES:
         expected = name in CATALOG_NAMES
         alg = catalog(name).algebra if expected else catalog(name)
@@ -301,16 +249,65 @@ def _suite_classification(builds, fields, dmax):
         }
 
 
-_SUITE_FNS = {
-    "ranks": _suite_ranks,
-    "split": _suite_split,
-    "center": _suite_center,
-    "resolution": _suite_resolution,
-    "sigma": _suite_sigma,
-    "invariants": _suite_invariants,
-    "deformations": _suite_deformations,
-    "classification": _suite_classification,
+@dataclass(frozen=True)
+class _Suite:
+    run: Callable  # (builds, fields, cap) -> records; cap maps each field to its degree cap
+    fields: tuple  # the fields whose records the suite checks
+    cap: int = 0  # default degree cap
+    fp_cap: Optional[int] = None  # default degree cap over a prime field, where it differs
+    build: Optional[Callable] = None  # degree cap -> build degree of the catalog pairs
+
+    def cap_for(self, tag, dmax):
+        if dmax is not None:
+            return dmax
+        if self.fp_cap is not None and tag.startswith("fp:"):
+            return self.fp_cap
+        return self.cap
+
+
+SUITES = {
+    "ranks": _Suite(_suite_ranks, RANK_FIELDS, 12, build=lambda c: c),
+    "split": _Suite(_suite_split, RANK_FIELDS, 12, build=lambda c: c),
+    "center": _Suite(_suite_center, CENTER_FIELDS, 12, 16, build=lambda c: c + 1),
+    "resolution": _Suite(_suite_resolution, ("q",), 16, build=lambda c: c),
+    "sigma": _Suite(_suite_sigma, CENTER_FIELDS, 12, 16, build=lambda c: max(c, 5)),
+    "invariants": _Suite(_suite_invariants, ("q",), 12, build=lambda c: c + 1),
+    "deformations": _Suite(_suite_deformations, ("qu",), 8),
+    "classification": _Suite(_suite_classification, ("q",)),
 }
+
+
+def _build_plan(suites, dmax):
+    """Build degree per field: the deepest that any selected suite needs."""
+    plan = {}
+    for name in suites:
+        s = SUITES[name]
+        if s.build is not None:
+            for tag in s.fields:
+                plan[tag] = max(plan.get(tag, 0), s.build(s.cap_for(tag, dmax)))
+    return plan
+
+
+def _select_suites(suite_arg, tag):
+    """Suites to run: each must check the field tag, when one is given."""
+    if suite_arg:
+        names = [part.strip() for part in suite_arg.split(",")]
+        for name in names:
+            if name not in SUITES:
+                raise InputError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    else:
+        names = [name for name, s in SUITES.items() if tag is None or tag in s.fields]
+    if not names:
+        raise InputError(f"no suite checks field {tag}; {_suite_fields(SUITES)}")
+    if tag is not None:
+        for name in names:
+            if tag not in SUITES[name].fields:
+                raise InputError(f"suite {_suite_fields([name])}, not {tag}")
+    return names
+
+
+def _suite_fields(names):
+    return "; ".join(f"{name} checks {', '.join(SUITES[name].fields)}" for name in names)
 
 
 # ---------------------------------------------------------------------------
@@ -418,29 +415,15 @@ def cmd_dims(args):
 
 
 def cmd_verify(args):
-    if args.suite:
-        suites = []
-        for part in args.suite.split(","):
-            part = part.strip()
-            if part not in SUITES:
-                raise InputError(f"unknown suite {part!r}; choose from {', '.join(SUITES)}")
-            suites.append(part)
-    else:
-        suites = list(SUITES)
-    if args.field:
-        field_from_descriptor(args.field)
-        restrict = (args.field,)
-    else:
-        restrict = None
-
+    tag = field_from_descriptor(args.field).tag if args.field else None
+    suites = _select_suites(args.suite, tag)
     builds = _Builds(_cache_dir(args), _build_plan(suites, args.max_degree))
     rows = []
-    for s in SUITES:
-        if s not in suites:
-            continue
-        full = RANK_FIELDS if s in ("ranks", "split") else CENTER_FIELDS
-        fields = full if restrict is None else tuple(t for t in full if t in restrict)
-        rows.extend(_SUITE_FNS[s](builds, fields, args.max_degree))
+    for name, s in SUITES.items():
+        if name in suites:
+            fields = s.fields if tag is None else (tag,)
+            cap = {t: s.cap_for(t, args.max_degree) for t in fields}
+            rows.extend(s.run(builds, fields, cap))
     _emit(rows, args.format, "json")
     return _exit_code(rows)
 
@@ -476,12 +459,8 @@ def cmd_deform(args):
         raise InputError("deform needs --family <1..6>")
     if not 1 <= args.family <= 6:
         raise InputError("family number must be 1..6")
-    cap = args.max_degree if args.max_degree is not None else 8
-    fam = deformation(args.family, args.char2)
-    p_u = make_frobenius(fam.algebra, fam.lam)
-    p_0 = specialize_pair(p_u, "q", 0)
-    g_u = build(p_u, max(cap, 1), cache_dir=_cache_dir(args))
-    g_0 = build(p_0, max(cap, 1), cache_dir=_cache_dir(args))
+    cap = args.max_degree if args.max_degree is not None else SUITES["deformations"].cap
+    fam, g_u, g_0 = _fibres(args.family, args.char2, max(cap, 1), _cache_dir(args))
     rows = []
     for d in range(cap + 1):
         du, d0 = g_u.dim(d), g_0.dim(d)
@@ -556,10 +535,11 @@ def _parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, field=True):
-        if field:
+    def common(sp, pair=False, field=False):
+        if pair:
             sp.add_argument("--pair", help="catalog algebra name")
             sp.add_argument("--algebra", help="path to an algebra JSON file")
+        if pair or field:
             sp.add_argument("--field", help="q, fp:<p>, or qu (default q)")
         sp.add_argument("--max-degree", type=int, dest="max_degree")
         sp.add_argument("--format", choices=("json", "csv", "md"))
@@ -567,31 +547,31 @@ def _parser():
         sp.add_argument("--no-cache", action="store_true", dest="no_cache")
 
     sp = sub.add_parser("dims", help="graded dimension table for one algebra")
-    common(sp)
+    common(sp, pair=True)
     sp.set_defaults(fn=cmd_dims)
 
     sp = sub.add_parser("verify", help="run verification suites")
     sp.add_argument("--suite", help="comma-separated: " + ",".join(SUITES))
-    common(sp)
+    common(sp, field=True)
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("catalog", help="list the classified algebras")
-    common(sp, field=False)
+    common(sp)
     sp.set_defaults(fn=cmd_catalog)
 
     sp = sub.add_parser("deform", help="fiber dimensions along a family")
     sp.add_argument("--family", type=int)
     sp.add_argument("--char2", action="store_true")
-    common(sp, field=False)
+    common(sp)
     sp.set_defaults(fn=cmd_deform)
 
     sp = sub.add_parser("quiver", help="star-quiver Hilbert series table")
     sp.add_argument("--arrows", type=int, default=4)
-    common(sp, field=False)
+    common(sp)
     sp.set_defaults(fn=cmd_quiver)
 
     sp = sub.add_parser("invariants", help="plane invariant dimensions")
-    common(sp, field=False)
+    common(sp)
     sp.set_defaults(fn=cmd_invariants)
     return p
 

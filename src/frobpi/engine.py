@@ -260,15 +260,6 @@ class GradedAlgebra:
             for i in range(prev_dim):
                 rows.append(red[fcol[(i, j)]] if (i, j) in fcol else {})
             fb.append(rows)
-        unit = self.pair.algebra.unit
-        f_rows = []
-        for i in range(prev_dim):
-            acc = {}
-            for j in range(n):
-                if f.is_zero(unit[j]):
-                    continue
-                acc = vec_add(f, acc, fb[j][i], unit[j])
-            f_rows.append(acc)
         alg = self.pair.algebra
         b_rows = []
         for j in range(n):
@@ -288,7 +279,7 @@ class GradedAlgebra:
         self.parent.append(parent)
         self.E.append(e_rows)
         self.FB.append(fb)
-        self.F.append(f_rows)
+        self.F.append(unit_weighted(f, self.pair.algebra.unit, fb))
         self.B.append(b_rows)
 
     # -- elements and multiplication ---------------------------------------
@@ -488,67 +479,48 @@ class GradedAlgebra:
             gens.append((f"f{names[j]}", PiElement(self, 1, dict(vec))))
         return gens
 
-    def left0(self, d: int):
-        """Left multiplication rows for a and each slot, on degree d."""
-        ops = self._l0.get(d)
+    def _left_ops(self, memo, d, shift, gvecs):
+        """Left multiplication by each generator of degree shift, on degree d.
+
+        Degree 0 folds each generator through the words; each later word
+        extends its parent by one letter, so its row is the parent's row
+        times that letter's operator one degree up.
+        """
+        ops = memo.get(d)
         if ops is not None:
             return ops
         f = self.field
         if d == 0:
-            ops = []
-            for gvec in [{0: f.one}] + [{1 + j: f.one} for j in range(self.n)]:
-                rows = []
-                for w in self.words[0]:
-                    v, _ = self._fold(dict(gvec), 0, w)
-                    rows.append(v)
-                ops.append(rows)
+            ops = [[self._fold(dict(gv), shift, w)[0] for w in self.words[0]] for gv in gvecs()]
         else:
-            prev = self.left0(d - 1)
             ops = []
-            for g in range(self.n + 1):
+            for prev in self._left_ops(memo, d - 1, shift, gvecs):
                 rows = []
                 for (i, kind, m) in self.parent[d]:
-                    pv = prev[g][i]
-                    if kind == "e":
-                        rows.append(vec_apply(f, pv, self.E[d]) if pv else {})
-                    else:
-                        rows.append(vec_apply(f, pv, self.FB[d][m]) if pv else {})
+                    op = self.E[d + shift] if kind == "e" else self.FB[d + shift][m]
+                    rows.append(vec_apply(f, prev[i], op) if prev[i] else {})
                 ops.append(rows)
-        self._l0[d] = ops
+        memo[d] = ops
         return ops
+
+    def left0(self, d: int):
+        """Left multiplication rows for a and each slot, on degree d."""
+        one = self.field.one
+        return self._left_ops(
+            self._l0, d, 0, lambda: [{0: one}] + [{1 + j: one} for j in range(self.n)]
+        )
 
     def left1(self, d: int):
         """Left multiplication rows for b_i e and f b_j, degree d to d+1."""
-        ops = self._l1.get(d)
-        if ops is not None:
-            return ops
         if d + 1 > self.D:
             raise DegreeRangeError(f"degree {d + 1} exceeds build degree {self.D}")
-        f = self.field
-        if d == 0:
-            gvecs = [dict(self.E[1][1 + i]) for i in range(self.n)]
-            gvecs += [dict(self.FB[1][j][0]) for j in range(self.n)]
-            ops = []
-            for gvec in gvecs:
-                rows = []
-                for w in self.words[0]:
-                    v, _ = self._fold(dict(gvec), 1, w)
-                    rows.append(v)
-                ops.append(rows)
-        else:
-            prev = self.left1(d - 1)
-            ops = []
-            for g in range(2 * self.n):
-                rows = []
-                for (i, kind, m) in self.parent[d]:
-                    pv = prev[g][i]
-                    if kind == "e":
-                        rows.append(vec_apply(f, pv, self.E[d + 1]) if pv else {})
-                    else:
-                        rows.append(vec_apply(f, pv, self.FB[d + 1][m]) if pv else {})
-                ops.append(rows)
-        self._l1[d] = ops
-        return ops
+        return self._left_ops(
+            self._l1,
+            d,
+            1,
+            lambda: [self.E[1][1 + i] for i in range(self.n)]
+            + [self.FB[1][j][0] for j in range(self.n)],
+        )
 
     # -- projections and dimension bookkeeping ------------------------------
 
@@ -558,48 +530,53 @@ class GradedAlgebra:
         if got is not None:
             return got
         f = self.field
-        la = self.left0(d)[0]
-        unit = self.pair.algebra.unit
-        ls = []
-        for i in range(self.dim(d)):
-            acc = {}
-            for j in range(self.n):
-                if f.is_zero(unit[j]):
-                    continue
-                acc = vec_add(f, acc, self.left0(d)[1 + j][i], unit[j])
-            ls.append(acc)
-        ra = Subspace.from_vectors(f, self.dim(d), [dict(r) for r in la]).dim
+        l0 = self.left0(d)
+        ls = unit_weighted(f, self.pair.algebra.unit, l0[1:])
+        ra = Subspace.from_vectors(f, self.dim(d), [dict(r) for r in l0[0]]).dim
         rs = Subspace.from_vectors(f, self.dim(d), ls).dim
         assert ra + rs == self.dim(d)
         self._split[d] = (ra, rs)
         return ra, rs
 
-    def resolution_identity_check(self, D: int) -> bool:
+    def resolution_sums(self, D: int):
         """Euler characteristic of the standard projective resolution.
 
         With h_d(R) and h_d(S) the dimensions of the two one-sided pieces,
-        both alternating sums must vanish for every d up to D:
-        h_{d-2}(R) - h_{d-1}(S) + h_d(R) = delta_{d,0} and
-        h_{d-2}(S) - n h_{d-1}(R) + h_d(S) = n delta_{d,0}.
+        returns for each d up to D the pair of alternating sums
+        h_{d-2}(R) - h_{d-1}(S) + h_d(R) - delta_{d,0} and
+        h_{d-2}(S) - n h_{d-1}(R) + h_d(S) - n delta_{d,0}, which vanish
+        when the resolution is exact.
         """
         if D > self.D:
             raise DegreeRangeError(f"degree {D} exceeds build degree {self.D}")
         n = self.n
+        h = [(0, 0), (0, 0)] + [self.split_dims(d) for d in range(D + 1)]
+        return [
+            (
+                h[d][0] - h[d + 1][1] + h[d + 2][0] - (1 if d == 0 else 0),
+                h[d][1] - n * h[d + 1][0] + h[d + 2][1] - (n if d == 0 else 0),
+            )
+            for d in range(D + 1)
+        ]
 
-        def h(d):
-            if d < 0:
-                return (0, 0)
-            return self.split_dims(d)
+    def resolution_identity_check(self, D: int) -> bool:
+        """Both alternating sums of `resolution_sums` vanish up to degree D."""
+        return all(s == (0, 0) for s in self.resolution_sums(D))
 
-        for d in range(D + 1):
-            hr2, hs2 = h(d - 2)
-            hr1, hs1 = h(d - 1)
-            hr0, hs0 = h(d)
-            lhs1 = hr2 - hs1 + hr0 - (1 if d == 0 else 0)
-            lhs2 = hs2 - n * hr1 + hs0 - (n if d == 0 else 0)
-            if lhs1 != 0 or lhs2 != 0:
-                return False
-        return True
+
+def unit_weighted(f: Field, unit, ops):
+    """Rows of sum_j unit[j] * ops[j]: the operator of the letter weighted by the unit."""
+    rows = []
+    for i in range(len(ops[0])):
+        acc = {}
+        for c, op in zip(unit, ops):
+            if f.is_zero(c):
+                continue
+            for k, v in op[i].items():
+                t = c * v
+                acc[k] = acc[k] + t if k in acc else t
+        rows.append(f.post_reduce(acc))
+    return rows
 
 
 def build(pair: FrobeniusPair, D: int, cache_dir=None) -> GradedAlgebra:

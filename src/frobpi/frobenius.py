@@ -733,9 +733,6 @@ def generic_fiber_matches_catalog(n: int, at, char2: bool = False) -> bool:
 # JSON interchange
 
 
-_TRI_ORDER = [(i, j) for i in range(4) for j in range(i, 4)]
-
-
 def _tri_order(n):
     return [(i, j) for i in range(n) for j in range(i, n)]
 

@@ -1,23 +1,21 @@
 """Exact sparse linear algebra over the tagged fields.
 
 Matrices are rows of {column: payload} dicts.  Row reduction always lands in
-the fully reduced row echelon form, which is unique, so the three execution
-lanes (generic sparse, fraction-free integer for wide rational matrices,
-dense mod-p via the compiled kernel) are interchangeable.
+the fully reduced row echelon form, which is unique, so the two execution
+lanes (generic sparse over any field, dense mod-p via the numpy kernel) are
+interchangeable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
 import numpy as np
 
 from . import _kernels
-from .fields import Field, PrimeField, QQ
+from .fields import Field, PrimeField
 
-FRACTION_FREE_MIN_COLS = 200
 DENSE_MODP_MAX_CELLS = 4_000_000
 
 
@@ -42,15 +40,6 @@ class SparseMat:
         self.rows = tuple(clean)
         self.nrows = len(clean)
         self.ncols = ncols
-
-    @classmethod
-    def from_dense(cls, field: Field, dense, ncols=None):
-        rows = []
-        for r in dense:
-            rows.append({j: field.convert(v) for j, v in enumerate(r)})
-            if ncols is None:
-                ncols = len(r)
-        return cls(field, rows, ncols if ncols is not None else 0)
 
 
 def vec_apply(field: Field, vec: dict, rows) -> dict:
@@ -141,62 +130,6 @@ def _axpy(field: Field, s: dict, f, r: dict) -> dict:
     return field.post_reduce(out)
 
 
-def _rref_fraction_free(rows):
-    """Rational elimination on integer-scaled rows; divisions deferred.
-
-    Keeps every intermediate entry an int, which beats Fraction
-    normalization once matrices get wide.
-    """
-
-    def to_int(r):
-        r = {k: v for k, v in r.items() if v != 0}
-        if not r:
-            return r
-        m = lcm(*(v.denominator for v in r.values()))
-        rr = {k: int(v * m) for k, v in r.items()}
-        g = gcd(*rr.values())
-        if g > 1:
-            rr = {k: v // g for k, v in rr.items()}
-        return rr
-
-    def axpy_int(s, r, c):
-        a, b = r[c], s[c]
-        out = {}
-        for k in s.keys() | r.keys():
-            v = a * s.get(k, 0) - b * r.get(k, 0)
-            if v:
-                out[k] = v
-        if out:
-            g = gcd(*out.values())
-            if g > 1:
-                out = {k: v // g for k, v in out.items()}
-        return out
-
-    work = [to_int(r) for r in rows if r]
-    done = []
-    while work:
-        best = min(range(len(work)), key=lambda i: (len(work[i]), min(work[i])))
-        r = work.pop(best)
-        c = min(r)
-        nxt = []
-        for s in work:
-            if c in s:
-                s = axpy_int(s, r, c)
-                if not s:
-                    continue
-            nxt.append(s)
-        work = nxt
-        done = [(pc, axpy_int(pr, r, c) if c in pr else pr) for pc, pr in done]
-        done.append((c, r))
-    done.sort()
-    pivots = [c for c, _ in done]
-    out = []
-    for c, r in done:
-        piv = r[c]
-        out.append({k: Fraction(v, piv) for k, v in r.items()})
-    return pivots, out
-
-
 def _rref_dense_modp(field: PrimeField, rows, ncols):
     p = field.p
     a = np.zeros((len(rows), ncols), dtype=np.int64)
@@ -213,11 +146,8 @@ def _rref_dense_modp(field: PrimeField, rows, ncols):
 
 def rref_rows(field: Field, rows, ncols: int):
     """Canonical reduced row echelon form.  Returns (pivots, rows)."""
-    nr = len(rows)
-    if isinstance(field, PrimeField) and nr * ncols <= DENSE_MODP_MAX_CELLS:
+    if isinstance(field, PrimeField) and len(rows) * ncols <= DENSE_MODP_MAX_CELLS:
         return _rref_dense_modp(field, rows, ncols)
-    if field.tag == "q" and ncols > FRACTION_FREE_MIN_COLS:
-        return _rref_fraction_free(rows)
     return _rref_generic(field, rows)
 
 

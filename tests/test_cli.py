@@ -40,6 +40,29 @@ def test_bad_field_descriptor(capsys):
     assert code == 2
 
 
+def test_field_outside_suite_is_usage_error(capsys):
+    # fp:11 is checked by no suite; naming one must not pass with nothing checked
+    code, out, err = run(capsys, ["verify", "--suite", "ranks", "--field", "fp:11", "--no-cache"])
+    assert code == 2 and out == ""
+    assert "ranks" in err and "fp:5" in err
+    code, out, err = run(capsys, ["verify", "--field", "fp:11", "--no-cache"])
+    assert code == 2 and out == ""
+
+
+def test_deformations_rejects_other_field(capsys):
+    argv = ["verify", "--suite", "deformations", "--field", "fp:5", "--max-degree", "1"]
+    code, out, err = run(capsys, argv + ["--no-cache"])
+    assert code == 2 and out == ""
+    assert "deformations" in err and "qu" in err
+
+
+@pytest.mark.parametrize("flag", [["--pair", "t4"], ["--algebra", "t4.json"]])
+def test_verify_has_no_pair_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "classification", "--no-cache"] + flag)
+    assert exc.value.code == 2
+
+
 def test_sigma_suite_passes(capsys):
     code, out, _ = run(
         capsys,

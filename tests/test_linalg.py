@@ -13,6 +13,7 @@ from frobpi.linalg import (
     kernel,
     left_kernel,
     rref,
+    _rref_generic,
     rref_rows,
     series_inverse,
     subspace_ops,
@@ -21,7 +22,7 @@ from frobpi.linalg import (
     vec_scale,
     vec_sub,
 )
-from frobpi._kernels import HAVE_NUMBA, rref_mod
+from frobpi._kernels import rref_mod
 
 import numpy as np
 
@@ -66,7 +67,7 @@ def test_rref_canonical_given_row_order_shuffle():
 
 
 def test_fraction_free_lane_matches_generic():
-    # wide rational matrices dispatch to the integer fraction-free path
+    # a wide rational matrix and its squeezed copy reduce alike
     rng = random.Random(3)
     ncols = 230
     rows = []
@@ -76,8 +77,7 @@ def test_fraction_free_lane_matches_generic():
             r[j] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
         rows.append({k: v for k, v in r.items() if v})
     piv_wide, red_wide = rref_rows(QQ, rows, ncols)
-    # same system, squeezed through the generic lane by keeping ncols small:
-    # reindex occupied columns densely
+    # same system with the occupied columns reindexed densely
     used = sorted({j for r in rows for j in r})
     remap = {j: i for i, j in enumerate(used)}
     rows_small = [{remap[j]: v for j, v in r.items()} for r in rows]
@@ -89,12 +89,17 @@ def test_fraction_free_lane_matches_generic():
 
 @pytest.mark.parametrize("p", [2, 5, 2147483629])
 def test_modp_lanes_agree(p):
+    # the numpy kernel against the sparse generic lane over FP(p)
     rng = np.random.default_rng(11)
     mat = rng.integers(0, p, size=(30, 40), dtype=np.int64)
-    rank_a, piv_a, red_a = rref_mod(mat, p)
-    rank_b, piv_b, red_b = rref_mod(mat, p, force_fallback=True)
-    assert rank_a == rank_b and piv_a == piv_b
-    assert np.array_equal(red_a, red_b)
+    rank, piv_d, red = rref_mod(mat, p)
+    f = FP(p)
+    rows = [{j: int(v) for j, v in enumerate(r) if v} for r in mat]
+    piv_g, red_g = _rref_generic(f, rows)
+    assert rank == len(piv_g) and piv_d == piv_g
+    dense_rows = [{int(j): int(red[i, j]) for j in np.nonzero(red[i])[0]} for i in range(rank)]
+    assert dense_rows == red_g
+    assert not red[rank:].any()
 
 
 def test_fp_dense_dispatch_matches_generic():
@@ -102,10 +107,6 @@ def test_fp_dense_dispatch_matches_generic():
     rng = random.Random(5)
     rows = _random_rows(rng, f, 25, 18, span=4)
     piv_d, red_d = rref_rows(f, rows, 18)
-    # generic path, forced by working over a redundant embedding: run the
-    # pure-python generic reducer directly
-    from frobpi.linalg import _rref_generic
-
     piv_g, red_g = _rref_generic(f, rows)
     assert piv_d == piv_g and red_d == red_g
 
