@@ -528,6 +528,17 @@ def cmd_invariants(args):
 # argument parsing
 
 
+def _degree_cap(s: str) -> int:
+    """argparse type of --max-degree: a degree, so an integer of at least 0."""
+    try:
+        d = int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {s!r}") from None
+    if d < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {d}")
+    return d
+
+
 def _parser():
     p = argparse.ArgumentParser(
         prog="frobpi",
@@ -541,7 +552,7 @@ def _parser():
             sp.add_argument("--algebra", help="path to an algebra JSON file")
         if pair or field:
             sp.add_argument("--field", help="q, fp:<p>, or qu (default q)")
-        sp.add_argument("--max-degree", type=int, dest="max_degree")
+        sp.add_argument("--max-degree", type=_degree_cap, dest="max_degree")
         sp.add_argument("--format", choices=("json", "csv", "md"))
         sp.add_argument("--cache-dir", dest="cache_dir")
         sp.add_argument("--no-cache", action="store_true", dest="no_cache")

@@ -12,7 +12,7 @@ operators, so one code path serves every coefficient field.
 
 from __future__ import annotations
 
-from .fields import Field
+from .fields import Field, InvariantError
 from .frobenius import FrobeniusPair
 from .linalg import Subspace, rref_rows, vec_add, vec_apply
 
@@ -534,7 +534,8 @@ class GradedAlgebra:
         ls = unit_weighted(f, self.pair.algebra.unit, l0[1:])
         ra = Subspace.from_vectors(f, self.dim(d), [dict(r) for r in l0[0]]).dim
         rs = Subspace.from_vectors(f, self.dim(d), ls).dim
-        assert ra + rs == self.dim(d)
+        if ra + rs != self.dim(d):
+            raise InvariantError(f"degree {d}: one-sided dims {ra} + {rs} != {self.dim(d)}")
         self._split[d] = (ra, rs)
         return ra, rs
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class FieldMismatchError(ValueError):
@@ -26,6 +27,10 @@ class BadReductionError(ZeroDivisionError):
 
 class ScalarSyntaxError(ValueError):
     """Unparseable scalar string."""
+
+
+class InvariantError(ArithmeticError):
+    """An identity that exact arithmetic guarantees does not hold: a bug, not a result."""
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -238,58 +243,243 @@ def poly_ext_gcd(a: UniPoly, b: UniPoly):
 
 
 # ---------------------------------------------------------------------------
+# integer polynomials: tuples of ints, ascending, no trailing zeros
+
+
+def _padd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _strip(out)
+
+
+def _psub(a, b):
+    out = list(a)
+    if len(out) < len(b):
+        out.extend([0] * (len(b) - len(out)))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _strip(out)
+
+
+def _pmul(a, b):
+    """Product of two integer polynomials; nonzero factors give a stripped result."""
+    # a constant factor (most denominators are constants) skips the double loop
+    if len(a) == 1:
+        c = a[0]
+        return (c * b[0],) if len(b) == 1 else tuple([c * x for x in b])
+    if len(b) == 1:
+        c = b[0]
+        return tuple([c * x for x in a])
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _strip(a):
+    n = len(a)
+    while n and not a[n - 1]:
+        n -= 1
+    return tuple(a[:n])
+
+
+def _primitive(a):
+    c = gcd(*a)
+    return a if c == 1 else tuple(x // c for x in a)
+
+
+def _prem(a, b):
+    """Pseudo-remainder of a by b, up to a nonzero integer factor."""
+    r = list(a)
+    nb, lb = len(b), b[-1]
+    while len(r) >= nb:
+        la = r[-1]
+        g = gcd(la, lb)
+        sa, sb = lb // g, la // g
+        k = len(r) - nb
+        if sa != 1:
+            r = [sa * x for x in r]
+        for i, c in enumerate(b):
+            r[k + i] -= sb * c
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return tuple(r)
+
+
+def _prs_cancel(a, b):
+    """(a/g, b/g) for the primitive gcd g of nonzero a and b, by a primitive PRS."""
+    f, g = (a, b) if len(a) >= len(b) else (b, a)
+    if len(g) == 1:
+        return a, b
+    f, g = _primitive(f), _primitive(g)
+    while True:
+        r = _prem(f, g)
+        if not r:
+            break
+        if len(r) == 1:
+            return a, b
+        f, g = g, _primitive(r)
+    qa, qb = _pquo(a, g), _pquo(b, g)
+    if qa is None or qb is None:
+        # g is primitive and divides both over Q, so by Gauss's lemma over Z
+        raise InvariantError("inexact integer polynomial division")
+    return qa, qb
+
+
+def _heu_cancel(a, b):
+    """(a/g, b/g) for the primitive gcd g of a and b, or None if not certified.
+
+    b is nonconstant.  This is the heuristic gcd (GCDHEU) of Char, Geddes and
+    Gonnet: read the integer gcd of a(x) and b(x) at x = 2^k back as a
+    polynomial G in base x, with symmetric digits.  If G/cont(G) divides a
+    and b, the true gcd is G/cont(G) times some k, and k(x) divides cont(G)
+    because the gcd's value divides both values.  Past the Cauchy bound
+    R <= 1 + max|b_i| of b's roots a nonconstant k has |k(x)| >= x - R, so
+    cont(G) < x - R leaves k = +-1.
+    """
+    top = max(max(map(abs, a)), max(map(abs, b)))
+    k = top.bit_length() + 6
+    x = 1 << k
+    va = vb = 0
+    for c in reversed(a):
+        va = (va << k) + c
+    for c in reversed(b):
+        vb = (vb << k) + c
+    v = gcd(va, vb)
+    if v == 1:
+        return a, b
+    mask, half, digits = x - 1, x >> 1, []
+    while v:
+        r = v & mask
+        if r >= half:
+            r -= x
+        digits.append(r)
+        v = (v - r) >> k
+    c = gcd(*digits)
+    if c >= x - 1 - top:
+        return None
+    g = tuple(d // c for d in digits)
+    if len(g) == 1:
+        return a, b
+    qa = _pquo(a, g)
+    qb = None if qa is None else _pquo(b, g)
+    return None if qb is None else (qa, qb)
+
+
+def _pquo(a, b):
+    """a / b in Z[u] if b divides a there, else None."""
+    r = list(a)
+    nb, lb = len(b), b[-1]
+    if len(r) < nb:
+        return None
+    q = [0] * (len(r) - nb + 1)
+    for k in range(len(q) - 1, -1, -1):
+        t, m = divmod(r[k + nb - 1], lb)
+        if m:
+            return None
+        if t:
+            q[k] = t
+            for i, c in enumerate(b):
+                r[k + i] -= t * c
+    return None if any(r) else tuple(q)
+
+
+def _int_coeffs(p: UniPoly, m: int):
+    """Coefficients of m*p as ints; m must clear every denominator of p."""
+    return tuple(c.numerator * (m // c.denominator) for c in p.coeffs)
+
+
+# ---------------------------------------------------------------------------
 # rational functions in u over Q
 
 
 class RatF:
-    """Quotient of polynomials in u over Q; denominator monic, gcd one."""
+    """Quotient n/d of integer polynomials in u, in canonical form.
 
-    __slots__ = ("num", "den")
+    n and d are tuples of ints (ascending coefficients, no trailing zeros)
+    with gcd(n, d) = 1 in Z[u], joint content one and lc(d) > 0; zero is
+    ((), (1,)).  The form is unique, so equality and hashing compare the
+    tuples.  num and den give the same value over Q with a monic den.
+    """
 
-    def __init__(self, num: UniPoly, den: UniPoly = None):
-        if den is None:
-            den = UniPoly.const(QQ, 1, "u")
-        if den.is_zero():
+    __slots__ = ("n", "d")
+
+    def __init__(self, num, den=None):
+        """num, den: UniPolys over Q in u, or tuples of ints as stored."""
+        if isinstance(num, UniPoly):
+            if den is None:
+                den = UniPoly.const(QQ, 1, "u")
+            m = lcm(*(c.denominator for c in num.coeffs + den.coeffs))
+            num, den = _int_coeffs(num, m), _int_coeffs(den, m)
+        elif den is None:
+            den = (1,)
+        if not den:
             raise ZeroDivisionError("zero denominator in rational function")
-        if num.is_zero():
-            num = UniPoly(QQ, (), "u")
-            den = UniPoly.const(QQ, 1, "u")
-        else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
-            c = den.lc()
-            if c != 1:
-                inv = QQ.inv(c)
-                num = num.scale(inv)
-                den = den.scale(inv)
-        self.num = num
-        self.den = den
+        if not num:
+            self.n, self.d = (), (1,)
+            return
+        if len(den) > 1:
+            q = _heu_cancel(num, den)
+            if q is None:
+                q = _prs_cancel(num, den)
+            num, den = q
+        c = gcd(*num, *den)
+        if den[-1] < 0:
+            c = -c
+        if c != 1:
+            num = tuple(x // c for x in num)
+            den = tuple(x // c for x in den)
+        self.n, self.d = num, den
+
+    @classmethod
+    def _canonical(cls, n, d):
+        """Wrap a pair already in canonical form, without normalising."""
+        x = object.__new__(cls)
+        x.n, x.d = n, d
+        return x
 
     @classmethod
     def const(cls, c):
-        return cls(UniPoly.const(QQ, c, "u"))
+        c = QQ.convert(c)
+        return cls((c.numerator,) if c else (), (c.denominator,))
 
     @classmethod
     def gen(cls):
-        return cls(UniPoly.gen(QQ, "u"))
+        return cls((0, 1))
+
+    @property
+    def num(self):
+        lc = self.d[-1]
+        return UniPoly(QQ, [Fraction(c, lc) for c in self.n], "u")
+
+    @property
+    def den(self):
+        lc = self.d[-1]
+        return UniPoly(QQ, [Fraction(c, lc) for c in self.d], "u")
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.n
 
     def is_poly(self):
-        return self.den.degree == 0
+        return len(self.d) == 1
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = RatF.const(other)
+            return self.d == (1,) and self.n == ((other,) if other else ())
         if not isinstance(other, RatF):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.n == other.n and self.d == other.d
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.n, self.d))
 
     def _coerce(self, other):
         if isinstance(other, RatF):
@@ -302,30 +492,34 @@ class RatF:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatF(self.num * o.den + o.num * self.den, self.den * o.den)
+        if self.d == o.d:
+            return RatF(_padd(self.n, o.n), self.d)
+        return RatF(_padd(_pmul(self.n, o.d), _pmul(o.n, self.d)), _pmul(self.d, o.d))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatF(-self.num, self.den)
+        return RatF._canonical(tuple([-c for c in self.n]), self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        if self.d == o.d:
+            return RatF(_psub(self.n, o.n), self.d)
+        return RatF(_psub(_pmul(self.n, o.d), _pmul(o.n, self.d)), _pmul(self.d, o.d))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatF(self.num * o.num, self.den * o.den)
+        return RatF(_pmul(self.n, o.n), _pmul(self.d, o.d))
 
     __rmul__ = __mul__
 
@@ -335,16 +529,24 @@ class RatF:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RatF(self.num * o.den, self.den * o.num)
+        return RatF(_pmul(self.n, o.d), _pmul(self.d, o.n))
 
     def eval(self, c: Fraction) -> Fraction:
-        d = self.den.eval(c)
+        c = QQ.convert(c)
+        d = _horner(self.d, c)
         if d == 0:
             raise PoleError(f"pole at u = {c}")
-        return self.num.eval(c) / d
+        return _horner(self.n, c) / d
 
     def __repr__(self):
         return f"RatF({QU.fmt(self)})"
+
+
+def _horner(a, c):
+    acc = Fraction(0)
+    for x in reversed(a):
+        acc = acc * c + x
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +811,9 @@ class RationalFunctionField(Field):
     def inv(self, a):
         if a.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(u)")
-        return RatF(a.den, a.num)
+        if a.n[-1] < 0:
+            return RatF._canonical(tuple(-c for c in a.d), tuple(-c for c in a.n))
+        return RatF._canonical(a.d, a.n)
 
     def is_zero(self, a):
         return a.is_zero()
@@ -622,9 +826,7 @@ class RationalFunctionField(Field):
 
     def fmt(self, a) -> str:
         if a.is_poly():
-            c = a.den.coeffs[0]
-            num = a.num if c == 1 else a.num.scale(QQ.inv(c))
-            return poly_str(num)
+            return poly_str(a.num)
         return f"({poly_str(a.num)})/({poly_str(a.den)})"
 
 

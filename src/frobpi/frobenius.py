@@ -16,6 +16,7 @@ from .fields import (
     QU,
     Field,
     FieldMismatchError,
+    InvariantError,
     MultiPoly,
     PrimeField,
     RatF,
@@ -623,7 +624,8 @@ def rational_root_factorization(g: UniPoly):
         if root is None:
             raise ValueError("polynomial has an irrational root")
         q, r = h.divmod(t - UniPoly.const(f, root, g.var))
-        assert r.is_zero()
+        if not r.is_zero():
+            raise InvariantError(f"{root} is a root but t - {root} leaves remainder {r}")
         h = q
         mults[root] = mults.get(root, 0) + 1
     return sorted(mults.items(), key=lambda kv: (-kv[1], kv[0]))

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .fields import Field, PrimeField
+from .fields import Field, InvariantError, PrimeField
 
 DENSE_MODP_MAX_CELLS = 4_000_000
 
@@ -224,7 +224,8 @@ def kernel(m: SparseMat) -> Subspace:
                 v[p_] = f.neg(x)
         basis.append(v)
     out = Subspace.from_vectors(f, m.ncols, basis)
-    assert out.dim == m.ncols - len(piv)
+    if out.dim != m.ncols - len(piv):
+        raise InvariantError(f"kernel of rank {len(piv)} in {m.ncols} columns has dim {out.dim}")
     return out
 
 

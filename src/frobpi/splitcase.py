@@ -17,7 +17,7 @@ m + 3n = 0 mod 4, and the swap forces c_{n,m} = (-1)^m c_{m,n}.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import QQ, MultiPoly
+from .fields import QQ, InvariantError, MultiPoly
 from .linalg import series_inverse
 from .center import center_degree, center_dims
 
@@ -54,7 +54,8 @@ def star_adjacency(n: int) -> StarQuiver:
 
 
 def _int(x):
-    assert x.denominator == 1
+    if x.denominator != 1:
+        raise InvariantError(f"quiver series coefficient {x} is not an integer")
     return int(x)
 
 

@@ -1,5 +1,7 @@
 """Center computation: ranks, explicit elements, generation, char-2 reality."""
 
+from fractions import Fraction
+
 import pytest
 
 from frobpi import CATALOG_NAMES, build, catalog
@@ -18,6 +20,7 @@ from frobpi.center import (
 )
 from frobpi.engine import DegreeRangeError
 from frobpi.fields import field_from_descriptor
+from frobpi.frobenius import deformation, make_frobenius, specialize_pair
 
 
 def test_expected_center_dim_values():
@@ -144,3 +147,18 @@ def test_char2_centers_still_match_over_odd_primes(fp_engines):
     for name in ("two-dual-numbers", "t4", "bikwad"):
         g = fp_engines[name, 5]
         assert center_dims(g, 12) == [expected_center_dim(d) for d in range(13)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_generic_fibre_matches_fibre_at_7_13(n):
+    # u = 7/13 is none of the special values 0 and +-1, so the Q build of that
+    # fibre must have the generic dims and centre dims of the Q(u) build
+    fam = deformation(n)
+    pair = make_frobenius(fam.algebra, list(fam.lam))
+    gu = build(pair, 6)
+    gc = build(specialize_pair(pair, "q", Fraction(7, 13)), 6)
+    assert gu.field.tag == "qu" and gc.field.tag == "q"
+    assert [gu.dim(d) for d in range(6)] == [gc.dim(d) for d in range(6)]
+    assert [center_degree(gu, d).dim for d in range(6)] == [
+        center_degree(gc, d).dim for d in range(6)
+    ]

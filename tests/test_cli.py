@@ -63,6 +63,24 @@ def test_verify_has_no_pair_flags(capsys, flag):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "sigma", "--field", "q", "--max-degree", "-1"],
+        ["dims", "--max-degree", "-1"],
+        ["deform", "--family", "4", "--max-degree", "-3"],
+        ["dims", "--max-degree", "two"],
+    ],
+)
+def test_bad_max_degree_is_usage_error(capsys, argv):
+    # a negative cap would check nothing and pass
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--no-cache"])
+    assert exc.value.code == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and "--max-degree" in cap.err
+
+
 def test_sigma_suite_passes(capsys):
     code, out, _ = run(
         capsys,

@@ -1,9 +1,12 @@
 """Exact scalar arithmetic: Q, F_p, Q(u), and the polynomial helpers."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from frobpi import fields
 from frobpi.fields import (
     FP,
     QQ,
@@ -119,6 +122,79 @@ def test_ratf_pole():
     with pytest.raises(PoleError):
         x.eval(Fraction(2))
     assert x.eval(Fraction(3)) == Fraction(1)
+
+
+_INT_POLY = st.lists(st.integers(-6, 6), min_size=1, max_size=5)  # degree <= 4
+_RNG = random.Random("ratf-points")
+_POINTS = [Fraction(_RNG.randint(-40, 40), _RNG.randint(1, 9)) for _ in range(16)]
+
+
+def _qpoly(coeffs):
+    return UniPoly(QQ, [Fraction(c) for c in coeffs], "u")
+
+
+@st.composite
+def _ratf_case(draw):
+    """A RatF with the two Q[u] polynomials it was built from.
+
+    Both are multiplied by a drawn common factor, so that building the RatF
+    has something to cancel.
+    """
+    common = _qpoly(draw(_INT_POLY))
+    num = _qpoly(draw(_INT_POLY)) * common
+    den = _qpoly(draw(_INT_POLY)) * common
+    if den.is_zero():
+        den = UniPoly.const(QQ, 1, "u")
+    return RatF(num, den), num, den
+
+
+def _value(num, den, c):
+    """num(c)/den(c) from the Fraction-based UniPoly.eval, or None at a pole."""
+    d = den.eval(c)
+    return None if d == 0 else num.eval(c) / d
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_ratf_case(), _ratf_case())
+def test_ratf_ops_match_fraction_reference(xc, yc):
+    (x, xn, xd), (y, yn, yd) = xc, yc
+    ops = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b, "mul": lambda a, b: a * b}
+    if not y.is_zero():
+        ops["div"] = lambda a, b: a / b
+    values = [(c, _value(xn, xd, c), _value(yn, yd, c)) for c in _POINTS]
+    for name, op in ops.items():
+        z = op(x, y)
+        checked = 0
+        for c, a, b in values:
+            if a is None or b is None or (name == "div" and b == 0):
+                continue
+            assert z.eval(c) == op(a, b), (name, c)
+            checked += 1
+        assert checked, name
+        assert z.den.lc() == 1
+        assert z.num.gcd(z.den).degree == 0  # the Fraction-based Euclidean gcd
+        assert QU.parse(QU.fmt(z)) == z
+        assert RatF(z.num, z.den) == z
+        assert hash(RatF(z.num, z.den)) == hash(z)
+
+
+def test_heuristic_gcd_agrees_with_prs():
+    # pairs with a planted common factor; the heuristic must find most gcds
+    # itself (None sends the caller to the PRS) and agree with the PRS up to sign
+    rng = random.Random("heu-gcd")
+
+    def poly(deg):
+        return fields._strip([rng.randint(-9, 9) for _ in range(deg)] + [rng.choice((-3, -1, 1, 2))])
+
+    found = 0
+    for _ in range(200):
+        h = poly(rng.randint(0, 4))
+        a, b = fields._pmul(h, poly(rng.randint(0, 5))), fields._pmul(h, poly(rng.randint(1, 5)))
+        got, want = fields._heu_cancel(a, b), fields._prs_cancel(a, b)
+        if got is not None:
+            found += 1
+            assert got in (want, tuple(tuple(-c for c in w) for w in want))
+    assert found >= 180
 
 
 def test_qu_parse_expressions():

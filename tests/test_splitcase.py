@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from frobpi import splitcase
+from frobpi.fields import InvariantError
 from frobpi.splitcase import (
     StarQuiver,
     cross_check_center,
@@ -54,6 +55,13 @@ def closed_form_totals(D):
 def test_quiver_totals_match_series():
     mats, totals = quiver_hilbert(4, 24)
     assert totals == closed_form_totals(24)
+
+
+def test_non_integer_series_coefficient_raises():
+    # an explicit check, so it still holds under python -O
+    with pytest.raises(InvariantError):
+        splitcase._int(Fraction(1, 2))
+    assert splitcase._int(Fraction(6, 2)) == 3
 
 
 def test_quiver_matrices_symmetric():
