@@ -3,10 +3,10 @@
 A cache entry is keyed by sha256 over the canonical JSON of the algebra
 presentation and functional, the field tag, the build degree, and a format
 version.  The dump stores, per degree, the normal-form words together with
-the reduction operators (E, FB, B); the unit-weighted F operator and the
-degree-2 relation data are cheap and recomputed on load.  Files are created
-exclusively (link-into-place), never rewritten, and the key is revalidated
-when a file is read back.
+the reduction operators (E, FB, B); the unit-weighted F operator is cheap
+and recomputed on load, and the degree-2 relation data, which only building
+reads, is not restored.  Files are created exclusively (link-into-place),
+never rewritten, and the key is revalidated when a file is read back.
 """
 
 import hashlib
@@ -93,7 +93,6 @@ def _decode(pair, D: int, data: dict, key: str) -> GradedAlgebra:
     g._l0 = {}
     g._l1 = {}
     g._split = {}
-    g._r2_terms = g._relation_terms()
     if g.dims() != data["dims"]:
         raise CacheValidationError("cache file dimension table mismatch")
     return g

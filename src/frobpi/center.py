@@ -118,15 +118,25 @@ def expected_center_dim(d: int) -> int:
     return 0
 
 
-def is_central(x: PiElement) -> bool:
+def _commutes(x: PiElement, signs) -> bool:
+    """x g = sigma(g) x for every generator g.
+
+    sigma fixes a and multiplies b_j, b_j e and f b_j by signs[j].
+    """
     g = x.graded
     f = g.field
-    for right, left, _ in _commutator_ops(g, x.d):
+    gen_signs = [f.one] + 3 * list(signs)  # a, the slots, b_i e, f b_j
+    for (right, left, _), sg in zip(_commutator_ops(g, x.d), gen_signs):
         rv = vec_apply(f, x.vec, right)
         lv = vec_apply(f, x.vec, left)
-        if vec_sub(f, rv, lv):
+        if vec_sub(f, rv, {k: sg * v for k, v in lv.items()}):
             return False
     return True
+
+
+def is_central(x: PiElement) -> bool:
+    """x commutes with every generator, hence with the whole algebra."""
+    return _commutes(x, [x.graded.field.one] * x.graded.n)
 
 
 def _require_bikwad(g: GradedAlgebra):
@@ -146,18 +156,8 @@ def normalizing_check(x: PiElement, sign_letter: str) -> bool:
     if sign_letter not in ("s", "t"):
         raise ValueError("sign letter must be s or t")
     f = g.field
-    names = g.pair.algebra.names
-    signs = [f.neg(f.one) if sign_letter in nm else f.one for nm in names]
-    gen_signs = [f.one] + list(signs)  # a, then slots
-    gen_signs += list(signs)  # b_i e carries the sign of b_i
-    gen_signs += list(signs)  # f b_j carries the sign of b_j
-    for (right, left, _), sg in zip(_commutator_ops(g, x.d), gen_signs):
-        rv = vec_apply(f, x.vec, right)
-        lv = vec_apply(f, x.vec, left)
-        lv = {k: sg * v for k, v in lv.items()}
-        if vec_sub(f, rv, f.post_reduce(lv)):
-            return False
-    return True
+    signs = [f.neg(f.one) if sign_letter in nm else f.one for nm in g.pair.algebra.names]
+    return _commutes(x, signs)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +289,9 @@ def _word_span_dims(g: GradedAlgebra, dmax: int):
 def sigma_surjectivity_check(g: GradedAlgebra, D: int) -> bool:
     """Multiplication from the tensor algebra hits every degree up to D.
 
-    Degrees through 6 are checked by spanning with every canonical word;
-    beyond 6 the image only grows by products with the degree-4 center,
-    so the check recurses through center multiplication.
+    Degrees through 6 are checked by spanning with every canonical word.
+    Beyond 6, once degree d - 4 is hit in full, degree d is checked as the
+    span of the degree-4 center times every basis word of degree d - 4.
     """
     if D > g.D:
         raise DegreeRangeError(f"degree {D} exceeds build degree {g.D}")
@@ -304,20 +304,12 @@ def sigma_surjectivity_check(g: GradedAlgebra, D: int) -> bool:
     if D <= 6:
         return True
     z4 = center_degree(g, 4).elements(g)
-    images = {d: None for d in range(D + 1)}  # None means full
     for d in range(7, D + 1):
-        prev = images[d - 4]
-        if prev is None:
-            prev_rows = [{i: f.one} for i in range(g.dim(d - 4))]
-        else:
-            prev_rows = [dict(r) for r in prev.rows]
         vecs = []
         for z in z4:
-            for r in prev_rows:
-                x = PiElement(g, d - 4, dict(r))
-                vecs.append(g.multiply(z, x).vec)
+            for i in range(g.dim(d - 4)):
+                vecs.append(g.multiply(z, g.basis_element(d - 4, i)).vec)
         span = Subspace.from_vectors(f, g.dim(d), vecs)
         if span.dim != g.dim(d):
             return False
-        images[d] = None
     return True

@@ -13,12 +13,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .center import (
-    center_degree,
-    center_dims,
-    expected_center_dim,
-    sigma_surjectivity_check,
-)
+from .center import center_degree, expected_center_dim, sigma_surjectivity_check
 from .engine import build
 from .fields import field_from_descriptor
 from .frobenius import (
@@ -76,76 +71,46 @@ class _Builds:
 # verification suites; each yields records ending in a boolean "pass"
 
 
-def _suite_ranks(builds, fields, cap):
-    for name in CATALOG_NAMES:
-        for tag in fields:
-            g = builds.get(name, tag)
-            for d in range(cap[tag] + 1):
-                dim = g.dim(d)
-                exp = _expected_dim(d)
-                yield {
-                    "suite": "ranks",
-                    "pair": name,
-                    "field": tag,
-                    "degree": d,
-                    "dim": dim,
-                    "expected": exp,
-                    "pass": dim == exp,
-                }
+def _per_degree(suite, record):
+    """Suite runner: one record per catalog pair, field and degree up to the cap.
+
+    record(g, d) gives the record's fields after "degree", ending in "pass".
+    """
+
+    def run(builds, fields, cap):
+        for name in CATALOG_NAMES:
+            for tag in fields:
+                g = builds.get(name, tag)
+                for d in range(cap[tag] + 1):
+                    yield {"suite": suite, "pair": name, "field": tag, "degree": d, **record(g, d)}
+
+    return run
 
 
-def _suite_split(builds, fields, cap):
-    for name in CATALOG_NAMES:
-        for tag in fields:
-            g = builds.get(name, tag)
-            for d in range(cap[tag] + 1):
-                dr, ds = g.split_dims(d)
-                er, es = _expected_split(d)
-                yield {
-                    "suite": "split",
-                    "pair": name,
-                    "field": tag,
-                    "degree": d,
-                    "dim_r": dr,
-                    "dim_s": ds,
-                    "expected_r": er,
-                    "expected_s": es,
-                    "pass": (dr, ds) == (er, es),
-                }
+def _rank_record(g, d):
+    dim, exp = g.dim(d), _expected_dim(d)
+    return {"dim": dim, "expected": exp, "pass": dim == exp}
 
 
-def _suite_center(builds, fields, cap):
-    for name in CATALOG_NAMES:
-        for tag in fields:
-            g = builds.get(name, tag)
-            for d in range(cap[tag] + 1):
-                dim = center_degree(g, d).dim
-                exp = expected_center_dim(d)
-                yield {
-                    "suite": "center",
-                    "pair": name,
-                    "field": tag,
-                    "degree": d,
-                    "dim_center": dim,
-                    "expected": exp,
-                    "pass": dim == exp,
-                }
+def _split_record(g, d):
+    (dr, ds), (er, es) = g.split_dims(d), _expected_split(d)
+    return {
+        "dim_r": dr,
+        "dim_s": ds,
+        "expected_r": er,
+        "expected_s": es,
+        "pass": (dr, ds) == (er, es),
+    }
 
 
-def _suite_resolution(builds, fields, cap):
-    for name in CATALOG_NAMES:
-        for tag in fields:
-            g = builds.get(name, tag)
-            for d, (alt_r, alt_s) in enumerate(g.resolution_sums(cap[tag])):
-                yield {
-                    "suite": "resolution",
-                    "pair": name,
-                    "field": tag,
-                    "degree": d,
-                    "alternating_r": alt_r,
-                    "alternating_s": alt_s,
-                    "pass": alt_r == 0 and alt_s == 0,
-                }
+def _center_record(g, d):
+    dim, exp = center_degree(g, d).dim, expected_center_dim(d)
+    return {"dim_center": dim, "expected": exp, "pass": dim == exp}
+
+
+def _resolution_record(g, d):
+    alt_r, alt_s = g.resolution_sums(d)[d]
+    return {"alternating_r": alt_r, "alternating_s": alt_s, "pass": alt_r == 0 and alt_s == 0}
 
 
 def _suite_sigma(builds, fields, cap):
@@ -266,10 +231,14 @@ class _Suite:
 
 
 SUITES = {
-    "ranks": _Suite(_suite_ranks, RANK_FIELDS, 12, build=lambda c: c),
-    "split": _Suite(_suite_split, RANK_FIELDS, 12, build=lambda c: c),
-    "center": _Suite(_suite_center, CENTER_FIELDS, 12, 16, build=lambda c: c + 1),
-    "resolution": _Suite(_suite_resolution, ("q",), 16, build=lambda c: c),
+    "ranks": _Suite(_per_degree("ranks", _rank_record), RANK_FIELDS, 12, build=lambda c: c),
+    "split": _Suite(_per_degree("split", _split_record), RANK_FIELDS, 12, build=lambda c: c),
+    "center": _Suite(
+        _per_degree("center", _center_record), CENTER_FIELDS, 12, 16, build=lambda c: c + 1
+    ),
+    "resolution": _Suite(
+        _per_degree("resolution", _resolution_record), ("q",), 16, build=lambda c: c
+    ),
     "sigma": _Suite(_suite_sigma, CENTER_FIELDS, 12, 16, build=lambda c: max(c, 5)),
     "invariants": _Suite(_suite_invariants, ("q",), 12, build=lambda c: c + 1),
     "deformations": _Suite(_suite_deformations, ("qu",), 8),
@@ -365,8 +334,9 @@ def _cache_dir(args):
 
 
 def _resolve_pair(args):
-    field = args.field or "q"
     if args.algebra:
+        if args.field or args.pair:
+            raise InputError("--algebra names its own field and algebra; drop --field and --pair")
         try:
             with open(args.algebra, encoding="utf-8") as fh:
                 text = fh.read()
@@ -385,7 +355,7 @@ def _resolve_pair(args):
     name = args.pair or "bikwad"
     if name not in CATALOG_NAMES:
         raise InputError(f"unknown pair {name!r}; choose from {', '.join(CATALOG_NAMES)}")
-    return catalog(name, field_from_descriptor(field)), name
+    return catalog(name, field_from_descriptor(args.field or "q")), name
 
 
 def cmd_dims(args):
@@ -394,22 +364,9 @@ def cmd_dims(args):
     g = build(pair, max(cap, 1), cache_dir=_cache_dir(args))
     rows = []
     for d in range(cap + 1):
-        dim = g.dim(d)
-        exp = _expected_dim(d)
-        dr, ds = g.split_dims(d)
-        er, es = _expected_split(d)
-        rows.append(
-            {
-                "degree": d,
-                "dim": dim,
-                "expected": exp,
-                "dim_r": dr,
-                "dim_s": ds,
-                "expected_r": er,
-                "expected_s": es,
-                "pass": dim == exp and (dr, ds) == (er, es),
-            }
-        )
+        rank, split = _rank_record(g, d), _split_record(g, d)
+        ok = rank.pop("pass") and split["pass"]
+        rows.append({"degree": d, **rank, **split, "pass": ok})
     _emit(rows, args.format, "md")
     return _exit_code(rows)
 
@@ -546,16 +503,19 @@ def _parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, pair=False, field=False):
+    def common(sp, pair=False, field=False, degree=True, cache=True):
+        """Add the shared flags that the subcommand reads, and only those."""
         if pair:
             sp.add_argument("--pair", help="catalog algebra name")
             sp.add_argument("--algebra", help="path to an algebra JSON file")
         if pair or field:
             sp.add_argument("--field", help="q, fp:<p>, or qu (default q)")
-        sp.add_argument("--max-degree", type=_degree_cap, dest="max_degree")
+        if degree:
+            sp.add_argument("--max-degree", type=_degree_cap, dest="max_degree")
         sp.add_argument("--format", choices=("json", "csv", "md"))
-        sp.add_argument("--cache-dir", dest="cache_dir")
-        sp.add_argument("--no-cache", action="store_true", dest="no_cache")
+        if cache:
+            sp.add_argument("--cache-dir", dest="cache_dir")
+            sp.add_argument("--no-cache", action="store_true", dest="no_cache")
 
     sp = sub.add_parser("dims", help="graded dimension table for one algebra")
     common(sp, pair=True)
@@ -567,7 +527,7 @@ def _parser():
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("catalog", help="list the classified algebras")
-    common(sp)
+    common(sp, degree=False, cache=False)
     sp.set_defaults(fn=cmd_catalog)
 
     sp = sub.add_parser("deform", help="fiber dimensions along a family")
@@ -582,7 +542,7 @@ def _parser():
     sp.set_defaults(fn=cmd_quiver)
 
     sp = sub.add_parser("invariants", help="plane invariant dimensions")
-    common(sp)
+    common(sp, cache=False)
     sp.set_defaults(fn=cmd_invariants)
     return p
 

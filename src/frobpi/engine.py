@@ -162,10 +162,8 @@ class GradedAlgebra:
             b0.append(rows)
         self.B.append(b0)
 
-    def dims(self, d=None):
-        if d is None:
-            return [len(w) for w in self.words]
-        return len(self.words[d])
+    def dims(self):
+        return [len(w) for w in self.words]
 
     def dim(self, d: int) -> int:
         if not 0 <= d <= self.D:
@@ -306,16 +304,12 @@ class GradedAlgebra:
                 vec = {i: c for i, c in vec.items() if isr[i]}
             elif L >= 0:
                 vec = vec_apply(f, vec, self.B[d][L]) if vec else {}
-            elif L == E_LETTER:
+            elif L == E_LETTER or L == F_LETTER:
                 d += 1
                 if d > self.D:
                     raise DegreeRangeError(f"degree {d} exceeds build degree {self.D}")
-                vec = vec_apply(f, vec, self.E[d]) if vec else {}
-            elif L == F_LETTER:
-                d += 1
-                if d > self.D:
-                    raise DegreeRangeError(f"degree {d} exceeds build degree {self.D}")
-                vec = vec_apply(f, vec, self.F[d]) if vec else {}
+                op = self.E[d] if L == E_LETTER else self.F[d]
+                vec = vec_apply(f, vec, op) if vec else {}
             else:
                 raise ValueError(f"bad letter {L}")
         return vec, d

@@ -1,20 +1,19 @@
 """Exact scalars: rationals, prime fields F_p, and rational functions in u.
 
-Every scalar that crosses a public interface carries its field tag; mixing
-tags raises instead of coercing.  Internally each field works on a raw
-payload type (Fraction, reduced int, RatF) so the linear algebra layer can
-use native arithmetic operators in hot loops.
+Scalars are raw payloads (Fraction, reduced int, RatF) with no field tag.
+Every interface passes the Field object next to them, and converting a
+value from another field raises instead of coercing.  Raw payloads let the
+linear algebra layer use native arithmetic operators in hot loops.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 
 class FieldMismatchError(ValueError):
-    """Arithmetic attempted between scalars with different field tags."""
+    """A value or a specialization that the target field cannot take."""
 
 
 class PoleError(ZeroDivisionError):
@@ -143,12 +142,6 @@ class UniPoly:
     def scale(self, c):
         f = self.field
         return UniPoly(f, [f.mul(a, c) for a in self.coeffs], self.var)
-
-    def shift(self, k):
-        """Multiply by var**k."""
-        if self.is_zero():
-            return self
-        return UniPoly(self.field, (self.field.zero,) * k + self.coeffs, self.var)
 
     def divmod(self, other):
         f = self.field
@@ -569,10 +562,6 @@ class MultiPoly:
         self.terms = t
 
     @classmethod
-    def const(cls, field, nvars, c):
-        return cls(field, nvars, {(0,) * nvars: field.convert(c)})
-
-    @classmethod
     def gen(cls, field, nvars, i):
         e = [0] * nvars
         e[i] = 1
@@ -676,11 +665,6 @@ class RationalField(Field):
     def mul(self, a, b):
         return a * b
 
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in Q")
-        return a / b
-
     def neg(self, a):
         return -a
 
@@ -700,6 +684,12 @@ class RationalField(Field):
 
     def fmt(self, a) -> str:
         return str(a)
+
+
+def reduce_fraction_mod_p(x: Fraction, p: int) -> int:
+    if x.denominator % p == 0:
+        raise BadReductionError(f"denominator of {x} divisible by {p}")
+    return x.numerator * pow(x.denominator % p, -1, p) % p
 
 
 class PrimeField(Field):
@@ -802,9 +792,6 @@ class RationalFunctionField(Field):
     def mul(self, a, b):
         return a * b
 
-    def div(self, a, b):
-        return a / b
-
     def neg(self, a):
         return -a
 
@@ -817,9 +804,6 @@ class RationalFunctionField(Field):
 
     def is_zero(self, a):
         return a.is_zero()
-
-    def gen(self):
-        return RatF.gen()
 
     def parse(self, s: str):
         return _parse_qu(s)
@@ -968,53 +952,3 @@ def _qu_atom(tk) -> RatF:
     if t.isdigit():
         return RatF.const(int(t))
     raise ScalarSyntaxError(f"unexpected token {t!r} in scalar string")
-
-
-# ---------------------------------------------------------------------------
-# tagged scalar surface
-
-
-@dataclass(frozen=True)
-class Scalar:
-    field: Field
-    value: object
-
-    def __repr__(self):
-        return f"Scalar[{self.field.tag}]({self.field.fmt(self.value)})"
-
-
-def scalar(field: Field, value) -> Scalar:
-    return Scalar(field, field.convert(value))
-
-
-_OPS = {"add": "add", "sub": "sub", "mul": "mul", "div": "div"}
-
-
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    if a.field.tag != b.field.tag:
-        raise FieldMismatchError(f"mixed field tags {a.field.tag} and {b.field.tag}")
-    if op not in _OPS:
-        raise ValueError(f"unknown op {op!r}")
-    f = a.field
-    return Scalar(f, getattr(f, _OPS[op])(a.value, b.value))
-
-
-def specialize_u(x: Scalar, c) -> Scalar:
-    """Evaluate a Q(u) scalar at u = c, failing on poles."""
-    if x.field.tag != "qu":
-        raise FieldMismatchError(f"specialize_u needs a qu scalar, got {x.field.tag}")
-    return Scalar(QQ, x.value.eval(Fraction(c)))
-
-
-def reduce_fraction_mod_p(x: Fraction, p: int) -> int:
-    if x.denominator % p == 0:
-        raise BadReductionError(f"denominator of {x} divisible by {p}")
-    return x.numerator * pow(x.denominator % p, -1, p) % p
-
-
-def reduce_mod_p(x: Scalar, p: int) -> Scalar:
-    """Reduce a rational scalar mod p, failing when p divides the denominator."""
-    if x.field.tag != "q":
-        raise FieldMismatchError(f"reduce_mod_p needs a q scalar, got {x.field.tag}")
-    fp = PrimeField(p)
-    return Scalar(fp, reduce_fraction_mod_p(x.value, p))

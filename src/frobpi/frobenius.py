@@ -24,7 +24,7 @@ from .fields import (
     field_from_descriptor,
     poly_ext_gcd,
 )
-from .linalg import SparseMat, rref_rows
+from .linalg import rref_rows
 
 CATALOG_NAMES = (
     "split4",
@@ -172,15 +172,6 @@ def _vec_eq(f: Field, a: dict, b: dict) -> bool:
     return True
 
 
-def algebra_mul(a: CommAlgebra, x, y):
-    """Multiply coefficient vectors given as sequences; returns a list."""
-    f = a.field
-    xv = f.post_reduce({i: f.convert(c) for i, c in enumerate(x)})
-    yv = f.post_reduce({i: f.convert(c) for i, c in enumerate(y)})
-    out = a.mul_vec(xv, yv)
-    return [out.get(i, f.zero) for i in range(a.n)]
-
-
 # ---------------------------------------------------------------------------
 # Frobenius structure
 
@@ -192,7 +183,7 @@ class FrobeniusPair:
     so lam(e_i f_j) = delta_ij.
     """
 
-    __slots__ = ("algebra", "lam", "gram", "gram_inv", "dual_left", "dual_right", "name")
+    __slots__ = ("algebra", "lam", "gram", "dual_right", "name")
 
     def __init__(self, algebra: CommAlgebra, lam, name=None):
         f = algebra.field
@@ -214,9 +205,7 @@ class FrobeniusPair:
         self.algebra = algebra
         self.lam = lam
         self.gram = tuple(gram)
-        self.gram_inv = tuple(tuple(r) for r in inv)
-        self.dual_left = tuple(tuple(f.one if i == j else f.zero for j in range(n)) for i in range(n))
-        self.dual_right = tuple(tuple(self.gram_inv[q][j] for q in range(n)) for j in range(n))
+        self.dual_right = tuple(tuple(inv[q][j] for q in range(n)) for j in range(n))
         self.name = name
         for i in range(n):
             for j in range(n):
@@ -339,15 +328,11 @@ def _all_tuples(p, n):
 # catalog
 
 
-def _sv(field, pairs):
-    return {k: field.convert(v) for k, v in pairs}
-
-
 def _table_from_pairs(field, n, entries):
     """entries: {(i,j): [(k, coeff), ...]} for i <= j, symmetrized."""
     tab = [[dict() for _ in range(n)] for _ in range(n)]
     for (i, j), pairs in entries.items():
-        v = _sv(field, pairs)
+        v = {k: field.convert(c) for k, c in pairs}
         tab[i][j] = dict(v)
         tab[j][i] = dict(v)
     return tab
@@ -481,15 +466,6 @@ class DeformationFamily:
     g: object  # UniPoly over Q(u) for the k[t]/(g) families, else None
     special: str  # catalog name of the u = 0 fiber
     generic: str  # catalog name of the generic fiber
-
-
-def _qu_poly(coeff_pairs, var="t"):
-    """UniPoly over Q(u) from (degree, RatF/int) pairs."""
-    deg = max(d for d, _ in coeff_pairs)
-    coeffs = [QU.zero] * (deg + 1)
-    for d, c in coeff_pairs:
-        coeffs[d] = QU.convert(c)
-    return UniPoly(QU, coeffs, var)
 
 
 def deformation(n: int, char2: bool = False) -> DeformationFamily:
@@ -776,10 +752,14 @@ def algebra_from_json(text: str):
     tab = [[dict() for _ in range(n)] for _ in range(n)]
     for (i, j), row in zip(order, doc["constants"]):
         v = {int(k): f.parse(s) for k, s in row}
+        if any(not 0 <= k < n for k in v):
+            raise ValueError(f"constants of b_{i} b_{j} name a basis index outside 0..{n - 1}")
         tab[i][j] = dict(v)
         tab[j][i] = dict(v)
     a = CommAlgebra(f, names, tab)
     lam = None
     if "lambda" in doc:
+        if len(doc["lambda"]) != n:
+            raise ValueError(f"lambda must have {n} entries, one per basis element")
         lam = tuple(f.parse(s) for s in doc["lambda"])
     return a, lam

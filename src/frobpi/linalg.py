@@ -1,4 +1,4 @@
-"""Exact sparse linear algebra over the tagged fields.
+"""Exact sparse linear algebra over the exact fields.
 
 Matrices are rows of {column: payload} dicts.  Row reduction always lands in
 the fully reduced row echelon form, which is unique, so the two execution
@@ -17,29 +17,6 @@ from . import _kernels
 from .fields import Field, InvariantError, PrimeField
 
 DENSE_MODP_MAX_CELLS = 4_000_000
-
-
-class AmbientMismatchError(ValueError):
-    """Subspace operation on spaces with different ambient dimension or field."""
-
-
-class SparseMat:
-    """Immutable sparse matrix; rows hold only nonzero payloads."""
-
-    __slots__ = ("field", "nrows", "ncols", "rows")
-
-    def __init__(self, field: Field, rows, ncols: int):
-        clean = []
-        for r in rows:
-            rr = {int(c): v for c, v in r.items() if not field.is_zero(v)}
-            for c in rr:
-                if not 0 <= c < ncols:
-                    raise IndexError(f"column {c} outside 0..{ncols - 1}")
-            clean.append(rr)
-        self.field = field
-        self.rows = tuple(clean)
-        self.nrows = len(clean)
-        self.ncols = ncols
 
 
 def vec_apply(field: Field, vec: dict, rows) -> dict:
@@ -67,10 +44,6 @@ def vec_add(field: Field, a: dict, b: dict, coeff=None) -> dict:
         else:
             out[j] = t
     return field.post_reduce(out)
-
-
-def vec_scale(field: Field, a: dict, c) -> dict:
-    return field.post_reduce({j: c * v for j, v in a.items()})
 
 
 def vec_sub(field: Field, a: dict, b: dict) -> dict:
@@ -169,12 +142,6 @@ class Subspace:
     def dim(self):
         return len(self.pivots)
 
-    def _check(self, other):
-        if self.ambient != other.ambient or self.field.tag != other.field.tag:
-            raise AmbientMismatchError(
-                f"ambient {self.ambient}/{self.field.tag} vs {other.ambient}/{other.field.tag}"
-            )
-
     def contains(self, vec: dict) -> bool:
         f = self.field
         v = f.post_reduce(dict(vec))
@@ -184,48 +151,25 @@ class Subspace:
                 v = _axpy(f, v, x, r)
         return not v
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        return Subspace.from_vectors(self.field, self.ambient, list(self.rows) + list(other.rows))
 
-    def equal(self, other: "Subspace") -> bool:
-        self._check(other)
-        if self.pivots != other.pivots:
-            return False
-        f = self.field
-        for a, b in zip(self.rows, other.rows):
-            if a.keys() != b.keys():
-                return False
-            for k in a:
-                if not f.is_zero(f.sub(a[k], b[k])):
-                    return False
-        return True
-
-
-def rref(m: SparseMat):
-    """Rank and row space of m."""
-    piv, rows = rref_rows(m.field, list(m.rows), m.ncols)
-    return len(piv), Subspace(m.field, m.ncols, tuple(piv), tuple(rows))
-
-
-def kernel(m: SparseMat) -> Subspace:
-    """Right kernel {v : m v = 0} as a canonical subspace."""
-    piv, rows = rref_rows(m.field, list(m.rows), m.ncols)
-    f = m.field
+def kernel(field: Field, rows, ncols: int) -> Subspace:
+    """Right kernel {v : m v = 0} of the matrix m with these rows, as a canonical subspace."""
+    f = field
+    piv, red = rref_rows(f, list(rows), ncols)
     pivset = set(piv)
     basis = []
-    for q in range(m.ncols):
+    for q in range(ncols):
         if q in pivset:
             continue
         v = {q: f.one}
-        for p_, r in zip(piv, rows):
+        for p_, r in zip(piv, red):
             x = r.get(q)
             if x is not None:
                 v[p_] = f.neg(x)
         basis.append(v)
-    out = Subspace.from_vectors(f, m.ncols, basis)
-    if out.dim != m.ncols - len(piv):
-        raise InvariantError(f"kernel of rank {len(piv)} in {m.ncols} columns has dim {out.dim}")
+    out = Subspace.from_vectors(f, ncols, basis)
+    if out.dim != ncols - len(piv):
+        raise InvariantError(f"kernel of rank {len(piv)} in {ncols} columns has dim {out.dim}")
     return out
 
 
@@ -235,52 +179,24 @@ def left_kernel(field: Field, rows, ncols: int) -> Subspace:
     for i, r in enumerate(rows):
         for c, v in r.items():
             t[c][i] = v
-    return kernel(SparseMat(field, t, len(rows)))
-
-
-def subspace_ops(a: Subspace, b: Subspace, op: str):
-    if op == "sum":
-        return a.sum(b)
-    if op == "contains":
-        a._check(b)
-        return all(a.contains(dict(r)) for r in b.rows)
-    if op == "equal":
-        return a.equal(b)
-    raise ValueError(f"unknown subspace op {op!r}")
+    return kernel(field, t, len(rows))
 
 
 # ---------------------------------------------------------------------------
 # truncated matrix power series
 
 
-@dataclass(frozen=True)
-class TruncSeriesMat:
-    """Matrix power series sum_d M_d t^d truncated at t^order."""
-
-    size: int
-    order: int
-    mats: tuple
-
-    def coeff(self, d: int):
-        return self.mats[d]
-
-
-def series_inverse(c, D: int) -> TruncSeriesMat:
+def series_inverse(c, D: int):
     """Coefficients of (I - t*C + t^2*I)^(-1) up to degree D, exactly over Q.
 
     The recurrence W_0 = I, W_1 = C, W_d = C W_{d-1} - W_{d-2} is the
-    inversion of that quadratic matrix polynomial.
+    inversion of that quadratic matrix polynomial.  Returns the matrices
+    W_0..W_D, each a tuple of row tuples.
     """
-    if isinstance(c, SparseMat):
-        n = c.ncols
-        if c.nrows != n:
-            raise ValueError("series_inverse needs a square matrix")
-        dense = [[c.rows[i].get(j, Fraction(0)) for j in range(n)] for i in range(n)]
-    else:
-        dense = [[Fraction(v) for v in row] for row in c]
-        n = len(dense)
-        if any(len(r) != n for r in dense):
-            raise ValueError("series_inverse needs a square matrix")
+    dense = [[Fraction(v) for v in row] for row in c]
+    n = len(dense)
+    if any(len(r) != n for r in dense):
+        raise ValueError("series_inverse needs a square matrix")
 
     def matmul(a, b):
         return [
@@ -299,5 +215,4 @@ def series_inverse(c, D: int) -> TruncSeriesMat:
             for j in range(n):
                 w[i][j] -= prev[i][j]
         mats.append(w)
-    frozen = tuple(tuple(tuple(r) for r in m) for m in mats)
-    return TruncSeriesMat(n, D, frozen)
+    return tuple(tuple(tuple(r) for r in m) for m in mats)

@@ -68,8 +68,7 @@ def quiver_hilbert(n: int, D: int):
     degree-d component of the star preprojective algebra.
     """
     quiver = star_adjacency(n)
-    series = series_inverse([list(r) for r in quiver.adjacency], D)
-    mats = [series.coeff(d) for d in range(D + 1)]
+    mats = series_inverse([list(r) for r in quiver.adjacency], D)
     totals = [_int(sum(sum(row, Fraction(0)) for row in m)) for m in mats]
     return mats, totals
 

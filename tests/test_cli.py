@@ -81,6 +81,73 @@ def test_bad_max_degree_is_usage_error(capsys, argv):
     assert cap.out == "" and "--max-degree" in cap.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog", "--max-degree", "4"],
+        ["catalog", "--cache-dir", "somewhere"],
+        ["catalog", "--no-cache"],
+        ["invariants", "--cache-dir", "somewhere"],
+        ["invariants", "--no-cache"],
+    ],
+)
+def test_unread_flag_is_usage_error(capsys, argv):
+    # a subcommand takes only the flags it reads, so none is silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flag", [["--field", "fp:5"], ["--pair", "bikwad"]])
+def test_algebra_file_excludes_field_and_pair(capsys, tmp_path, flag):
+    # the file names its own field and algebra; a second choice would be ignored
+    path = tmp_path / "t4.json"
+    path.write_text(algebra_to_json(catalog("t4")))
+    code, out, err = run(capsys, ["dims", "--algebra", str(path), "--no-cache"] + flag)
+    assert code == 2 and out == ""
+    assert flag[0] in err
+
+
+def _index_out_of_range(doc):
+    doc["constants"][-1] = [[9, "1"]]  # b_3 b_3 = b_9 in a 4-dimensional algebra
+
+
+def _short_lambda(doc):
+    doc["lambda"] = doc["lambda"][:3]
+
+
+@pytest.mark.parametrize("spoil", [_index_out_of_range, _short_lambda])
+def test_bad_algebra_file_is_usage_error(capsys, tmp_path, spoil):
+    # bad input, not a failed check: it used to end in an IndexError and exit 1
+    doc = json.loads(algebra_to_json(catalog("t4")))
+    spoil(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    argv = ["dims", "--algebra", str(path), "--max-degree", "2", "--no-cache"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "bad algebra file" in err
+
+
+def test_per_degree_record_keys(capsys):
+    argv = ["verify", "--suite", "ranks,split,center,resolution", "--field", "q"]
+    code, out, _ = run(capsys, argv + ["--max-degree", "2", "--no-cache"])
+    assert code == 0
+    head = ["suite", "pair", "field", "degree"]
+    keys = {
+        "ranks": head + ["dim", "expected", "pass"],
+        "split": head + ["dim_r", "dim_s", "expected_r", "expected_s", "pass"],
+        "center": head + ["dim_center", "expected", "pass"],
+        "resolution": head + ["alternating_r", "alternating_s", "pass"],
+    }
+    records = json.loads(out)
+    # six pairs, three degrees each
+    assert [r["suite"] for r in records] == [suite for suite in keys for _ in range(6 * 3)]
+    for r in records:
+        assert list(r) == keys[r["suite"]]
+
+
 def test_sigma_suite_passes(capsys):
     code, out, _ = run(
         capsys,

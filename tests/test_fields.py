@@ -20,10 +20,6 @@ from frobpi.fields import (
     is_prime,
     poly_ext_gcd,
     poly_str,
-    reduce_mod_p,
-    scalar,
-    scalar_arith,
-    specialize_u,
 )
 
 
@@ -55,22 +51,6 @@ def test_rational_field_parse_fmt():
     assert QQ.parse("-3/4") == Fraction(-3, 4)
     assert QQ.fmt(Fraction(5, 1)) == "5"
     assert QQ.fmt(Fraction(-2, 3)) == "-2/3"
-
-
-def test_scalar_mismatch_raises():
-    a = scalar(QQ, 1)
-    b = scalar(FP(5), 1)
-    with pytest.raises(FieldMismatchError):
-        scalar_arith(a, b, "add")
-
-
-def test_scalar_arith_ops():
-    a = scalar(QQ, Fraction(1, 2))
-    b = scalar(QQ, Fraction(1, 3))
-    assert scalar_arith(a, b, "add").value == Fraction(5, 6)
-    assert scalar_arith(a, b, "mul").value == Fraction(1, 6)
-    assert scalar_arith(a, b, "sub").value == Fraction(1, 6)
-    assert scalar_arith(a, b, "div").value == Fraction(3, 2)
 
 
 def test_unipoly_divmod_gcd():
@@ -209,14 +189,13 @@ def test_qu_parse_expressions():
 
 
 def test_specialize_u_and_reduction():
-    s = scalar(QU, QU.parse("(u+1)/(u-3)"))
-    at2 = specialize_u(s, Fraction(2))
-    assert at2.field is QQ and at2.value == Fraction(-3)
-    q = scalar(QQ, Fraction(3, 4))
-    r = reduce_mod_p(q, 5)
-    assert r.field is FP(5) and r.value == FP(5).mul(FP(5).convert(3), FP(5).inv(FP(5).convert(4)))
+    assert QU.parse("(u+1)/(u-3)").eval(Fraction(2)) == Fraction(-3)
+    f = FP(5)
+    assert f.convert(Fraction(3, 4)) == f.mul(f.convert(3), f.inv(f.convert(4)))
     with pytest.raises(BadReductionError):
-        reduce_mod_p(scalar(QQ, Fraction(1, 5)), 5)
+        f.convert(Fraction(1, 5))
+    with pytest.raises(FieldMismatchError):
+        f.convert(QU.parse("u"))
 
 
 def test_field_from_descriptor():
