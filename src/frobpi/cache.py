@@ -6,10 +6,10 @@ version.  The dump stores, per degree, the normal-form words together with
 the reduction operators (E, FB, B); the unit-weighted F operator is cheap
 and recomputed on load, and the degree-2 relation data, which only building
 reads, is not restored.  Files are created exclusively (link-into-place),
-never rewritten, and the key is revalidated when a file is read back.
+never rewritten, and the key is revalidated when a file is read back; a
+file that does not parse or match raises CacheValidationError.
 """
 
-import hashlib
 import json
 import os
 
@@ -20,10 +20,12 @@ CACHE_FORMAT = 1
 
 
 class CacheValidationError(RuntimeError):
-    """A cache file does not match the key its name promises."""
+    """A cache file does not parse, or does not match the key its name promises."""
 
 
 def cache_key(pair, D: int) -> str:
+    import hashlib  # loads OpenSSL, megabytes of resident memory; only cached builds need it
+
     payload = "\n".join(
         [
             f"frobpi-cache-{CACHE_FORMAT}",
@@ -117,8 +119,13 @@ def build_cached(pair, D: int, cache_dir: str) -> GradedAlgebra:
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, f"{key}.json")
     if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            return _decode(pair, D, json.load(fh), key)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return _decode(pair, D, json.load(fh), key)
+        except (
+            CacheValidationError, OSError, ValueError, LookupError, TypeError, ArithmeticError
+        ) as e:
+            raise CacheValidationError(f"cannot load cache file {path}: {e}") from e
     g = GradedAlgebra(pair, D)
     _write_exclusive(path, json.dumps(_encode(g, key)))
     return g

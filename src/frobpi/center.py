@@ -8,24 +8,9 @@ each degree is the intersection of the per-generator commutator kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .engine import DegreeRangeError, GradedAlgebra, PiElement
 from .frobenius import catalog
 from .linalg import Subspace, left_kernel, vec_apply, vec_sub
-
-
-@dataclass(frozen=True)
-class CenterBasis:
-    degree: int
-    space: Subspace
-
-    @property
-    def dim(self):
-        return self.space.dim
-
-    def elements(self, g: GradedAlgebra):
-        return [PiElement(g, self.degree, dict(r)) for r in self.space.rows]
 
 
 def _commutator_ops(g: GradedAlgebra, d: int):
@@ -51,36 +36,21 @@ def _commutator_ops(g: GradedAlgebra, d: int):
     return ops
 
 
-def center_degree(g: GradedAlgebra, d: int) -> CenterBasis:
-    """Degree-d center as a canonical subspace of the degree-d piece."""
+def center_degree(g: GradedAlgebra, d: int) -> Subspace:
+    """Degree-d center as a canonical subspace of the degree-d piece.
+
+    Starting from the whole piece, each generator whose commutator does not
+    vanish there cuts the subspace down to the part it commutes with.
+    """
     f = g.field
-    dim = g.dim(d)
-    v_rows = [{i: f.one} for i in range(dim)]
+    z = Subspace.full(f, g.dim(d))
     for right, left, tdeg in _commutator_ops(g, d):
-        if not v_rows:
+        if not z.rows:
             break
-        m_rows = []
-        for v in v_rows:
-            rv = vec_apply(f, v, right)
-            lv = vec_apply(f, v, left)
-            m_rows.append(vec_sub(f, rv, lv))
-        if all(not r for r in m_rows):
-            continue
-        k = left_kernel(f, m_rows, g.dim(tdeg))
-        new_rows = []
-        for krow in k.rows:
-            acc = {}
-            for i, c in krow.items():
-                for j, w in v_rows[i].items():
-                    t = c * w
-                    acc[j] = acc[j] + t if j in acc else t
-            acc = f.post_reduce(acc)
-            if acc:
-                new_rows.append(acc)
-        sp = Subspace.from_vectors(f, dim, new_rows)
-        v_rows = [dict(r) for r in sp.rows]
-    sp = Subspace.from_vectors(f, dim, v_rows)
-    return CenterBasis(d, sp)
+        m_rows = [vec_sub(f, vec_apply(f, v, right), vec_apply(f, v, left)) for v in z.rows]
+        if any(m_rows):
+            z = left_kernel(f, m_rows, g.dim(tdeg), basis=z)
+    return z
 
 
 def centralizer_stack_kernel(g: GradedAlgebra, d: int) -> Subspace:
@@ -238,7 +208,7 @@ def zeta_dimension_check(g: GradedAlgebra, D: int) -> bool:
         span = Subspace.from_vectors(f, g.dim(d), [dict(v) for v in vecs])
         if span.dim != z.dim:
             return False
-        if not all(z.space.contains(dict(r)) for r in span.rows):
+        if not all(z.contains(r) for r in span.rows):
             return False
     return True
 
@@ -303,7 +273,7 @@ def sigma_surjectivity_check(g: GradedAlgebra, D: int) -> bool:
             return False
     if D <= 6:
         return True
-    z4 = center_degree(g, 4).elements(g)
+    z4 = [PiElement(g, 4, r) for r in center_degree(g, 4).rows]
     for d in range(7, D + 1):
         vecs = []
         for z in z4:

@@ -1,9 +1,9 @@
 """Command-line front end: tables, verification suites, caching.
 
 Exit codes: 0 when every reported check passes, 1 when any check fails,
-2 on usage or input errors.  Output is deterministic for a fixed command
-line, and running with or without a cache directory produces identical
-results.
+2 on usage or input errors, 3 on an internal error or an unreadable cache
+file.  Output is deterministic for a fixed command line, and running with
+or without a cache directory produces identical results.
 """
 
 import argparse
@@ -13,9 +13,10 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .cache import CacheValidationError
 from .center import center_degree, expected_center_dim, sigma_surjectivity_check
 from .engine import build
-from .fields import field_from_descriptor
+from .fields import InvariantError, field_from_descriptor
 from .frobenius import (
     CATALOG_NAMES,
     REJECT_NAMES,
@@ -441,6 +442,8 @@ def cmd_quiver(args):
         raise InputError("--arrows must be at least 1")
     cap = args.max_degree if args.max_degree is not None else 12
     if n != 4:
+        if args.cache_dir is not None or args.no_cache:
+            raise InputError("--cache-dir and --no-cache apply only to --arrows 4")
         mats, totals = splitcase.quiver_hilbert(n, cap)
         rows = [
             {
@@ -551,12 +554,15 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as e:
+    except ValueError as e:  # InputError included
         print(f"frobpi: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
+    except InvariantError as e:
+        print(f"frobpi: internal error: {e}", file=sys.stderr)
+        return 3
+    except CacheValidationError as e:
         print(f"frobpi: {e}", file=sys.stderr)
-        return 2
+        return 3
 
 
 if __name__ == "__main__":

@@ -138,6 +138,12 @@ class Subspace:
         piv, rows = rref_rows(field, list(vectors), ambient)
         return cls(field, ambient, tuple(piv), tuple(rows))
 
+    @classmethod
+    def full(cls, field: Field, ambient: int):
+        """The whole space, spanned by the unit vectors."""
+        units = tuple({i: field.one} for i in range(ambient))
+        return cls(field, ambient, tuple(range(ambient)), units)
+
     @property
     def dim(self):
         return len(self.pivots)
@@ -152,34 +158,30 @@ class Subspace:
         return not v
 
 
-def kernel(field: Field, rows, ncols: int) -> Subspace:
-    """Right kernel {v : m v = 0} of the matrix m with these rows, as a canonical subspace."""
-    f = field
-    piv, red = rref_rows(f, list(rows), ncols)
-    pivset = set(piv)
-    basis = []
-    for q in range(ncols):
-        if q in pivset:
-            continue
-        v = {q: f.one}
-        for p_, r in zip(piv, red):
-            x = r.get(q)
-            if x is not None:
-                v[p_] = f.neg(x)
-        basis.append(v)
-    out = Subspace.from_vectors(f, ncols, basis)
-    if out.dim != ncols - len(piv):
-        raise InvariantError(f"kernel of rank {len(piv)} in {ncols} columns has dim {out.dim}")
-    return out
+def left_kernel(field: Field, rows, ncols: int, basis: Subspace | None = None) -> Subspace:
+    """{sum x_i basis_i : sum x_i rows_i = 0}, as a canonical subspace.
 
-
-def left_kernel(field: Field, rows, ncols: int) -> Subspace:
-    """{x : sum x_i rows_i = 0}, i.e. the kernel of the transpose."""
-    t = [dict() for _ in range(ncols)]
-    for i, r in enumerate(rows):
-        for c, v in r.items():
-            t[c][i] = v
-    return kernel(field, t, len(rows))
+    One reduction of the augmented rows [rows_i | basis_i]: the reduced rows
+    whose pivot lies past the first ncols columns are zero there, so their
+    tails are the canonical basis of the answer.  The basis defaults to the
+    unit vectors, which gives the kernel of the transpose.
+    """
+    if basis is None:
+        basis = Subspace.full(field, len(rows))
+    aug = [
+        {**r, **{ncols + j: x for j, x in v.items()}}
+        for r, v in zip(rows, basis.rows, strict=True)
+    ]
+    piv, red = rref_rows(field, aug, ncols + basis.ambient)
+    if len(piv) != len(aug):
+        raise InvariantError(f"{len(aug)} augmented rows have rank {len(piv)}: dependent basis")
+    k = sum(c < ncols for c in piv)
+    return Subspace(
+        field,
+        basis.ambient,
+        tuple(c - ncols for c in piv[k:]),
+        tuple({j - ncols: x for j, x in r.items()} for r in red[k:]),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from frobpi import CATALOG_NAMES, build, catalog
+from frobpi import CATALOG_NAMES, build, catalog, linalg
 from frobpi.center import (
     center_degree,
     center_dims,
@@ -18,7 +18,7 @@ from frobpi.center import (
     sigma_surjectivity_check,
     zeta_dimension_check,
 )
-from frobpi.engine import DegreeRangeError
+from frobpi.engine import DegreeRangeError, PiElement
 from frobpi.fields import field_from_descriptor
 from frobpi.frobenius import deformation, make_frobenius, specialize_pair
 
@@ -41,29 +41,49 @@ def test_center_formula_over_fp5(fp_engines):
 
 
 def test_incremental_matches_stacked(q_engines, fp_engines):
-    for g in (q_engines["bikwad"], fp_engines["bikwad", 2]):
-        for d in (0, 2, 4, 6, 8):
+    # one reduction per generator lands on the same canonical subspace as one
+    # reduction of all the commutators stacked, over Q, both F_p lanes and Q(u)
+    fam = deformation(4)
+    generic = build(make_frobenius(fam.algebra, list(fam.lam)), 4)
+    cases = [(q_engines[name], range(9)) for name in CATALOG_NAMES]
+    cases += [(fp_engines[name, 5], range(9)) for name in CATALOG_NAMES]
+    cases += [(fp_engines["bikwad", 2], (0, 2, 4, 6, 8)), (generic, range(4))]
+    for g, degrees in cases:
+        for d in degrees:
             inc = center_degree(g, d)
             stk = centralizer_stack_kernel(g, d)
-            assert inc.space.pivots == stk.pivots
-            assert inc.space.rows == stk.rows
+            assert inc.pivots == stk.pivots, (g.field.tag, d)
+            assert inc.rows == stk.rows, (g.field.tag, d)
+
+
+def test_center_degree_reduces_once_per_generator(q_engines, monkeypatch):
+    # each reduction cuts the subspace down, so none re-reduces a finished basis
+    calls = []
+    rref_rows = linalg.rref_rows
+    monkeypatch.setattr(linalg, "rref_rows", lambda *a: calls.append(len(a[1])) or rref_rows(*a))
+    g = q_engines["bikwad"]
+    for d in (4, 6, 8):
+        calls.clear()
+        z = center_degree(g, d)
+        assert calls[0] == g.dim(d)
+        assert all(a > b for a, b in zip(calls, calls[1:] + [z.dim])), calls
 
 
 def test_center_vectors_are_central(q_engines):
     g = q_engines["t3-plus-k"]
     for d in (0, 4, 6, 8):
-        for el in center_degree(g, d).elements(g):
-            assert is_central(el)
+        for r in center_degree(g, d).rows:
+            assert is_central(PiElement(g, d, r))
 
 
 def test_center_closed_under_multiplication(q_engines):
     g = q_engines["bikwad"]
-    z4 = center_degree(g, 4).elements(g)
+    z4 = [PiElement(g, 4, r) for r in center_degree(g, 4).rows]
     z8 = center_degree(g, 8)
     for x in z4:
         for y in z4:
             prod = g.multiply(x, y)
-            assert z8.space.contains(prod.vec)
+            assert z8.contains(prod.vec)
 
 
 def test_explicit_central_words(bikwad_q):

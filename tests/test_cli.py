@@ -1,13 +1,15 @@
 """Command line interface: exit codes, formats, determinism, caching."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from frobpi import algebra_to_json, catalog
+from frobpi import CATALOG_NAMES, algebra_to_json, catalog, cli, field_from_descriptor
 from frobpi.cli import main
+from frobpi.fields import InvariantError
 
 
 def run(capsys, argv):
@@ -130,6 +132,66 @@ def test_bad_algebra_file_is_usage_error(capsys, tmp_path, spoil):
     assert "bad algebra file" in err
 
 
+@pytest.mark.parametrize("cache_dir", [True, False])
+def test_quiver_cache_flags_need_four_arrows(capsys, tmp_path, cache_dir):
+    # only --arrows 4 builds an algebra, so elsewhere the cache flags would be ignored
+    argv = ["quiver", "--arrows", "3", "--max-degree", "2"]
+    flag = ["--cache-dir", str(tmp_path / "cache")] if cache_dir else ["--no-cache"]
+    code, out, err = run(capsys, argv + flag)
+    assert code == 2 and out == ""
+    assert flag[0] in err
+    assert not (tmp_path / "cache").exists()
+    assert run(capsys, argv)[0] == 0
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # a broken invariant is not a failed check: exit 3, not 1
+    def broken(g, d):
+        raise InvariantError("planted")
+
+    ranks = dataclasses.replace(cli.SUITES["ranks"], run=cli._per_degree("ranks", broken))
+    monkeypatch.setitem(cli.SUITES, "ranks", ranks)
+    argv = ["verify", "--suite", "ranks", "--field", "q", "--max-degree", "1", "--no-cache"]
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err == "frobpi: internal error: planted\n"
+
+
+def _truncate(path):
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+
+
+def _edit_key(path):
+    doc = json.loads(path.read_text())
+    doc["key"] = "0" * 64
+    path.write_text(json.dumps(doc))
+
+
+def _bad_scalar(path):
+    doc = json.loads(path.read_text())
+    row = next(r for r in doc["E"][1] if r)
+    row[0][1] = "oops"
+    path.write_text(json.dumps(doc))
+
+
+def _directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+@pytest.mark.parametrize("spoil", [_truncate, _edit_key, _bad_scalar, _directory])
+def test_unreadable_cache_file(capsys, tmp_path, spoil):
+    # a cache file that does not load is neither bad input nor a failed check
+    argv = ["dims", "--pair", "t4", "--max-degree", "3", "--cache-dir", str(tmp_path)]
+    assert run(capsys, argv)[0] == 0
+    (path,) = tmp_path.iterdir()
+    spoil(path)
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.startswith(f"frobpi: cannot load cache file {path}: ")
+
+
 def test_per_degree_record_keys(capsys):
     argv = ["verify", "--suite", "ranks,split,center,resolution", "--field", "q"]
     code, out, _ = run(capsys, argv + ["--max-degree", "2", "--no-cache"])
@@ -248,6 +310,20 @@ def test_algebra_json_input(capsys, tmp_path):
     )
     assert code == 0
     assert any("| 4 " in l and " 25 " in l for l in out.splitlines())
+
+
+@pytest.mark.parametrize(
+    "name,tag", [(name, "q") for name in CATALOG_NAMES] + [("t4", "fp:5")]
+)
+def test_algebra_json_round_trip(capsys, tmp_path, name, tag):
+    # an algebra written by algebra_to_json and read back gives the same table
+    path = tmp_path / f"{name}.json"
+    path.write_text(algebra_to_json(catalog(name, field_from_descriptor(tag))))
+    common = ["--max-degree", "6", "--no-cache"]
+    by_pair = run(capsys, ["dims", "--pair", name, "--field", tag] + common)
+    by_file = run(capsys, ["dims", "--algebra", str(path)] + common)
+    assert by_file == by_pair
+    assert by_pair[0] == 0
 
 
 def test_console_script():

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from frobpi.fields import FP, QQ
+from frobpi.fields import FP, QQ, InvariantError
 from frobpi.linalg import (
-    kernel,
+    Subspace,
     left_kernel,
     _rref_generic,
     rref_rows,
@@ -104,11 +104,21 @@ def test_fp_dense_dispatch_matches_generic():
     assert piv_d == piv_g and red_d == red_g
 
 
+def _transpose(rows, ncols):
+    t = [{} for _ in range(ncols)]
+    for i, r in enumerate(rows):
+        for j, v in r.items():
+            t[j][i] = v
+    return t
+
+
 def test_kernel_annihilates():
+    # the right kernel of m is the left kernel of its transpose
     rng = random.Random(19)
     for f in (QQ, FP(7)):
         rows = _random_rows(rng, f, 10, 14)
-        k = kernel(f, rows, 14)
+        k = left_kernel(f, _transpose(rows, 14), 10)
+        assert k.ambient == 14
         piv, _ = rref_rows(f, rows, 14)
         assert k.dim + len(piv) == 14
         for kv in k.rows:
@@ -125,6 +135,37 @@ def test_kernel_annihilates():
         assert k.contains(vec_add(f, k.rows[0], k.rows[-1], f.convert(3)))
         for q in range(14):
             assert k.contains({q: f.one}) == all(q not in r for r in rows)
+
+
+def test_left_kernel_in_a_basis():
+    # {sum x_i b_i : sum x_i m_i = 0} for a basis b other than the unit vectors
+    rng = random.Random(23)
+    for f in (QQ, FP(7)):
+        basis = Subspace.from_vectors(f, 12, _random_rows(rng, f, 7, 12, density=0.2))
+        m = _random_rows(rng, f, basis.dim, 5, density=0.3)
+        k = left_kernel(f, m, 5, basis=basis)
+        assert k.ambient == 12
+        assert k.dim == basis.dim - len(rref_rows(f, m, 5)[0])
+        for v in k.rows:
+            assert basis.contains(v)
+            # a canonical basis row carries 1 at its own pivot, so the pivots read off x
+            x = {i: v[c] for i, c in enumerate(basis.pivots) if c in v}
+            comb = {}
+            for i, c in x.items():
+                comb = vec_add(f, comb, m[i], c)
+            assert comb == {}
+        # the same subspace as the unit-basis kernel, mapped through b
+        xs = left_kernel(f, m, 5).rows
+        ref = Subspace.from_vectors(f, 12, [vec_apply(f, x, basis.rows) for x in xs])
+        assert (k.pivots, k.rows) == (ref.pivots, ref.rows)
+
+
+def test_left_kernel_dependent_basis_raises():
+    # a combination that vanishes in both m and b makes the reduction rank-deficient
+    for f in (QQ, FP(7)):
+        twice = Subspace(f, 3, (0, 0), ({0: f.one}, {0: f.one}))
+        with pytest.raises(InvariantError):
+            left_kernel(f, [{1: f.one}, {1: f.one}], 2, basis=twice)
 
 
 def test_left_kernel_annihilates():
