@@ -1,31 +1,36 @@
 """Write-once disk cache for built graded algebras.
 
 A cache entry is keyed by sha256 over the canonical JSON of the algebra
-presentation and functional, the field tag, the build degree, and a format
-version.  The dump stores, per degree, the normal-form words together with
-the reduction operators (E, FB, B); the unit-weighted F operator is cheap
-and recomputed on load, and the degree-2 relation data, which only building
-reads, is not restored.  Files are created exclusively (link-into-place),
-never rewritten, and the key is revalidated when a file is read back; a
-file that does not parse or match raises CacheValidationError.
+presentation and functional, the field tag, the build degree, and the
+format version.  A file holds, per degree 1..D, what the build decided:
+the parent of each basis word and the E and FB reduction operators.  Words,
+sides, B and F follow from those and are derived by the engine on load.
+Files are created exclusively (link-into-place) and never rewritten.  On
+load the header (format, key, field, degree) and a sha256 of the operator
+body are checked before any scalar is parsed; a file that does not parse
+or match raises CacheValidationError.
 """
 
 import json
 import os
 
-from .engine import GradedAlgebra, unit_weighted
+from .engine import GradedAlgebra
 from .frobenius import algebra_to_json
 
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 
 class CacheValidationError(RuntimeError):
     """A cache file does not parse, or does not match the key its name promises."""
 
 
-def cache_key(pair, D: int) -> str:
+def _sha256(text: str) -> str:
     import hashlib  # loads OpenSSL, megabytes of resident memory; only cached builds need it
 
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def cache_key(pair, D: int) -> str:
     payload = "\n".join(
         [
             f"frobpi-cache-{CACHE_FORMAT}",
@@ -34,42 +39,35 @@ def cache_key(pair, D: int) -> str:
             algebra_to_json(pair),
         ]
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _sha256(payload)
 
 
-def _enc_row(field, row: dict) -> list:
-    return [[k, field.fmt(v)] for k, v in sorted(row.items())]
+def _body_hash(data: dict) -> str:
+    return _sha256(json.dumps([data["parent"], data["E"], data["FB"]]))
 
 
-def _dec_row(field, data: list) -> dict:
-    return {int(k): field.parse(v) for k, v in data}
+def _enc_rows(field, rows):
+    return [[[k, field.fmt(v)] for k, v in sorted(row.items())] for row in rows]
 
 
-def _enc_oprows(field, rows):
-    return [_enc_row(field, r) for r in rows]
-
-
-def _dec_oprows(field, data):
-    return [_dec_row(field, r) for r in data]
+def _dec_rows(field, data):
+    return [{int(k): field.parse(v) for k, v in row} for row in data]
 
 
 def _encode(g: GradedAlgebra, key: str) -> dict:
     f = g.field
-    return {
+    degrees = range(1, g.D + 1)
+    data = {
         "format": CACHE_FORMAT,
         "key": key,
         "field": f.tag,
         "degree": g.D,
-        "dims": g.dims(),
-        "words": [[list(w) for w in ws] for ws in g.words],
-        "is_r": g.is_r,
-        "parent": [None]
-        + [[[i, kind, m] for i, kind, m in g.parent[d]] for d in range(1, g.D + 1)],
-        "E": [None] + [_enc_oprows(f, g.E[d]) for d in range(1, g.D + 1)],
-        "FB": [None]
-        + [[_enc_oprows(f, g.FB[d][j]) for j in range(g.n)] for d in range(1, g.D + 1)],
-        "B": [[_enc_oprows(f, g.B[d][j]) for j in range(g.n)] for d in range(g.D + 1)],
+        "parent": [[list(p) for p in g.parent[d]] for d in degrees],
+        "E": [_enc_rows(f, g.E[d]) for d in degrees],
+        "FB": [[_enc_rows(f, g.FB[d][j]) for j in range(g.n)] for d in degrees],
     }
+    data["sha256"] = _body_hash(data)
+    return data
 
 
 def _decode(pair, D: int, data: dict, key: str) -> GradedAlgebra:
@@ -77,32 +75,19 @@ def _decode(pair, D: int, data: dict, key: str) -> GradedAlgebra:
         raise CacheValidationError("cache file key mismatch")
     if data.get("field") != pair.field.tag or data.get("degree") != D:
         raise CacheValidationError("cache file field/degree mismatch")
+    if data.get("sha256") != _body_hash(data):
+        raise CacheValidationError("cache file operator hash mismatch")
     f = pair.field
-    g = GradedAlgebra.__new__(GradedAlgebra)
-    g.pair = pair
-    g.field = f
-    g.n = pair.n
-    g.D = D
-    g.words = [[tuple(w) for w in ws] for ws in data["words"]]
-    g.is_r = data["is_r"]
-    g.parent = [None] + [
-        [(i, kind, m) for i, kind, m in deg] for deg in data["parent"][1:]
-    ]
-    g.E = [None] + [_dec_oprows(f, deg) for deg in data["E"][1:]]
-    g.FB = [None] + [[_dec_oprows(f, rows) for rows in deg] for deg in data["FB"][1:]]
-    g.B = [[_dec_oprows(f, rows) for rows in deg] for deg in data["B"]]
-    g.F = [None] + [unit_weighted(f, pair.algebra.unit, fb) for fb in g.FB[1:]]
-    g._l0 = {}
-    g._l1 = {}
-    g._split = {}
-    if g.dims() != data["dims"]:
-        raise CacheValidationError("cache file dimension table mismatch")
-    return g
+    degrees = []
+    for parent, e, fb in zip(data["parent"], data["E"], data["FB"]):
+        parent = [(i, kind, m) for i, kind, m in parent]
+        degrees.append((parent, _dec_rows(f, e), [_dec_rows(f, rows) for rows in fb]))
+    return GradedAlgebra.from_operators(pair, D, degrees)
 
 
 def _write_exclusive(path: str, text: str):
-    """Atomic write-once: exclusive temp file linked into place."""
-    tmp = f"{path}.tmp.{os.getpid()}"
+    """Atomic write-once: exclusive temp file, named uniquely per writer, linked into place."""
+    tmp = f"{path}.tmp.{os.getpid()}.{os.urandom(8).hex()}"
     with open(tmp, "x", encoding="utf-8") as fh:
         fh.write(text)
     try:
@@ -116,14 +101,18 @@ def _write_exclusive(path: str, text: str):
 def build_cached(pair, D: int, cache_dir: str) -> GradedAlgebra:
     """Build through the cache directory, creating the entry if absent."""
     key = cache_key(pair, D)
-    os.makedirs(cache_dir, exist_ok=True)
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+    except OSError as e:
+        raise ValueError(f"cannot create cache directory {cache_dir}: {e}") from e
     path = os.path.join(cache_dir, f"{key}.json")
     if os.path.exists(path):
         try:
             with open(path, encoding="utf-8") as fh:
                 return _decode(pair, D, json.load(fh), key)
         except (
-            CacheValidationError, OSError, ValueError, LookupError, TypeError, ArithmeticError
+            CacheValidationError, OSError, ValueError, LookupError, TypeError, AttributeError,
+            ArithmeticError,
         ) as e:
             raise CacheValidationError(f"cannot load cache file {path}: {e}") from e
     g = GradedAlgebra(pair, D)

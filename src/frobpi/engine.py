@@ -94,25 +94,44 @@ class GradedAlgebra:
     def __init__(self, pair: FrobeniusPair, D: int):
         if D < 1:
             raise ValueError("build degree must be at least 1")
+        self._start(pair, D)
+        self._r2_terms = self._relation_terms()
+        for d in range(1, D + 1):
+            self._build_degree(d)
+
+    @classmethod
+    def from_operators(cls, pair: FrobeniusPair, D: int, degrees):
+        """Rebuild a saved build from its (parent, E, FB) of degrees 1..D, reducing nothing."""
+        if len(degrees) != D:
+            raise ValueError(f"{len(degrees)} saved degrees for build degree {D}")
+        g = cls.__new__(cls)
+        g._start(pair, D)
+        for parent, e_rows, fb in degrees:
+            g._add_degree(parent, e_rows, fb)
+        return g
+
+    def _start(self, pair, D):
+        """Degree 0 and the empty per-degree tables, shared by building and loading."""
         self.pair = pair
         self.field: Field = pair.field
-        self.n = pair.n
+        self.n = n = pair.n
         self.D = D
         self._check_names()
-        self.words = []
-        self.is_r = []  # True when the word ends on the R side
-        self.parent = []  # (i, 'e') or (i, 'f', m) for degree >= 1
+        self.words = [[(A_LETTER,)] + [(j,) for j in range(n)]]
+        self.is_r = [[True] + [False] * n]  # True when the word ends on the R side
+        self.parent = [None]  # (i, 'e', None) or (i, 'f', m) for degree >= 1
         self.E = [None]  # E[d]: right append e, degree d-1 -> d
         self.FB = [None]  # FB[d][j]: right append f b_j
         self.F = [None]  # unit-weighted FB
-        self.B = []  # B[d][j]: right multiply by b_j, square
+        self.B = [[]]  # B[d][j]: right multiply by b_j, square
+        for j in range(n):
+            rows = [dict()]
+            for i in range(n):
+                rows.append({1 + k: v for k, v in pair.algebra.table[i][j].items()})
+            self.B[0].append(rows)
         self._l0 = {}
         self._l1 = {}
         self._split = {}
-        self._r2_terms = self._relation_terms()
-        self._build_degree0()
-        for d in range(1, D + 1):
-            self._build_degree(d)
 
     # -- construction -------------------------------------------------------
 
@@ -147,21 +166,6 @@ class GradedAlgebra:
             terms.append({k: v for k, v in tj.items() if not f.is_zero(v)})
         return terms
 
-    def _build_degree0(self):
-        f = self.field
-        n = self.n
-        alg = self.pair.algebra
-        self.words.append([(A_LETTER,)] + [(j,) for j in range(n)])
-        self.is_r.append([True] + [False] * n)
-        self.parent.append(None)
-        b0 = []
-        for j in range(n):
-            rows = [dict()]
-            for i in range(n):
-                rows.append({1 + k: v for k, v in alg.table[i][j].items()})
-            b0.append(rows)
-        self.B.append(b0)
-
     def dims(self):
         return [len(w) for w in self.words]
 
@@ -181,7 +185,7 @@ class GradedAlgebra:
         for i in range(prev_dim):
             if not prev_isr[i]:
                 ecol[i] = len(coords)
-                coords.append((i, "e"))
+                coords.append((i, "e", None))
         for i in range(prev_dim):
             if prev_isr[i]:
                 for m in range(n):
@@ -224,28 +228,13 @@ class GradedAlgebra:
         pivots, rrows = rref_rows(f, rel, ncols)
         pivset = set(pivots)
         basis_at = {}
-        words = []
-        is_r = []
         parent = []
-        for col, coord in enumerate(coords):
-            if col in pivset:
-                continue
-            basis_at[col] = len(words)
-            if coord[1] == "e":
-                i = coord[0]
-                words.append(self.words[d - 1][i] + (E_LETTER,))
-                is_r.append(True)
-                parent.append((i, "e", None))
-            else:
-                i, _, m = coord[0], coord[1], coord[2]
-                words.append(self.words[d - 1][i] + (F_LETTER, m))
-                is_r.append(False)
-                parent.append((i, "f", m))
-
         red = [None] * ncols
-        for col in range(ncols):
+        for col, coord in enumerate(coords):
             if col not in pivset:
-                red[col] = {basis_at[col]: f.one}
+                basis_at[col] = len(parent)
+                red[col] = {len(parent): f.one}
+                parent.append(coord)
         for pc, r in zip(pivots, rrows):
             red[pc] = {basis_at[q]: f.neg(v) for q, v in r.items() if q != pc}
 
@@ -258,22 +247,34 @@ class GradedAlgebra:
             for i in range(prev_dim):
                 rows.append(red[fcol[(i, j)]] if (i, j) in fcol else {})
             fb.append(rows)
-        alg = self.pair.algebra
-        b_rows = []
-        for j in range(n):
-            rows = []
-            for k, (i, kind, m) in enumerate(parent):
-                if kind == "e":
-                    rows.append({})
-                    continue
-                acc = {}
-                for q, c in alg.table[m][j].items():
-                    acc = vec_add(f, acc, red[fcol[(i, q)]], c)
-                rows.append(acc)
-            b_rows.append(rows)
+        self._add_degree(parent, e_rows, fb)
 
+    def _add_degree(self, parent, e_rows, fb):
+        """Append the next degree, given its basis parents and its E and FB operators.
+
+        A basis word is its parent word followed by e, or by f and an S slot;
+        B, the right multiplication by each slot, follows from FB because
+        (x f b_m) b_j = sum_q c^q_{m j} x f b_q.
+        """
+        f = self.field
+        prev_words = self.words[-1]
+        table = self.pair.algebra.table
+        words = []
+        b_rows = [[] for _ in range(self.n)]
+        for i, kind, m in parent:
+            if kind == "e":
+                words.append(prev_words[i] + (E_LETTER,))
+                for rows in b_rows:
+                    rows.append({})
+                continue
+            words.append(prev_words[i] + (F_LETTER, m))
+            for j, rows in enumerate(b_rows):
+                acc = {}
+                for q, c in table[m][j].items():
+                    acc = vec_add(f, acc, fb[q][i], c)
+                rows.append(acc)
         self.words.append(words)
-        self.is_r.append(is_r)
+        self.is_r.append([kind == "e" for _, kind, _ in parent])
         self.parent.append(parent)
         self.E.append(e_rows)
         self.FB.append(fb)

@@ -175,12 +175,27 @@ def _bad_scalar(path):
     path.write_text(json.dumps(doc))
 
 
+def _edit_operator(path):
+    # well-formed, so only the payload hash can tell
+    doc = json.loads(path.read_text())
+    row = next(r for r in doc["E"][1] if r)
+    assert row[0][1] != "7"
+    row[0][1] = "7"
+    path.write_text(json.dumps(doc))
+
+
+def _not_an_object(path):
+    path.write_text("[]")
+
+
 def _directory(path):
     path.unlink()
     path.mkdir()
 
 
-@pytest.mark.parametrize("spoil", [_truncate, _edit_key, _bad_scalar, _directory])
+@pytest.mark.parametrize(
+    "spoil", [_truncate, _edit_key, _bad_scalar, _directory, _edit_operator, _not_an_object]
+)
 def test_unreadable_cache_file(capsys, tmp_path, spoil):
     # a cache file that does not load is neither bad input nor a failed check
     argv = ["dims", "--pair", "t4", "--max-degree", "3", "--cache-dir", str(tmp_path)]
@@ -190,6 +205,15 @@ def test_unreadable_cache_file(capsys, tmp_path, spoil):
     code, out, err = run(capsys, argv)
     assert code == 3 and out == ""
     assert err.startswith(f"frobpi: cannot load cache file {path}: ")
+
+
+def test_uncreatable_cache_dir(capsys, tmp_path):
+    (tmp_path / "afile").write_text("")
+    sub = tmp_path / "afile" / "sub"
+    argv = ["dims", "--pair", "t4", "--max-degree", "2", "--cache-dir", str(sub)]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"frobpi: cannot create cache directory {sub}: ")
 
 
 def test_per_degree_record_keys(capsys):

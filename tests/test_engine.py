@@ -6,6 +6,8 @@ inversion and its own dense row reduction, then compares ranks with the
 engine.  Nothing from frobpi.linalg is used in the oracle path.
 """
 
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from frobpi import CATALOG_NAMES, build, catalog
 from frobpi.cache import CacheValidationError, build_cached, cache_key
 from frobpi.engine import DegreeRangeError, GradedAlgebra, WordSyntaxError
 from frobpi.fields import field_from_descriptor
+from frobpi.frobenius import deformation, make_frobenius
 
 
 # ---------------------------------------------------------------------------
@@ -262,22 +265,38 @@ def test_generators_count(bikwad_q):
 
 
 def test_cache_round_trip_deep(tmp_path):
-    pair = catalog("t3-plus-k", field_from_descriptor("fp:5"))
-    direct = GradedAlgebra(pair, 6)
-    c1 = build_cached(pair, 6, str(tmp_path))
-    c2 = build_cached(pair, 6, str(tmp_path))
+    fam = deformation(4)
+    cases = [
+        ("q", catalog("t3-plus-k"), 6),
+        ("fp5", catalog("t3-plus-k", field_from_descriptor("fp:5")), 6),
+        ("qu", make_frobenius(fam.algebra, list(fam.lam)), 4),
+    ]
+    for name, pair, D in cases:
+        _check_round_trip(tmp_path / name, pair, D)
+
+
+def _check_round_trip(cache_dir, pair, D):
+    direct = GradedAlgebra(pair, D)
+    c1 = build_cached(pair, D, str(cache_dir))
+    c2 = build_cached(pair, D, str(cache_dir))
     for g in (c1, c2):
+        assert g.dims() == direct.dims()
         assert g.words == direct.words
+        assert g.is_r == direct.is_r
         assert g.parent == direct.parent
         assert g.E == direct.E
         assert g.FB == direct.FB
         assert g.B == direct.B
         assert g.F == direct.F
-    x = direct.element_from_word("mef")
-    y = direct.element_from_word("fte")
-    px = c1.element_from_word("mef")
-    py = c1.element_from_word("fte")
-    assert direct.multiply(x, y).vec == c1.multiply(px, py).vec
+    ones = [direct.basis_element(1, i) for i in range(direct.dim(1))]
+    loaded = [c2.basis_element(1, i) for i in range(c2.dim(1))]
+    for x, px in zip(ones, loaded):
+        for y, py in zip(ones, loaded):
+            assert direct.multiply(x, y).vec == c2.multiply(px, py).vec
+    # the file holds only what the build decided; the rest is derived on load
+    (path,) = cache_dir.iterdir()
+    doc = json.loads(path.read_text())
+    assert set(doc) == {"format", "key", "field", "degree", "sha256", "parent", "E", "FB"}
 
 
 def test_cache_write_once(tmp_path):
@@ -290,9 +309,18 @@ def test_cache_write_once(tmp_path):
     assert path.read_bytes() == first
 
 
-def test_cache_tamper_detected(tmp_path):
-    import json
+def test_cache_stale_temp_file(tmp_path):
+    # a temp file left behind by a crashed writer with this pid does not block the write
+    pair = catalog("t4")
+    path = tmp_path / f"{cache_key(pair, 2)}.json"
+    stale = tmp_path / f"{path.name}.tmp.{os.getpid()}"
+    stale.write_text("partial")
+    build_cached(pair, 2, str(tmp_path))
+    assert path.exists() and stale.read_text() == "partial"
+    assert sorted(tmp_path.iterdir()) == [path, stale]
 
+
+def test_cache_tamper_detected(tmp_path):
     pair = catalog("t4")
     build_cached(pair, 4, str(tmp_path))
     key = cache_key(pair, 4)
