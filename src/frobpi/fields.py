@@ -631,7 +631,7 @@ class Field:
         raise NotImplementedError
 
     def post_reduce(self, d: dict) -> dict:
-        """Normalize a sparse vector accumulated with raw payload ops."""
+        """Normalize a sparse vector accumulated with raw payload ops, into a new dict."""
         return {k: v for k, v in d.items() if not self.is_zero(v)}
 
     def __eq__(self, other):
@@ -675,6 +675,10 @@ class RationalField(Field):
 
     def is_zero(self, a):
         return a == 0
+
+    def post_reduce(self, d: dict) -> dict:
+        # Fraction and int are falsy exactly at zero
+        return {k: v for k, v in d.items() if v}
 
     def parse(self, s: str):
         try:

@@ -4,10 +4,17 @@ Matrices are rows of {column: payload} dicts.  Row reduction always lands in
 the fully reduced row echelon form, which is unique, so the two execution
 lanes (generic sparse over any field, dense mod-p via the numpy kernel) are
 interchangeable.
+
+The generic lane is a Markowitz-style sparse elimination: a heap of pivot
+keys picks the next pivot row, a column index names the rows each pivot
+changes, rows are eliminated in place, and the finished rows are
+back-substituted in one pass at the end.  No pivot rescans every row.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,41 +73,76 @@ def _rref_generic(field: Field, rows):
     Pivot row choice: fewest nonzeros, then lowest leading column, then
     first entered.  The output is the canonical reduced form either way;
     the rule only controls fill-in along the way.
+
+    Forward elimination keeps a heap of (nonzeros, leading column, input
+    index) keys and an index from each column to the unfinished rows that
+    hold it.  A pivot eliminates its column in place from the rows the index
+    names, updates the index only for the entries it creates or cancels, and
+    pushes a fresh key for each row whose key moved; a popped key that no
+    longer matches its row is skipped.  The finished rows are then
+    back-substituted once, in descending pivot column order, each by the
+    already reduced rows whose pivots it holds.
     """
-    work = [w for w in (field.post_reduce(dict(r)) for r in rows) if w]
+    work = [field.post_reduce(r) for r in rows]
+    lead = [min(w) if w else None for w in work]
+    heap = [(len(w), lead[i], i) for i, w in enumerate(work) if w]
+    heapq.heapify(heap)
+    cols = defaultdict(set)
+    for i, w in enumerate(work):
+        for k in w:
+            cols[k].add(i)
     done = []
-    while work:
-        best = min(range(len(work)), key=lambda i: (len(work[i]), min(work[i])))
-        r = work.pop(best)
-        c = min(r)
-        inv = field.inv(r[c])
-        if not field.is_zero(field.sub(inv, field.one)):
+    while heap:
+        n, c, i = heapq.heappop(heap)
+        r = work[i]
+        if r is None or len(r) != n or lead[i] != c:
+            continue
+        work[i] = None
+        for k in r:
+            cols[k].discard(i)
+        if not field.is_zero(field.sub(r[c], field.one)):
+            inv = field.inv(r[c])
             r = {k: field.mul(v, inv) for k, v in r.items()}
-        nxt = []
-        for s in work:
-            f = s.get(c)
-            if f is not None:
-                s = _axpy(field, s, f, r)
-                if not s:
-                    continue
-            nxt.append(s)
-        work = nxt
-        done = [(pc, _axpy(field, pr, pr[c], r) if c in pr else pr) for pc, pr in done]
         done.append((c, r))
+        for j in cols.pop(c):
+            s = work[j]
+            new, gone = _axpy_into(field, s, s[c], r)
+            for k in new:
+                cols[k].add(j)
+            for k in gone:
+                cols[k].discard(j)
+            if s:
+                if lead[j] == c:
+                    lead[j] = min(s)
+                heapq.heappush(heap, (len(s), lead[j], j))
     done.sort()
+    reduced = dict(done)
+    for c, r in reversed(done):
+        for k in [k for k in r if k != c and k in reduced]:
+            _axpy_into(field, r, r[k], reduced[k])
     return [c for c, _ in done], [r for _, r in done]
 
 
-def _axpy(field: Field, s: dict, f, r: dict) -> dict:
-    """s - f*r with zero stripping."""
-    out = dict(s)
+def _axpy_into(field: Field, s: dict, f, r: dict):
+    """s -= f*r in place, touching only the columns of r.
+
+    Returns the columns it created and the columns it cancelled.
+    """
+    upd = {}
     for k, v in r.items():
         t = f * v
-        if k in out:
-            out[k] = out[k] - t
-        else:
-            out[k] = -t
-    return field.post_reduce(out)
+        upd[k] = s[k] - t if k in s else -t
+    kept = field.post_reduce(upd)
+    new, gone = [], []
+    for k in upd:
+        if k in kept:
+            if k not in s:
+                new.append(k)
+            s[k] = kept[k]
+        elif k in s:
+            del s[k]
+            gone.append(k)
+    return new, gone
 
 
 def _rref_dense_modp(field: PrimeField, rows, ncols):
@@ -150,11 +192,11 @@ class Subspace:
 
     def contains(self, vec: dict) -> bool:
         f = self.field
-        v = f.post_reduce(dict(vec))
+        v = f.post_reduce(vec)
         for c, r in zip(self.pivots, self.rows):
             x = v.get(c)
             if x is not None:
-                v = _axpy(f, v, x, r)
+                _axpy_into(f, v, x, r)
         return not v
 
 

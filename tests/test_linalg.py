@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from frobpi.fields import FP, QQ, InvariantError
+from frobpi.fields import FP, QQ, QU, InvariantError, RatF
 from frobpi.linalg import (
     Subspace,
     left_kernel,
@@ -59,7 +60,7 @@ def test_rref_canonical_given_row_order_shuffle():
     assert red1 == red2
 
 
-def test_fraction_free_lane_matches_generic():
+def test_rref_invariant_under_column_reindexing():
     # a wide rational matrix and its squeezed copy reduce alike
     rng = random.Random(3)
     ncols = 230
@@ -78,6 +79,84 @@ def test_fraction_free_lane_matches_generic():
     assert [remap[p] for p in piv_wide] == piv_small
     back = [{used[j]: v for j, v in r.items()} for r in red_small]
     assert back == red_wide
+
+
+def _dense_gauss_jordan(rows, ncols, p=None):
+    """Textbook reduction of a dense copy, over Q (p None) or F_p."""
+    norm = (lambda x: x) if p is None else (lambda x: x % p)
+    inv = (lambda x: 1 / Fraction(x)) if p is None else (lambda x: pow(x, -1, p))
+    a = [[norm(r.get(j, 0)) for j in range(ncols)] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        top = len(pivots)
+        i = next((i for i in range(top, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        a[top], a[i] = a[i], a[top]
+        s = inv(a[top][c])
+        a[top] = [norm(x * s) for x in a[top]]
+        for i, row in enumerate(a):
+            if i != top and row[c]:
+                a[i] = [norm(x - row[c] * y) for x, y in zip(row, a[top])]
+        pivots.append(c)
+    return pivots, [{j: x for j, x in enumerate(a[i]) if x} for i in range(len(pivots))]
+
+
+@st.composite
+def _fill_in_rows(draw):
+    """Small integer matrices with duplicate, empty and dependent rows."""
+    ncols = draw(st.integers(1, 7))
+    entry = st.integers(-3, 3)
+    rows = draw(
+        st.lists(
+            st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["duplicate", "empty", "combination"]))
+        if kind == "duplicate":
+            rows.append(dict(draw(st.sampled_from(rows))))
+        elif kind == "empty":
+            rows.append({})
+        else:
+            # cancels to zero once the rows it combines are eliminated
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            x, y = draw(entry), draw(entry)
+            rows.append({j: x * a.get(j, 0) + y * b.get(j, 0) for j in a.keys() | b.keys()})
+    return ncols, draw(st.permutations(rows))
+
+
+@pytest.mark.parametrize("p", [None, 5])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_fill_in_rows())
+def test_generic_rref_matches_dense_oracle(p, case):
+    ncols, ints = case
+    f = QQ if p is None else FP(p)
+    rows = [{j: f.convert(v) for j, v in r.items() if not f.is_zero(f.convert(v))} for r in ints]
+    before = [dict(r) for r in rows]
+    assert _rref_generic(f, rows) == _dense_gauss_jordan(ints, ncols, p)
+    # the elimination works in place on copies, never on the caller's rows
+    assert rows == before
+
+
+def test_generic_rref_over_qu_with_fill_in():
+    # non-unit leads, fill-in, an empty row and a row that cancels to zero
+    u, one = RatF.gen(), QU.one
+    r0 = {0: u, 1: one, 4: u + one}
+    r1 = {0: one, 2: u * u, 4: QU.convert(2)}
+    r2 = {1: u, 2: one, 3: u - one}
+    r3 = {2: QU.convert(3), 3: u}
+    dependent = QU.post_reduce({j: u * r0.get(j, QU.zero) + r1.get(j, QU.zero) for j in range(5)})
+    rows = [r0, r1, r2, r3, {}, dependent]
+    pivots, red = _rref_generic(QU, rows)
+    assert pivots == sorted(pivots) and len(set(pivots)) == len(pivots) == 4
+    for c, r in zip(pivots, red):
+        assert min(r) == c and r[c] == one
+        assert all(c not in other for other in red if other is not r)
+    span = Subspace(QU, 5, tuple(pivots), tuple(red))
+    assert all(span.contains(r) for r in rows)
 
 
 @pytest.mark.parametrize("p", [2, 5, 2147483629])
