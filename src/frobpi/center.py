@@ -1,77 +1,67 @@
 """Centers, normalizing elements, and the surjectivity of multiplication.
 
-The centralizer condition is taken against the 2n + 1 generators: the two
-degree-0 idempotent blocks and the degree-1 spanning set b_i e, f b_j.
-Commuting with those forces commuting with everything, so the center in
-each degree is the intersection of the per-generator commutator kernels.
+The algebra is generated by its word letters: the degree-0 idempotent a,
+the S-basis slots b_j, and the two degree-1 letters e and f.  Commuting
+with those forces commuting with everything, so the center in each degree
+is the intersection of the per-letter commutator kernels.
 """
 
 from __future__ import annotations
 
 from .engine import DegreeRangeError, GradedAlgebra, PiElement
 from .frobenius import catalog
-from .linalg import Subspace, left_kernel, vec_apply, vec_sub
+from .linalg import Subspace, left_kernel, vec_add, vec_apply, vec_sub
 
 
-def _commutator_ops(g: GradedAlgebra, d: int):
-    """(right rows, left rows, target degree) for each generator on degree d."""
-    f = g.field
-    n = g.n
-    ops = []
-    isr = g.is_r[d]
-    a_rows = [({i: f.one} if isr[i] else {}) for i in range(g.dim(d))]
-    l0 = g.left0(d)
-    ops.append((a_rows, l0[0], d))
-    for j in range(n):
-        ops.append((g.B[d][j], l0[1 + j], d))
-    if d + 1 <= g.D:
-        l1 = g.left1(d)
-        for i in range(n):
-            right = [vec_apply(f, g.B[d][i][k], g.E[d + 1]) for k in range(g.dim(d))]
-            ops.append((right, l1[i], d + 1))
-        for j in range(n):
-            ops.append((g.FB[d + 1][j], l1[n + j], d + 1))
-    else:
+def _commutator_ops(g: GradedAlgebra, d: int, signs=None):
+    """Rows of x -> x l - sigma(l) x on degree d, with the target degree, per letter l.
+
+    The letters are a, b_0..b_{n-1}, e and f.  sigma fixes a, e and f and
+    scales b_j by signs[j]; without signs it is the identity.  A letter's
+    rows are built only when the iteration reaches it.
+    """
+    if d + 1 > g.D:
         raise DegreeRangeError(f"center at degree {d} needs build degree {d + 1}")
-    return ops
+    f = g.field
+
+    def pair(right, left, c=None):
+        return [vec_sub(f, r, l) if c is None else vec_add(f, r, l, c) for r, l in zip(right, left)]
+
+    isr = g.is_r[d]
+    l0 = g.left0(d)
+    yield pair([({i: f.one} if isr[i] else {}) for i in range(g.dim(d))], l0[0]), d
+    for j in range(g.n):
+        yield pair(g.B[d][j], l0[1 + j], None if signs is None else f.neg(signs[j])), d
+    for right, left in zip((g.E[d + 1], g.F[d + 1]), g.left1(d)):
+        yield pair(right, left), d + 1
 
 
 def center_degree(g: GradedAlgebra, d: int) -> Subspace:
     """Degree-d center as a canonical subspace of the degree-d piece.
 
-    Starting from the whole piece, each generator whose commutator does not
+    Starting from the whole piece, each letter whose commutator does not
     vanish there cuts the subspace down to the part it commutes with.
     """
     f = g.field
     z = Subspace.full(f, g.dim(d))
-    for right, left, tdeg in _commutator_ops(g, d):
-        if not z.rows:
-            break
-        m_rows = [vec_sub(f, vec_apply(f, v, right), vec_apply(f, v, left)) for v in z.rows]
+    for op, tdeg in _commutator_ops(g, d):
+        m_rows = [vec_apply(f, v, op) for v in z.rows]
         if any(m_rows):
             z = left_kernel(f, m_rows, g.dim(tdeg), basis=z)
+            if not z.rows:
+                break
     return z
 
 
 def centralizer_stack_kernel(g: GradedAlgebra, d: int) -> Subspace:
     """Same subspace as center_degree, via one stacked commutator matrix."""
-    f = g.field
-    dim = g.dim(d)
-    ops = _commutator_ops(g, d)
-    offsets = []
+    rows = [{} for _ in range(g.dim(d))]
     total = 0
-    for _, _, tdeg in ops:
-        offsets.append(total)
+    for op, tdeg in _commutator_ops(g, d):
+        for row, r in zip(rows, op):
+            row.update((total + j, v) for j, v in r.items())
         total += g.dim(tdeg)
-    rows = []
-    for i in range(dim):
-        row = {}
-        for (right, left, _), off in zip(ops, offsets):
-            dvec = vec_sub(f, right[i], left[i])
-            for j, v in dvec.items():
-                row[off + j] = v
-        rows.append(row)
-    return left_kernel(f, rows, total)
+    return left_kernel(g.field, rows, total)
 
 
 def center_dims(g: GradedAlgebra, D: int):
@@ -88,25 +78,15 @@ def expected_center_dim(d: int) -> int:
     return 0
 
 
-def _commutes(x: PiElement, signs) -> bool:
-    """x g = sigma(g) x for every generator g.
-
-    sigma fixes a and multiplies b_j, b_j e and f b_j by signs[j].
-    """
+def _commutes(x: PiElement, signs=None) -> bool:
+    """x l = sigma(l) x for every letter l; see _commutator_ops for sigma."""
     g = x.graded
-    f = g.field
-    gen_signs = [f.one] + 3 * list(signs)  # a, the slots, b_i e, f b_j
-    for (right, left, _), sg in zip(_commutator_ops(g, x.d), gen_signs):
-        rv = vec_apply(f, x.vec, right)
-        lv = vec_apply(f, x.vec, left)
-        if vec_sub(f, rv, {k: sg * v for k, v in lv.items()}):
-            return False
-    return True
+    return not any(vec_apply(g.field, x.vec, op) for op, _ in _commutator_ops(g, x.d, signs))
 
 
 def is_central(x: PiElement) -> bool:
-    """x commutes with every generator, hence with the whole algebra."""
-    return _commutes(x, [x.graded.field.one] * x.graded.n)
+    """x commutes with every letter, hence with the whole algebra they generate."""
+    return _commutes(x)
 
 
 def _require_bikwad(g: GradedAlgebra):
@@ -117,9 +97,9 @@ def _require_bikwad(g: GradedAlgebra):
 def normalizing_check(x: PiElement, sign_letter: str) -> bool:
     """x g = sigma(g) x for the sign automorphism negating one square root.
 
-    sigma fixes a and negates every basis monomial containing sign_letter;
-    checking against the generator set settles the relation for the whole
-    algebra.
+    sigma fixes a, e and f and negates every slot whose name contains
+    sign_letter; checking against the letters settles the relation for the
+    whole algebra.
     """
     g = x.graded
     _require_bikwad(g)

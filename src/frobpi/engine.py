@@ -453,31 +453,12 @@ class GradedAlgebra:
     def basis_words(self, d: int):
         return [self.word_str(w) for w in self.words[d]]
 
-    # -- generators and left multiplication ---------------------------------
-
-    def generators(self):
-        """The 2n + 1 algebra generators with their degrees.
-
-        Degree 0: a and the slots; degree 1: b_i e and f b_j, which span
-        the degree-1 piece.
-        """
-        f = self.field
-        gens = [("a", PiElement(self, 0, {0: f.one}))]
-        names = self.pair.algebra.names
-        for j in range(self.n):
-            gens.append((names[j], PiElement(self, 0, {1 + j: f.one})))
-        for i in range(self.n):
-            vec = self.E[1][1 + i]
-            gens.append((f"{names[i]}e", PiElement(self, 1, dict(vec))))
-        for j in range(self.n):
-            vec = self.FB[1][j][0]
-            gens.append((f"f{names[j]}", PiElement(self, 1, dict(vec))))
-        return gens
+    # -- left multiplication ------------------------------------------------
 
     def _left_ops(self, memo, d, shift, gvecs):
-        """Left multiplication by each generator of degree shift, on degree d.
+        """Left multiplication by each given element of degree shift, on degree d.
 
-        Degree 0 folds each generator through the words; each later word
+        Degree 0 folds each element through the words; each later word
         extends its parent by one letter, so its row is the parent's row
         times that letter's operator one degree up.
         """
@@ -506,15 +487,17 @@ class GradedAlgebra:
         )
 
     def left1(self, d: int):
-        """Left multiplication rows for b_i e and f b_j, degree d to d+1."""
+        """Left multiplication rows for e and f, degree d to d+1.
+
+        e and f are the unit folded through the letters e and f.
+        """
         if d + 1 > self.D:
             raise DegreeRangeError(f"degree {d + 1} exceeds build degree {self.D}")
         return self._left_ops(
             self._l1,
             d,
             1,
-            lambda: [self.E[1][1 + i] for i in range(self.n)]
-            + [self.FB[1][j][0] for j in range(self.n)],
+            lambda: [self._fold(self.unit_element().vec, 0, (L,))[0] for L in (E_LETTER, F_LETTER)],
         )
 
     # -- projections and dimension bookkeeping ------------------------------

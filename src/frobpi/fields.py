@@ -762,7 +762,7 @@ class PrimeField(Field):
             a, b = s.split("/", 1)
             try:
                 return self.div(int(a) % self.p, int(b) % self.p)
-            except ValueError as e:
+            except (ValueError, ZeroDivisionError) as e:
                 raise ScalarSyntaxError(f"bad residue {s!r}") from e
         try:
             return int(s) % self.p
@@ -911,7 +911,7 @@ def _qu_term(tk) -> RatF:
             tk.take()
             d = _qu_factor(tk)
             if d.is_zero():
-                raise ZeroDivisionError("division by zero in scalar string")
+                raise ScalarSyntaxError("division by zero in scalar string")
             v = v / d
         else:
             return v
@@ -934,7 +934,7 @@ def _qu_factor(tk) -> RatF:
             out = out * v
         if neg:
             if out.is_zero():
-                raise ZeroDivisionError("zero to a negative power")
+                raise ScalarSyntaxError("zero to a negative power")
             out = RatF(out.den, out.num)
         return out
     return v

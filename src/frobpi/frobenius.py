@@ -736,30 +736,49 @@ def algebra_to_json(obj) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _json_list(x, what: str, item) -> list:
+    """x itself if it is a JSON array of entries of type item; ValueError otherwise."""
+    if not isinstance(x, list) or not all(isinstance(y, item) for y in x):
+        raise ValueError(f"{what} must be a list of {item.__name__}")
+    return x
+
+
 def algebra_from_json(text: str):
     """Parse the JSON form; returns (CommAlgebra, lam or None).
 
     The unit is rederived from the constants, so bases that do not contain
-    the identity round-trip fine.
+    the identity round-trip fine.  A document of the wrong shape raises
+    ValueError, as does an unparseable scalar.
     """
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("the document must be a JSON object")
+    if not isinstance(doc["field"], str):
+        raise ValueError("field must be a string")
     f = field_from_descriptor(doc["field"])
-    names = tuple(doc["basis"])
+    names = tuple(_json_list(doc["basis"], "basis", str))
     n = len(names)
     order = _tri_order(n)
-    if len(doc["constants"]) != len(order):
+    constants = _json_list(doc["constants"], "constants", list)
+    if len(constants) != len(order):
         raise ValueError("constants list must have n(n+1)/2 entries")
     tab = [[dict() for _ in range(n)] for _ in range(n)]
-    for (i, j), row in zip(order, doc["constants"]):
-        v = {int(k): f.parse(s) for k, s in row}
+    for (i, j), row in zip(order, constants):
+        what = f"constants of b_{i} b_{j}"
+        v = {}
+        for entry in _json_list(row, what, list):
+            if len(entry) != 2 or not isinstance(entry[0], int) or not isinstance(entry[1], str):
+                raise ValueError(f"{what} must be [index, scalar string] pairs")
+            v[entry[0]] = f.parse(entry[1])
         if any(not 0 <= k < n for k in v):
-            raise ValueError(f"constants of b_{i} b_{j} name a basis index outside 0..{n - 1}")
+            raise ValueError(f"{what} name a basis index outside 0..{n - 1}")
         tab[i][j] = dict(v)
         tab[j][i] = dict(v)
     a = CommAlgebra(f, names, tab)
     lam = None
     if "lambda" in doc:
-        if len(doc["lambda"]) != n:
+        lam_doc = _json_list(doc["lambda"], "lambda", str)
+        if len(lam_doc) != n:
             raise ValueError(f"lambda must have {n} entries, one per basis element")
-        lam = tuple(f.parse(s) for s in doc["lambda"])
+        lam = tuple(f.parse(s) for s in lam_doc)
     return a, lam

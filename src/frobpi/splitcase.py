@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .fields import QQ, InvariantError, MultiPoly
 from .linalg import series_inverse
-from .center import center_degree, center_dims
+from .center import center_degree
 
 
 @dataclass(frozen=True)
@@ -170,22 +170,6 @@ def no_lower_relation_check(dmax: int = 10) -> bool:
 
 # ---------------------------------------------------------------------------
 # cross-checks against the engine
-
-
-def cross_check_center(g, D: int) -> bool:
-    """Invariant dims equal the split engine's computed center dims to D."""
-    return invariant_dims(D) == center_dims(g, D)
-
-
-def quiver_vs_engine(g, D: int) -> bool:
-    """Quiver totals vs engine dims, column-0 sums vs the 1_R split ranks."""
-    mats, totals = quiver_hilbert(4, D)
-    for d in range(D + 1):
-        if totals[d] != g.dim(d):
-            return False
-        if _column0(mats[d]) != g.split_dims(d)[0]:
-            return False
-    return True
 
 
 def split_table(g, D: int) -> list:

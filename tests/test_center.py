@@ -41,7 +41,7 @@ def test_center_formula_over_fp5(fp_engines):
 
 
 def test_incremental_matches_stacked(q_engines, fp_engines):
-    # one reduction per generator lands on the same canonical subspace as one
+    # one reduction per letter lands on the same canonical subspace as one
     # reduction of all the commutators stacked, over Q, both F_p lanes and Q(u)
     fam = deformation(4)
     generic = build(make_frobenius(fam.algebra, list(fam.lam)), 4)
@@ -54,6 +54,23 @@ def test_incremental_matches_stacked(q_engines, fp_engines):
             stk = centralizer_stack_kernel(g, d)
             assert inc.pivots == stk.pivots, (g.field.tag, d)
             assert inc.rows == stk.rows, (g.field.tag, d)
+
+
+def test_center_commutes_with_degree_0_and_1_bases(q_engines, fp_engines):
+    # degrees 0 and 1 generate the algebra, so commuting with their bases is
+    # being central: the letters a, b_j, e and f leave nothing out
+    fam = deformation(4)
+    generic = build(make_frobenius(fam.algebra, list(fam.lam)), 4)
+    cases = [(q_engines[name], 10) for name in CATALOG_NAMES]
+    cases += [(fp_engines[name, p], 10) for p in (2, 5) for name in CATALOG_NAMES]
+    cases += [(generic, 4)]
+    for g, top in cases:
+        gens = [g.basis_element(e, i) for e in (0, 1) for i in range(g.dim(e))]
+        for d in range(top):
+            for r in center_degree(g, d).rows:
+                z = PiElement(g, d, r)
+                for x in gens:
+                    assert g.multiply(z, x) == g.multiply(x, z), (g.field.tag, d)
 
 
 def test_center_degree_reduces_once_per_generator(q_engines, monkeypatch):
@@ -167,6 +184,19 @@ def test_char2_centers_still_match_over_odd_primes(fp_engines):
     for name in ("two-dual-numbers", "t4", "bikwad"):
         g = fp_engines[name, 5]
         assert center_dims(g, 12) == [expected_center_dim(d) for d in range(13)]
+
+
+@pytest.mark.parametrize("p", [2147483629, 2**31 - 1])
+def test_large_prime_matches_q(q_engines, p):
+    # the dense mod-p lane multiplies residues in int64; at the largest primes
+    # a field accepts (p < 2^31) its products come closest to overflowing
+    f = field_from_descriptor(f"fp:{p}")
+    for name in CATALOG_NAMES:
+        gq = q_engines[name]
+        gp = build(catalog(name, f), 9)
+        assert gp.dims() == [gq.dim(d) for d in range(10)], name
+        assert [gp.split_dims(d) for d in range(9)] == [gq.split_dims(d) for d in range(9)], name
+        assert center_dims(gp, 8) == center_dims(gq, 8), name
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, formats, determinism, caching."""
 
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -113,17 +114,61 @@ def test_algebra_file_excludes_field_and_pair(capsys, tmp_path, flag):
 
 def _index_out_of_range(doc):
     doc["constants"][-1] = [[9, "1"]]  # b_3 b_3 = b_9 in a 4-dimensional algebra
+    return doc
 
 
 def _short_lambda(doc):
     doc["lambda"] = doc["lambda"][:3]
+    return doc
 
 
-@pytest.mark.parametrize("spoil", [_index_out_of_range, _short_lambda])
+def _zero_residue_denominator(doc):
+    doc["field"] = "fp:5"
+    doc["lambda"][0] = "1/5"
+    return doc
+
+
+def _zero_qu_denominator(doc):
+    doc["field"] = "qu"
+    doc["lambda"][0] = "1/(u-u)"
+    return doc
+
+
+def _not_an_object(doc):
+    return [1, 2]
+
+
+def _basis_is_a_number(doc):
+    doc["basis"] = 4
+    return doc
+
+
+def _constants_is_a_number(doc):
+    doc["constants"] = 10
+    return doc
+
+
+def _scalar_is_a_number(doc):
+    doc["constants"][0] = [[0, 1]]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        _index_out_of_range,
+        _short_lambda,
+        _zero_residue_denominator,
+        _zero_qu_denominator,
+        _not_an_object,
+        _basis_is_a_number,
+        _constants_is_a_number,
+        _scalar_is_a_number,
+    ],
+)
 def test_bad_algebra_file_is_usage_error(capsys, tmp_path, spoil):
-    # bad input, not a failed check: it used to end in an IndexError and exit 1
-    doc = json.loads(algebra_to_json(catalog("t4")))
-    spoil(doc)
+    # bad input, not a failed check: each used to end in a traceback and exit 1
+    doc = spoil(json.loads(algebra_to_json(catalog("t4"))))
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     argv = ["dims", "--algebra", str(path), "--max-degree", "2", "--no-cache"]
@@ -260,6 +305,28 @@ def test_verify_output_deterministic(capsys):
     _, out1, _ = run(capsys, argv)
     _, out2, _ = run(capsys, argv)
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "verify --suite ranks,split,resolution,center --field q --max-degree 12 --no-cache",
+            "41333982de25736aced1cff2636640e7aed4a12e846f60896f46c842cd937b1a",
+        ),
+        (
+            "verify --suite deformations --max-degree 3 --no-cache",
+            "ae98a042832bb77b589c8563afb99ea6298441377c87eab5869a6d581892b0b0",
+        ),
+    ],
+    ids=["q-ranks-split-resolution-center", "deformations"],
+)
+def test_verify_stdout_golden(capsys, argv, digest):
+    # stdout bytes pinned by sha256: a rewrite of the internals must not move
+    # them, and a digest changes only with a deliberate change of output
+    code, out, _ = run(capsys, argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_cache_round_trip_same_output(capsys, tmp_path):

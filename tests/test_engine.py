@@ -253,13 +253,6 @@ def test_element_expr_and_format(bikwad_q):
     assert g.element_from_expr(g.format_element(x)) == x
 
 
-def test_generators_count(bikwad_q):
-    gens = bikwad_q.generators()
-    assert len(gens) == 13
-    names = [n for n, _ in gens]
-    assert names[0] == "a"
-
-
 # ---------------------------------------------------------------------------
 # cache behavior
 

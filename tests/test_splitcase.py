@@ -8,7 +8,6 @@ from frobpi import splitcase
 from frobpi.fields import InvariantError
 from frobpi.splitcase import (
     StarQuiver,
-    cross_check_center,
     invariant_dims,
     invariant_generators,
     invariant_relation_check,
@@ -16,7 +15,6 @@ from frobpi.splitcase import (
     monomial_count,
     no_lower_relation_check,
     quiver_hilbert,
-    quiver_vs_engine,
     satisfies_conditions,
     split_table,
     star_adjacency,
@@ -109,12 +107,6 @@ def test_no_lower_relation():
 def test_monomial_count_values():
     # solutions of 4i + 4j + 6k = d
     assert [monomial_count(d) for d in (0, 4, 6, 8, 10, 12)] == [1, 2, 1, 3, 2, 5]
-
-
-def test_cross_checks_against_engine(q_engines):
-    g = q_engines["split4"]
-    assert cross_check_center(g, 12)
-    assert quiver_vs_engine(g, 12)
 
 
 def test_split_table_rows(q_engines):
