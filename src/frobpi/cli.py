@@ -232,13 +232,17 @@ class _Suite:
 
 
 SUITES = {
-    "ranks": _Suite(_per_degree("ranks", _rank_record), RANK_FIELDS, 12, build=lambda c: c),
-    "split": _Suite(_per_degree("split", _split_record), RANK_FIELDS, 12, build=lambda c: c),
+    "ranks": _Suite(
+        _per_degree("ranks", _rank_record), RANK_FIELDS, 12, build=lambda c: max(c, 1)
+    ),
+    "split": _Suite(
+        _per_degree("split", _split_record), RANK_FIELDS, 12, build=lambda c: max(c, 1)
+    ),
     "center": _Suite(
         _per_degree("center", _center_record), CENTER_FIELDS, 12, 16, build=lambda c: c + 1
     ),
     "resolution": _Suite(
-        _per_degree("resolution", _resolution_record), ("q",), 16, build=lambda c: c
+        _per_degree("resolution", _resolution_record), ("q",), 16, build=lambda c: max(c, 1)
     ),
     "sigma": _Suite(_suite_sigma, CENTER_FIELDS, 12, 16, build=lambda c: max(c, 5)),
     "invariants": _Suite(_suite_invariants, ("q",), 12, build=lambda c: c + 1),

@@ -1,9 +1,13 @@
 """Exact scalars: rationals, prime fields F_p, and rational functions in u.
 
-Scalars are raw payloads (Fraction, reduced int, RatF) with no field tag.
-Every interface passes the Field object next to them, and converting a
-value from another field raises instead of coercing.  Raw payloads let the
-linear algebra layer use native arithmetic operators in hot loops.
+Scalars are raw payloads with no field tag: over Q an int when the value
+is an integer and a Fraction otherwise (never a float), over F_p a reduced
+int, over Q(u) a RatF.  Every interface passes the Field object next to
+them, and converting a value from another field raises instead of
+coercing.  Raw payloads let the linear algebra layer use native arithmetic
+operators in hot loops; int and Fraction agree on ==, hash, str and
+truthiness, and a sum or product of ints stays an int, so integer rows over
+Q never pay for Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -524,19 +528,19 @@ class RatF:
             raise ZeroDivisionError("division by zero rational function")
         return RatF(_pmul(self.n, o.d), _pmul(self.d, o.n))
 
-    def eval(self, c: Fraction) -> Fraction:
+    def eval(self, c: Fraction) -> int | Fraction:
         c = QQ.convert(c)
         d = _horner(self.d, c)
         if d == 0:
             raise PoleError(f"pole at u = {c}")
-        return _horner(self.n, c) / d
+        return QQ.convert(Fraction(_horner(self.n, c), d))
 
     def __repr__(self):
         return f"RatF({QU.fmt(self)})"
 
 
 def _horner(a, c):
-    acc = Fraction(0)
+    acc = 0
     for x in reversed(a):
         acc = acc * c + x
     return acc
@@ -646,14 +650,14 @@ class Field:
 
 class RationalField(Field):
     tag = "q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def convert(self, c):
         if isinstance(c, Fraction):
-            return c
+            return c.numerator if c.denominator == 1 else c
         if isinstance(c, int):
-            return Fraction(c)
+            return c
         raise FieldMismatchError(f"cannot interpret {c!r} as a rational")
 
     def add(self, a, b):
@@ -671,7 +675,7 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in Q")
-        return 1 / a
+        return self.convert(Fraction(1, a))
 
     def is_zero(self, a):
         return a == 0
@@ -682,7 +686,7 @@ class RationalField(Field):
 
     def parse(self, s: str):
         try:
-            return Fraction(s.strip())
+            return self.convert(Fraction(s.strip()))
         except (ValueError, ZeroDivisionError) as e:
             raise ScalarSyntaxError(f"bad rational {s!r}") from e
 

@@ -279,6 +279,16 @@ def test_per_degree_record_keys(capsys):
         assert list(r) == keys[r["suite"]]
 
 
+@pytest.mark.parametrize("suite, count", [("ranks", 30), ("split", 30), ("resolution", 6)])
+def test_verify_at_degree_cap_0(capsys, suite, count):
+    # cap 0 still needs a build of degree 1, the least the engine makes
+    code, out, err = run(capsys, ["verify", "--suite", suite, "--max-degree", "0", "--no-cache"])
+    assert (code, err) == (0, "")
+    records = json.loads(out)
+    assert len(records) == count
+    assert all(r["suite"] == suite and r["degree"] == 0 and r["pass"] for r in records)
+
+
 def test_sigma_suite_passes(capsys):
     code, out, _ = run(
         capsys,

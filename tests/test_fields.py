@@ -131,7 +131,7 @@ def _ratf_case(draw):
 def _value(num, den, c):
     """num(c)/den(c) from the Fraction-based UniPoly.eval, or None at a pole."""
     d = den.eval(c)
-    return None if d == 0 else num.eval(c) / d
+    return None if d == 0 else Fraction(num.eval(c)) / d
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

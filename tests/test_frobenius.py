@@ -191,6 +191,20 @@ def test_specialize_pair_qu_to_q():
     assert p_0.algebra.equal_constants(catalog("t4").algebra)
 
 
+@pytest.mark.parametrize("at", [0, Fraction(7, 13)], ids=["0", "7/13"])
+def test_specialized_fibre_payloads_are_int_when_integral(at):
+    # a Q fibre of a Q(u) family keeps its integral constants as ints, so its
+    # builds take the int path of Q arithmetic
+    fam = deformation(4)
+    p = specialize_pair(make_frobenius(fam.algebra, fam.lam), "q", at)
+    a = p.algebra
+    payloads = [v for row in a.table for prod in row for v in prod.values()]
+    payloads += list(a.unit) + list(p.lam)
+    assert any(v.denominator == 1 for v in payloads)
+    for v in payloads:
+        assert type(v) is (int if v.denominator == 1 else Fraction), v
+
+
 def test_specialize_pair_q_to_fp():
     pair = specialize_pair(catalog("bikwad"), "fp:5")
     assert pair.field.tag == "fp:5"

@@ -141,6 +141,45 @@ def test_generic_rref_matches_dense_oracle(p, case):
     assert rows == before
 
 
+_Q_ENTRY = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6))
+
+
+@st.composite
+def _q_rows(draw):
+    """Sparse Q matrices whose entries are integers, fractions or both."""
+    ncols = draw(st.integers(1, 8))
+    rows = draw(
+        st.lists(st.dictionaries(st.integers(0, ncols - 1), _Q_ENTRY, max_size=ncols), max_size=7)
+    )
+    return ncols, [{j: QQ.convert(v) for j, v in r.items() if v} for r in rows]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_q_rows())
+def test_q_rref_payloads_match_fraction_reference(case):
+    # int payloads for integral values must not change any result, and no
+    # true division may turn a payload into a float
+    ncols, rows = case
+    as_fractions = [{j: Fraction(v) for j, v in r.items()} for r in rows]
+    pivots, red = rref_rows(QQ, rows, ncols)
+    assert (pivots, red) == _dense_gauss_jordan(as_fractions, ncols)
+    for r in red:
+        assert all(type(v) in (int, Fraction) for v in r.values()), r
+
+
+def test_q_scalars_are_int_when_integral():
+    for got, want in [
+        (QQ.inv(1), 1),
+        (QQ.inv(-1), -1),
+        (QQ.inv(Fraction(1, 3)), 3),
+        (QQ.parse("4/2"), 2),
+        (QQ.convert(Fraction(-6, 3)), -2),
+    ]:
+        assert type(got) is int and got == want
+    assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
+    assert type(QQ.zero) is int and type(QQ.one) is int
+
+
 def test_generic_rref_over_qu_with_fill_in():
     # non-unit leads, fill-in, an empty row and a row that cancels to zero
     u, one = RatF.gen(), QU.one
