@@ -8,7 +8,7 @@ is the intersection of the per-letter commutator kernels.
 
 from __future__ import annotations
 
-from .engine import DegreeRangeError, GradedAlgebra, PiElement
+from .engine import A_LETTER, DegreeRangeError, GradedAlgebra, PiElement
 from .frobenius import catalog
 from .linalg import Subspace, left_kernel, vec_add, vec_apply, vec_sub
 
@@ -27,11 +27,13 @@ def _commutator_ops(g: GradedAlgebra, d: int, signs=None):
     def pair(right, left, c=None):
         return [vec_sub(f, r, l) if c is None else vec_add(f, r, l, c) for r, l in zip(right, left)]
 
-    isr = g.is_r[d]
+    # x a keeps the words that end on the R side, a x the words that start with a
+    sign = {(True, False): f.one, (False, True): f.neg(f.one)}
+    ends_starts = zip(g.is_r[d], (w[0] == A_LETTER for w in g.words[d]))
+    yield [{i: sign[k]} if k in sign else {} for i, k in enumerate(ends_starts)], d
     l0 = g.left0(d)
-    yield pair([({i: f.one} if isr[i] else {}) for i in range(g.dim(d))], l0[0]), d
     for j in range(g.n):
-        yield pair(g.B[d][j], l0[1 + j], None if signs is None else f.neg(signs[j])), d
+        yield pair(g.B[d][j], l0[j], None if signs is None else f.neg(signs[j])), d
     for right, left in zip((g.E[d + 1], g.F[d + 1]), g.left1(d)):
         yield pair(right, left), d + 1
 

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from .cache import CacheValidationError
 from .center import center_degree, expected_center_dim, sigma_surjectivity_check
-from .engine import build
+from .engine import DegreeRangeError, build
 from .fields import InvariantError, field_from_descriptor
 from .frobenius import (
     CATALOG_NAMES,
@@ -335,7 +335,7 @@ def _exit_code(rows):
 def _cache_dir(args):
     if args.no_cache:
         return None
-    return os.environ.get("FROBPI_CACHE") or args.cache_dir
+    return args.cache_dir or os.environ.get("FROBPI_CACHE")
 
 
 def _resolve_pair(args):
@@ -558,12 +558,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
+    except (InvariantError, DegreeRangeError) as e:
+        print(f"frobpi: internal error: {e}", file=sys.stderr)
+        return 3
     except ValueError as e:  # InputError included
         print(f"frobpi: {e}", file=sys.stderr)
         return 2
-    except InvariantError as e:
-        print(f"frobpi: internal error: {e}", file=sys.stderr)
-        return 3
     except CacheValidationError as e:
         print(f"frobpi: {e}", file=sys.stderr)
         return 3

@@ -5,16 +5,17 @@ letter: coordinates are (basis word of d-1) followed by e, or followed by
 f and an S-basis slot.  The two tensor relations, multiplied by every
 basis word of degree d-2, span exactly the new relations; row reducing
 them leaves a canonical word basis and the reduction map gives the right
-multiplication operators by each letter.  Everything downstream
-(multiplication, left multiplications, projections) folds through those
-operators, so one code path serves every coefficient field.
+multiplication operators by each letter.  Multiplication and the left
+multiplications fold through those operators, so one code path serves
+every coefficient field; the projections onto the two one-sided pieces
+are read off the words themselves.
 """
 
 from __future__ import annotations
 
-from .fields import Field, InvariantError
+from .fields import Field
 from .frobenius import FrobeniusPair
-from .linalg import Subspace, rref_rows, vec_add, vec_apply
+from .linalg import rref_rows, vec_add, vec_apply
 
 A_LETTER = -1
 E_LETTER = -2
@@ -131,7 +132,6 @@ class GradedAlgebra:
             self.B[0].append(rows)
         self._l0 = {}
         self._l1 = {}
-        self._split = {}
 
     # -- construction -------------------------------------------------------
 
@@ -480,11 +480,9 @@ class GradedAlgebra:
         return ops
 
     def left0(self, d: int):
-        """Left multiplication rows for a and each slot, on degree d."""
+        """Left multiplication rows for each slot, on degree d; a's are read off the words."""
         one = self.field.one
-        return self._left_ops(
-            self._l0, d, 0, lambda: [{0: one}] + [{1 + j: one} for j in range(self.n)]
-        )
+        return self._left_ops(self._l0, d, 0, lambda: [{1 + j: one} for j in range(self.n)])
 
     def left1(self, d: int):
         """Left multiplication rows for e and f, degree d to d+1.
@@ -500,22 +498,19 @@ class GradedAlgebra:
             lambda: [self._fold(self.unit_element().vec, 0, (L,))[0] for L in (E_LETTER, F_LETTER)],
         )
 
-    # -- projections and dimension bookkeeping ------------------------------
+    # -- one-sided pieces -----------------------------------------------------
 
     def split_dims(self, d: int):
-        """Dimensions of the two one-sided pieces of degree d."""
-        got = self._split.get(d)
-        if got is not None:
-            return got
-        f = self.field
-        l0 = self.left0(d)
-        ls = unit_weighted(f, self.pair.algebra.unit, l0[1:])
-        ra = Subspace.from_vectors(f, self.dim(d), [dict(r) for r in l0[0]]).dim
-        rs = Subspace.from_vectors(f, self.dim(d), ls).dim
-        if ra + rs != self.dim(d):
-            raise InvariantError(f"degree {d}: one-sided dims {ra} + {rs} != {self.dim(d)}")
-        self._split[d] = (ra, rs)
-        return ra, rs
+        """Dimensions of the two one-sided pieces a Pi_d and 1_S Pi_d.
+
+        Each relation row that _build_degree reduces is a left multiple x r of
+        a basis word x, and the right operators keep a word's first letter.  So
+        left multiplication by a keeps the words that start with a and kills
+        the others, 1_S does the opposite, and the ranks are the two counts.
+        """
+        dim = self.dim(d)
+        ra = sum(w[0] == A_LETTER for w in self.words[d])
+        return ra, dim - ra
 
     def resolution_sums(self, D: int):
         """Euler characteristic of the standard projective resolution.

@@ -1,11 +1,13 @@
 """Center computation: ranks, explicit elements, generation, char-2 reality."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from frobpi import CATALOG_NAMES, build, catalog, linalg
 from frobpi.center import (
+    _commutator_ops,
     center_degree,
     center_dims,
     centralizer_stack_kernel,
@@ -20,7 +22,14 @@ from frobpi.center import (
 )
 from frobpi.engine import DegreeRangeError, PiElement
 from frobpi.fields import field_from_descriptor
-from frobpi.frobenius import deformation, make_frobenius, specialize_pair
+from frobpi.frobenius import (
+    CommAlgebra,
+    FrobeniusPair,
+    _dense_inverse,
+    deformation,
+    make_frobenius,
+    specialize_pair,
+)
 
 
 def test_expected_center_dim_values():
@@ -71,6 +80,23 @@ def test_center_commutes_with_degree_0_and_1_bases(q_engines, fp_engines):
                 z = PiElement(g, d, r)
                 for x in gens:
                     assert g.multiply(z, x) == g.multiply(x, z), (g.field.tag, d)
+
+
+def test_a_commutator_rows_match_products(q_engines, fp_engines):
+    # the rows of the letter a are read off the words; they must be x a - a x
+    fam = deformation(4)
+    generic = build(make_frobenius(fam.algebra, list(fam.lam)), 5)
+    cases = [(q_engines[name], 8) for name in CATALOG_NAMES]
+    cases += [(fp_engines[name, p], 8) for p in (2, 5) for name in CATALOG_NAMES]
+    cases += [(generic, 4)]
+    for g, top in cases:
+        a = g.element_from_word("a")
+        for d in range(top + 1):
+            rows, tdeg = next(_commutator_ops(g, d))
+            assert tdeg == d
+            for i, row in enumerate(rows):
+                x = g.basis_element(d, i)
+                assert PiElement(g, d, row) == g.multiply(x, a) - g.multiply(a, x), (g.field.tag, d)
 
 
 def test_center_degree_reduces_once_per_generator(q_engines, monkeypatch):
@@ -212,3 +238,50 @@ def test_generic_fibre_matches_fibre_at_7_13(n):
     assert [center_degree(gu, d).dim for d in range(6)] == [
         center_degree(gc, d).dim for d in range(6)
     ]
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: the same algebra in another basis
+
+
+def _rebased(pair, rng):
+    """The pair rewritten in the basis b'_i = sum_k P[i][k] b_k.
+
+    P = L U with L and U random unitriangular integer matrices: invertible
+    over every field, and with an integer inverse, so the Q constants stay
+    small enough for the tier-1 budget.
+    """
+    f, alg, n = pair.field, pair.algebra, pair.n
+
+    def tri(lower):
+        def entry(i, j):
+            return 1 if i == j else rng.randint(-1, 1) if (i > j) == lower else 0
+
+        return [[entry(i, j) for j in range(n)] for i in range(n)]
+
+    low, up = tri(True), tri(False)
+    P = [[f.convert(sum(low[i][k] * up[k][j] for k in range(n))) for j in range(n)] for i in range(n)]
+    inv = _dense_inverse(f, P)
+    new = [f.post_reduce(dict(enumerate(row))) for row in P]
+
+    def coords(v):
+        # v = sum_m c_m b'_m, i.e. c = v P^-1
+        return [f.convert(sum((f.mul(c, inv[k][m]) for k, c in v.items()), f.zero)) for m in range(n)]
+
+    table = [[f.post_reduce(dict(enumerate(coords(alg.mul_vec(x, y))))) for y in new] for x in new]
+    rebased = CommAlgebra(f, alg.names, table, unit=coords(alg.unit_vec()))
+    return FrobeniusPair(rebased, [pair.lam_apply(x) for x in new])
+
+
+@pytest.mark.parametrize("tag", ["q", "fp:5"])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_base_change_invariance(q_engines, fp_engines, name, tag):
+    # dims, split dims and centre dims do not depend on the basis of S; a
+    # random basis also puts the unit on a dense vector, not on one slot
+    g = q_engines[name] if tag == "q" else fp_engines[name, 5]
+    pair = _rebased(g.pair, random.Random(f"{name} {tag}"))
+    assert sum(not g.field.is_zero(c) for c in pair.algebra.unit) > 1
+    h = build(pair, 9)
+    assert h.dims() == [g.dim(d) for d in range(10)]
+    assert [h.split_dims(d) for d in range(9)] == [g.split_dims(d) for d in range(9)]
+    assert center_dims(h, 8) == center_dims(g, 8)

@@ -202,6 +202,20 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert err == "frobpi: internal error: planted\n"
 
 
+def test_degree_range_error_exit_code(capsys, monkeypatch):
+    # every build degree comes from the suite plan, so a degree outside the
+    # build is the program's fault, not an invalid invocation: exit 3, not 2
+    def past_build(g, d):
+        return {"dim": g.dim(g.D + 1), "pass": True}
+
+    ranks = dataclasses.replace(cli.SUITES["ranks"], run=cli._per_degree("ranks", past_build))
+    monkeypatch.setitem(cli.SUITES, "ranks", ranks)
+    argv = ["verify", "--suite", "ranks", "--field", "q", "--max-degree", "1", "--no-cache"]
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err == "frobpi: internal error: degree 2 outside 0..1\n"
+
+
 def _truncate(path):
     text = path.read_text()
     path.write_text(text[: len(text) // 2])
@@ -352,6 +366,17 @@ def test_cache_env_override(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("FROBPI_CACHE", str(tmp_path / "envcache"))
     run(capsys, ["dims", "--pair", "split4", "--max-degree", "4"])
     assert (tmp_path / "envcache").is_dir()
+
+
+def test_cache_dir_flag_beats_env(capsys, tmp_path, monkeypatch):
+    # the flag the command line was given is the one that counts
+    monkeypatch.setenv("FROBPI_CACHE", str(tmp_path / "envcache"))
+    argv = ["dims", "--pair", "t4", "--max-degree", "2"]
+    assert run(capsys, argv + ["--cache-dir", str(tmp_path / "flagcache")])[0] == 0
+    assert list((tmp_path / "flagcache").iterdir())
+    assert not (tmp_path / "envcache").exists()
+    assert run(capsys, argv + ["--no-cache"])[0] == 0
+    assert not (tmp_path / "envcache").exists()
 
 
 def test_formats(capsys):

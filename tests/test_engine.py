@@ -17,7 +17,8 @@ from frobpi import CATALOG_NAMES, build, catalog
 from frobpi.cache import CacheValidationError, build_cached, cache_key
 from frobpi.engine import DegreeRangeError, GradedAlgebra, WordSyntaxError
 from frobpi.fields import field_from_descriptor
-from frobpi.frobenius import deformation, make_frobenius
+from frobpi.frobenius import deformation, make_frobenius, specialize_pair
+from frobpi.linalg import Subspace
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +166,30 @@ def test_split_dims_formula(q_engines):
         for d in range(13):
             want = (d + 1, 4 * (d + 1)) if d % 2 == 0 else (2 * (d + 1), 2 * (d + 1))
             assert g.split_dims(d) == want, (name, d)
+
+
+def _split_ranks(g, d):
+    """Ranks of left multiplication by a and by 1_S on degree d, by row reduction."""
+    one_r = g.element_from_word("a")
+    one_s = g.unit_element() - one_r
+    xs = [g.basis_element(d, i) for i in range(g.dim(d))]
+    return tuple(
+        Subspace.from_vectors(g.field, g.dim(d), [g.multiply(e, x).vec for x in xs]).dim
+        for e in (one_r, one_s)
+    )
+
+
+def test_split_dims_match_projection_ranks(q_engines, fp_engines):
+    # split_dims counts words by their first letter; the ranks of the two
+    # projections, reduced over every field and over Q(u), must agree
+    fam = deformation(4)
+    generic = make_frobenius(fam.algebra, list(fam.lam))
+    cases = [(q_engines[name], 8) for name in CATALOG_NAMES]
+    cases += [(fp_engines[name, p], 8) for p in (2, 3) for name in CATALOG_NAMES]
+    cases += [(build(generic, 4), 4), (build(specialize_pair(generic, "q", 0), 4), 4)]
+    for g, top in cases:
+        for d in range(top + 1):
+            assert g.split_dims(d) == _split_ranks(g, d), (g.field.tag, d)
 
 
 def test_resolution_identities(q_engines):
