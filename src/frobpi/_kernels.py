@@ -1,8 +1,13 @@
 """Dense row reduction mod p.
 
 A vectorized numpy Gauss-Jordan elimination.  Reduced row echelon form is
-unique, so the result agrees entry for entry with the sparse generic lane
-in `linalg`.
+unique, so the result agrees entry for entry with the sparse lane in
+`linalg`.
+
+No frobpi code path calls this module, and the package does not import it.
+It stays only because `perfbench/worker.py` and `perfbench/tracer.py`
+import it, and it is to be deleted together with those imports;
+`tests/test_linalg.py` meanwhile uses it as an oracle for the sparse lane.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ import json
 import os
 
 from .engine import GradedAlgebra
+from .fields import InputError
 from .frobenius import algebra_to_json
 
 CACHE_FORMAT = 2
@@ -104,7 +105,7 @@ def build_cached(pair, D: int, cache_dir: str) -> GradedAlgebra:
     try:
         os.makedirs(cache_dir, exist_ok=True)
     except OSError as e:
-        raise ValueError(f"cannot create cache directory {cache_dir}: {e}") from e
+        raise InputError(f"cannot create cache directory {cache_dir}: {e}") from e
     path = os.path.join(cache_dir, f"{key}.json")
     if os.path.exists(path):
         try:

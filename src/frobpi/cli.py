@@ -1,9 +1,10 @@
 """Command-line front end: tables, verification suites, caching.
 
 Exit codes: 0 when every reported check passes, 1 when any check fails,
-2 on usage or input errors, 3 on an internal error or an unreadable cache
-file.  Output is deterministic for a fixed command line, and running with
-or without a cache directory produces identical results.
+2 on usage or input errors (InputError), 3 on an internal error (any other
+ValueError, or a broken invariant) or an unreadable cache file.  Output is
+deterministic for a fixed command line, and running with or without a
+cache directory produces identical results.
 """
 
 import argparse
@@ -15,8 +16,8 @@ from typing import Callable, Optional
 
 from .cache import CacheValidationError
 from .center import center_degree, expected_center_dim, sigma_surjectivity_check
-from .engine import DegreeRangeError, build
-from .fields import InvariantError, field_from_descriptor
+from .engine import build
+from .fields import InputError, InvariantError, field_from_descriptor
 from .frobenius import (
     CATALOG_NAMES,
     REJECT_NAMES,
@@ -34,10 +35,6 @@ from . import splitcase
 RANK_FIELDS = ("q", "fp:2", "fp:3", "fp:5", "fp:7")
 CENTER_FIELDS = ("q", "fp:2", "fp:5")
 GENERIC_SAMPLE = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3}
-
-
-class InputError(ValueError):
-    """Bad user input: unknown name, unreadable file, invalid algebra."""
 
 
 def _expected_dim(d):
@@ -351,12 +348,14 @@ def _resolve_pair(args):
             alg, lam = algebra_from_json(text)
         except (ValueError, KeyError) as e:
             raise InputError(f"bad algebra file: {e}") from e
-        if lam is None:
-            ok, witness = is_frobenius(alg)
-            if not ok:
-                raise InputError("input algebra is not Frobenius")
-            lam = witness
-        return make_frobenius(alg, lam), args.algebra
+        try:
+            if lam is None:
+                ok, lam = is_frobenius(alg)
+                if not ok:
+                    raise InputError("input algebra is not Frobenius")
+            return make_frobenius(alg, lam), args.algebra
+        except ValueError as e:  # the rank limit of is_frobenius, a singular Gram matrix
+            raise InputError(str(e)) from e
     name = args.pair or "bikwad"
     if name not in CATALOG_NAMES:
         raise InputError(f"unknown pair {name!r}; choose from {', '.join(CATALOG_NAMES)}")
@@ -421,6 +420,8 @@ def cmd_deform(args):
         raise InputError("deform needs --family <1..6>")
     if not 1 <= args.family <= 6:
         raise InputError("family number must be 1..6")
+    if args.char2 and args.family != 6:
+        raise InputError("char2 variant exists only for family 6")
     cap = args.max_degree if args.max_degree is not None else SUITES["deformations"].cap
     fam, g_u, g_0 = _fibres(args.family, args.char2, max(cap, 1), _cache_dir(args))
     rows = []
@@ -558,12 +559,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InvariantError, DegreeRangeError) as e:
-        print(f"frobpi: internal error: {e}", file=sys.stderr)
-        return 3
-    except ValueError as e:  # InputError included
+    except InputError as e:
         print(f"frobpi: {e}", file=sys.stderr)
         return 2
+    except (InvariantError, ValueError) as e:
+        print(f"frobpi: internal error: {e}", file=sys.stderr)
+        return 3
     except CacheValidationError as e:
         print(f"frobpi: {e}", file=sys.stderr)
         return 3

@@ -13,7 +13,7 @@ are read off the words themselves.
 
 from __future__ import annotations
 
-from .fields import Field
+from .fields import Field, InputError
 from .frobenius import FrobeniusPair
 from .linalg import rref_rows, vec_add, vec_apply
 
@@ -138,7 +138,7 @@ class GradedAlgebra:
     def _check_names(self):
         bad = set(self.pair.algebra.names) & {"a", "e", "f"}
         if bad:
-            raise ValueError(f"basis names collide with letters: {sorted(bad)}")
+            raise InputError(f"basis names collide with letters: {sorted(bad)}")
 
     def _relation_terms(self):
         """Right multiples of the dual-basis relation by each slot.

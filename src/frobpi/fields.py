@@ -28,7 +28,11 @@ class BadReductionError(ZeroDivisionError):
     """Reduction mod p of a rational whose denominator is divisible by p."""
 
 
-class ScalarSyntaxError(ValueError):
+class InputError(ValueError):
+    """Bad user input: unknown name, unreadable file, invalid algebra or field."""
+
+
+class ScalarSyntaxError(InputError):
     """Unparseable scalar string."""
 
 
@@ -841,9 +845,12 @@ def field_from_descriptor(desc: str) -> Field:
         try:
             p = int(d[3:])
         except ValueError as e:
-            raise ValueError(f"bad field descriptor {desc!r}") from e
-        return PrimeField(p)
-    raise ValueError(f"bad field descriptor {desc!r}")
+            raise InputError(f"bad field descriptor {desc!r}") from e
+        try:
+            return PrimeField(p)
+        except ValueError as e:  # not prime, or out of range
+            raise InputError(str(e)) from e
+    raise InputError(f"bad field descriptor {desc!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Exact sparse linear algebra over the exact fields.
 
 Matrices are rows of {column: payload} dicts.  Row reduction always lands in
-the fully reduced row echelon form, which is unique, so the two execution
-lanes (generic sparse over any field, dense mod-p via the numpy kernel) are
-interchangeable.
+the fully reduced row echelon form, which is unique.  Every field, F_p
+included, goes through one sparse lane: the relation and centre matrices
+are very sparse, and elimination that keeps them sparse beats a dense
+reduction on them.
 
-The generic lane is a Markowitz-style sparse elimination: a heap of pivot
-keys picks the next pivot row, a column index names the rows each pivot
+The lane is a Markowitz-style sparse elimination: a heap of pivot keys
+picks the next pivot row, a column index names the rows each pivot
 changes, rows are eliminated in place, and the finished rows are
 back-substituted in one pass at the end.  No pivot rescans every row.
 """
@@ -18,12 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import _kernels
-from .fields import Field, InvariantError, PrimeField
-
-DENSE_MODP_MAX_CELLS = 4_000_000
+from .fields import Field, InvariantError
 
 
 def vec_apply(field: Field, vec: dict, rows) -> dict:
@@ -145,24 +141,11 @@ def _axpy_into(field: Field, s: dict, f, r: dict):
     return new, gone
 
 
-def _rref_dense_modp(field: PrimeField, rows, ncols):
-    p = field.p
-    a = np.zeros((len(rows), ncols), dtype=np.int64)
-    for i, r in enumerate(rows):
-        for c, v in r.items():
-            a[i, c] = v % p
-    rank, pivots, red = _kernels.rref_mod(a, p)
-    out = []
-    for i in range(rank):
-        nz = np.nonzero(red[i])[0]
-        out.append({int(c): int(red[i, c]) for c in nz})
-    return pivots, out
-
-
 def rref_rows(field: Field, rows, ncols: int):
-    """Canonical reduced row echelon form.  Returns (pivots, rows)."""
-    if isinstance(field, PrimeField) and len(rows) * ncols <= DENSE_MODP_MAX_CELLS:
-        return _rref_dense_modp(field, rows, ncols)
+    """Canonical reduced row echelon form.  Returns (pivots, rows).
+
+    ncols is the width of the matrix; the sparse lane does not need it.
+    """
     return _rref_generic(field, rows)
 
 

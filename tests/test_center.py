@@ -214,8 +214,9 @@ def test_char2_centers_still_match_over_odd_primes(fp_engines):
 
 @pytest.mark.parametrize("p", [2147483629, 2**31 - 1])
 def test_large_prime_matches_q(q_engines, p):
-    # the dense mod-p lane multiplies residues in int64; at the largest primes
-    # a field accepts (p < 2^31) its products come closest to overflowing
+    # the largest primes a field accepts (p < 2^31), where residue products in
+    # the sparse lane run to about 2^62: a missed reduction mod p or a wrong
+    # inverse would part the F_p tables from the Q ones
     f = field_from_descriptor(f"fp:{p}")
     for name in CATALOG_NAMES:
         gq = q_engines[name]

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -41,6 +42,19 @@ def test_unknown_suite_is_usage_error(capsys):
 def test_bad_field_descriptor(capsys):
     code, _, err = run(capsys, ["dims", "--pair", "t4", "--field", "fp:6", "--no-cache"])
     assert code == 2
+
+
+@pytest.mark.parametrize("field", ["fp:4", "banana"])
+def test_bad_verify_field_is_usage_error(capsys, field):
+    code, out, err = run(capsys, ["verify", "--field", field, "--no-cache"])
+    assert code == 2 and out == ""
+    assert err.startswith("frobpi: ") and "internal error" not in err
+
+
+def test_char2_needs_family_6(capsys):
+    code, out, err = run(capsys, ["deform", "--family", "3", "--char2", "--max-degree", "2"])
+    assert code == 2 and out == ""
+    assert err == "frobpi: char2 variant exists only for family 6\n"
 
 
 def test_field_outside_suite_is_usage_error(capsys):
@@ -177,6 +191,21 @@ def test_bad_algebra_file_is_usage_error(capsys, tmp_path, spoil):
     assert "bad algebra file" in err
 
 
+@pytest.mark.parametrize(
+    "edit,err",
+    [
+        ({"lambda": ["1", "0", "0", "0"]}, "functional has singular Gram matrix"),
+        ({"basis": ["1", "a", "t2", "t3"]}, "basis names collide with letters: ['a']"),
+    ],
+)
+def test_unusable_algebra_is_usage_error(capsys, tmp_path, edit, err):
+    # the file parses, but its functional or its names cannot be used
+    path = tmp_path / "t4.json"
+    path.write_text(json.dumps({**json.loads(algebra_to_json(catalog("t4"))), **edit}))
+    argv = ["dims", "--algebra", str(path), "--max-degree", "2", "--no-cache"]
+    assert run(capsys, argv) == (2, "", f"frobpi: {err}\n")
+
+
 @pytest.mark.parametrize("cache_dir", [True, False])
 def test_quiver_cache_flags_need_four_arrows(capsys, tmp_path, cache_dir):
     # only --arrows 4 builds an algebra, so elsewhere the cache flags would be ignored
@@ -193,6 +222,19 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     # a broken invariant is not a failed check: exit 3, not 1
     def broken(g, d):
         raise InvariantError("planted")
+
+    ranks = dataclasses.replace(cli.SUITES["ranks"], run=cli._per_degree("ranks", broken))
+    monkeypatch.setitem(cli.SUITES, "ranks", ranks)
+    argv = ["verify", "--suite", "ranks", "--field", "q", "--max-degree", "1", "--no-cache"]
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err == "frobpi: internal error: planted\n"
+
+
+def test_engine_value_error_exit_code(capsys, monkeypatch):
+    # a ValueError that no input caused is a bug, not an invalid invocation
+    def broken(g, d):
+        raise ValueError("planted")
 
     ranks = dataclasses.replace(cli.SUITES["ranks"], run=cli._per_degree("ranks", broken))
     monkeypatch.setitem(cli.SUITES, "ranks", ranks)
@@ -450,6 +492,16 @@ def test_algebra_json_round_trip(capsys, tmp_path, name, tag):
     by_file = run(capsys, ["dims", "--algebra", str(path)] + common)
     assert by_file == by_pair
     assert by_pair[0] == 0
+
+
+def test_cli_import_leaves_out_numpy():
+    # numpy serves only the tests and the benchmark; the CLI must not load it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, frobpi.cli; print(sorted({'numpy', 'frobpi._kernels'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_console_script():

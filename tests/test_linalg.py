@@ -198,28 +198,31 @@ def test_generic_rref_over_qu_with_fill_in():
     assert all(span.contains(r) for r in rows)
 
 
-@pytest.mark.parametrize("p", [2, 5, 2147483629])
-def test_modp_lanes_agree(p):
-    # the numpy kernel against the sparse generic lane over FP(p)
+@pytest.mark.parametrize(
+    "p,nrows,ncols,density",
+    [
+        pytest.param(2, 30, 40, 1.0, id="2"),
+        pytest.param(5, 30, 40, 1.0, id="5"),
+        pytest.param(2147483629, 30, 40, 1.0, id="2147483629"),
+        # the size and sparsity of the matrices the F_p centres hand the sparse lane
+        pytest.param(5, 120, 200, 0.03, id="5-sparse"),
+    ],
+)
+def test_modp_lanes_agree(p, nrows, ncols, density):
+    # the dense numpy kernel, which no frobpi path calls, as an independent
+    # oracle for the sparse lane that does all F_p work
     rng = np.random.default_rng(11)
-    mat = rng.integers(0, p, size=(30, 40), dtype=np.int64)
+    mat = rng.integers(0, p, size=(nrows, ncols), dtype=np.int64)
+    if density < 1:
+        mat *= rng.random(mat.shape) < density
     rank, piv_d, red = rref_mod(mat, p)
     f = FP(p)
     rows = [{j: int(v) for j, v in enumerate(r) if v} for r in mat]
-    piv_g, red_g = _rref_generic(f, rows)
+    piv_g, red_g = rref_rows(f, rows, ncols)
     assert rank == len(piv_g) and piv_d == piv_g
     dense_rows = [{int(j): int(red[i, j]) for j in np.nonzero(red[i])[0]} for i in range(rank)]
     assert dense_rows == red_g
     assert not red[rank:].any()
-
-
-def test_fp_dense_dispatch_matches_generic():
-    f = FP(5)
-    rng = random.Random(5)
-    rows = _random_rows(rng, f, 25, 18, span=4)
-    piv_d, red_d = rref_rows(f, rows, 18)
-    piv_g, red_g = _rref_generic(f, rows)
-    assert piv_d == piv_g and red_d == red_g
 
 
 def _transpose(rows, ncols):
