@@ -216,7 +216,7 @@ def _suite_classification(builds, fields, cap):
 class _Suite:
     run: Callable  # (builds, fields, cap) -> records; cap maps each field to its degree cap
     fields: tuple  # the fields whose records the suite checks
-    cap: int = 0  # default degree cap
+    cap: Optional[int] = None  # default degree cap; None if the suite reads no cap, builds nothing
     fp_cap: Optional[int] = None  # default degree cap over a prime field, where it differs
     build: Optional[Callable] = None  # degree cap -> build degree of the catalog pairs
 
@@ -241,7 +241,7 @@ SUITES = {
     "resolution": _Suite(
         _per_degree("resolution", _resolution_record), ("q",), 16, build=lambda c: max(c, 1)
     ),
-    "sigma": _Suite(_suite_sigma, CENTER_FIELDS, 12, 16, build=lambda c: max(c, 5)),
+    "sigma": _Suite(_suite_sigma, CENTER_FIELDS, 12, 16, build=lambda c: max(1, min(c, 7))),
     "invariants": _Suite(_suite_invariants, ("q",), 12, build=lambda c: c + 1),
     "deformations": _Suite(_suite_deformations, ("qu",), 8),
     "classification": _Suite(_suite_classification, ("q",)),
@@ -378,6 +378,10 @@ def cmd_dims(args):
 def cmd_verify(args):
     tag = field_from_descriptor(args.field).tag if args.field else None
     suites = _select_suites(args.suite, tag)
+    for flag, value in (("--max-degree", args.max_degree), ("--cache-dir", args.cache_dir)):
+        if value is not None and all(SUITES[name].cap is None for name in suites):
+            unread = f"{', '.join(suites)} reads no degree cap and builds nothing"
+            raise InputError(f"{flag} applies to no selected suite: {unread}")
     builds = _Builds(_cache_dir(args), _build_plan(suites, args.max_degree))
     rows = []
     for name, s in SUITES.items():

@@ -670,41 +670,35 @@ def crt_block_presentation(g: UniPoly) -> CommAlgebra:
     return CommAlgebra(f, tuple(names), tab)
 
 
-def special_fiber_matches_catalog(n: int, char2: bool = False) -> bool:
-    """Check the u = 0 fiber of a family equals its catalog presentation.
+def _fiber_matches_catalog(fam, at, target: str) -> bool:
+    """Check the fiber of fam at u = at equals the catalog algebra target.
 
-    Direct basis match where the family already uses the catalog basis;
-    block rewriting via idempotents for the k[t]/(g) families whose fiber
-    splits.
+    Direct basis match where the family already uses the catalog basis or
+    the fiber stays local; block rewriting via idempotents for the
+    k[t]/(g) families whose fiber splits.
     """
+    want = catalog(target).algebra
+    fiber = specialize_algebra(fam.algebra, "q", at)
+    if fam.g is not None:
+        g_at = fam.g.map_coeffs(QQ, lambda c: c.eval(Fraction(at)))
+        if len(rational_root_factorization(g_at)) > 1:
+            return crt_block_presentation(g_at).equal_constants(want)
+    return fiber.equal_constants(want)
+
+
+def special_fiber_matches_catalog(n: int, char2: bool = False) -> bool:
+    """Check the u = 0 fiber of a family equals its catalog presentation."""
     fam = deformation(n, char2)
-    target = catalog(fam.special).algebra
-    a0 = specialize_algebra(fam.algebra, "q", 0)
-    if fam.g is None:
-        return a0.equal_constants(target)
-    g0 = fam.g.map_coeffs(QQ, lambda c: c.eval(Fraction(0)))
-    blocks = rational_root_factorization(g0)
-    if len(blocks) == 1:
-        # still local: monomial bases on both sides
-        return a0.equal_constants(target)
-    b = crt_block_presentation(g0)
-    return b.equal_constants(target)
+    return _fiber_matches_catalog(fam, 0, fam.special)
 
 
 def generic_fiber_matches_catalog(n: int, at, char2: bool = False) -> bool:
     """Check a fiber at a generic parameter value equals its catalog target."""
     fam = deformation(n, char2)
-    target = catalog(fam.generic).algebra
-    a1 = specialize_algebra(fam.algebra, "q", at)
     if fam.g is None:
         # family 1 at u != 0 is the chain k[t]/t^4 after t |-> s + ...; compare dims only here
         raise ValueError("family 1 generic fiber needs its own identification")
-    gc = fam.g.map_coeffs(QQ, lambda c: c.eval(Fraction(at)))
-    blocks = rational_root_factorization(gc)
-    if len(blocks) == 1:
-        return a1.equal_constants(target)
-    b = crt_block_presentation(gc)
-    return b.equal_constants(target)
+    return _fiber_matches_catalog(fam, at, fam.generic)
 
 
 # ---------------------------------------------------------------------------

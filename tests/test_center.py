@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from frobpi import CATALOG_NAMES, build, catalog, linalg
+from frobpi import center as center_module
 from frobpi.center import (
     _commutator_ops,
     center_degree,
@@ -156,6 +157,32 @@ def test_sigma_surjectivity_all_pairs(q_engines):
         assert sigma_surjectivity_check(g, 12), name
 
 
+@pytest.mark.parametrize("tag", ["q", "fp:2", "fp:5"])
+def test_sigma_degree_7_build_answers_for_any_cap(tag):
+    # Pi_7 = Z_4 Pi_3 settles every degree past 6, so a degree-7 build answers
+    # for a cap of 40; a build short of degree 7 cannot
+    f = field_from_descriptor(tag)
+    for name in CATALOG_NAMES:
+        pair = catalog(name, f)
+        assert sigma_surjectivity_check(build(pair, 7), 40), name
+        with pytest.raises(DegreeRangeError):
+            sigma_surjectivity_check(build(pair, 6), 7)
+
+
+@pytest.mark.parametrize("D", [7, 40])
+def test_sigma_fails_without_degree_4_center(monkeypatch, D):
+    # a planted empty Z_4 spans nothing in degree 7, whatever the cap past 6
+    real = center_module.center_degree
+
+    def no_z4(g, d):
+        return linalg.Subspace.from_vectors(g.field, g.dim(d), []) if d == 4 else real(g, d)
+
+    monkeypatch.setattr(center_module, "center_degree", no_z4)
+    g = build(catalog("bikwad"), 7)
+    assert sigma_surjectivity_check(g, 6)
+    assert not sigma_surjectivity_check(g, D)
+
+
 def test_center_degree_needs_room(q_engines):
     with pytest.raises(DegreeRangeError):
         center_degree(q_engines["bikwad"], 16)
@@ -228,17 +255,24 @@ def test_large_prime_matches_q(q_engines, p):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_generic_fibre_matches_fibre_at_7_13(n):
-    # u = 7/13 is none of the special values 0 and +-1, so the Q build of that
-    # fibre must have the generic dims and centre dims of the Q(u) build
+    # 0 and +-1 are the only special values of families 1-6, so the Q build of
+    # the fibre at 7/13, or at a seeded draw c outside them, must have the
+    # generic dims and centre dims of the Q(u) build
     fam = deformation(n)
     pair = make_frobenius(fam.algebra, list(fam.lam))
     gu = build(pair, 6)
-    gc = build(specialize_pair(pair, "q", Fraction(7, 13)), 6)
-    assert gu.field.tag == "qu" and gc.field.tag == "q"
-    assert [gu.dim(d) for d in range(6)] == [gc.dim(d) for d in range(6)]
-    assert [center_degree(gu, d).dim for d in range(6)] == [
-        center_degree(gc, d).dim for d in range(6)
-    ]
+    assert gu.field.tag == "qu"
+
+    def dims(g):
+        return [g.dim(d) for d in range(6)], [center_degree(g, d).dim for d in range(6)]
+
+    generic = dims(gu)
+    rng = random.Random(f"fibre {n}")
+    drawn = [Fraction(rng.randint(-30, 30), rng.randint(1, 30)) for _ in range(2)]
+    for c in sorted({Fraction(7, 13), *drawn} - {0, 1, -1}):
+        gc = build(specialize_pair(pair, "q", c), 6)
+        assert gc.field.tag == "q"
+        assert dims(gc) == generic, c
 
 
 # ---------------------------------------------------------------------------

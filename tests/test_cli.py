@@ -116,6 +116,22 @@ def test_unread_flag_is_usage_error(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "flag", [["--max-degree", "3"], ["--max-degree", "999999"], ["--cache-dir", "cache"]]
+)
+def test_verify_flag_no_suite_reads_is_usage_error(capsys, tmp_path, flag):
+    # classification reads no degree cap and builds nothing, so either flag
+    # would change nothing; --no-cache stays accepted
+    argv = ["verify", "--suite", "classification"]
+    if flag[0] == "--cache-dir":
+        flag = [flag[0], str(tmp_path / "cache")]
+    code, out, err = run(capsys, argv + flag)
+    assert code == 2 and out == ""
+    assert flag[0] in err and "classification" in err
+    assert not (tmp_path / "cache").exists()
+    assert run(capsys, argv + ["--no-cache"])[0] == 1
+
+
 @pytest.mark.parametrize("flag", [["--field", "fp:5"], ["--pair", "bikwad"]])
 def test_algebra_file_excludes_field_and_pair(capsys, tmp_path, flag):
     # the file names its own field and algebra; a second choice would be ignored
@@ -345,6 +361,12 @@ def test_verify_at_degree_cap_0(capsys, suite, count):
     assert all(r["suite"] == suite and r["degree"] == 0 and r["pass"] for r in records)
 
 
+@pytest.mark.parametrize("cap", [0, 3, 16])
+def test_sigma_build_plan_stops_at_degree_7(cap):
+    # degree 7 settles every cap past 6, and a cap below 7 needs no more than itself
+    assert cli._build_plan(["sigma"], cap) == {t: max(1, min(cap, 7)) for t in cli.CENTER_FIELDS}
+
+
 def test_sigma_suite_passes(capsys):
     code, out, _ = run(
         capsys,
@@ -384,8 +406,12 @@ def test_verify_output_deterministic(capsys):
             "verify --suite deformations --max-degree 3 --no-cache",
             "ae98a042832bb77b589c8563afb99ea6298441377c87eab5869a6d581892b0b0",
         ),
+        (
+            "verify --suite sigma --no-cache",
+            "5e629808b7195877ab6c2971243fc0e1d245b047adb696be77ed1f43838d9dc8",
+        ),
     ],
-    ids=["q-ranks-split-resolution-center", "deformations"],
+    ids=["q-ranks-split-resolution-center", "deformations", "sigma"],
 )
 def test_verify_stdout_golden(capsys, argv, digest):
     # stdout bytes pinned by sha256: a rewrite of the internals must not move
