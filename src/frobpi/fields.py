@@ -8,12 +8,17 @@ coercing.  Raw payloads let the linear algebra layer use native arithmetic
 operators in hot loops; int and Fraction agree on ==, hash, str and
 truthiness, and a sum or product of ints stays an int, so integer rows over
 Q never pay for Fraction arithmetic.
+
+Two polynomial types serve these fields: tuples of ints in u, the numerator
+and denominator of a RatF, and MultiPoly, the generic Gram determinant over
+any field.  Polynomials in the algebra variable t never become objects: a
+k[t]/(g) algebra is built from the roots of g (see frobenius.py).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 class FieldMismatchError(ValueError):
@@ -65,182 +70,6 @@ def is_prime(p: int) -> bool:
         else:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# univariate polynomials (dense, ascending coefficients, generic base field)
-
-
-class UniPoly:
-    """Dense univariate polynomial over a Field, trailing zeros trimmed."""
-
-    __slots__ = ("field", "var", "coeffs")
-
-    def __init__(self, field, coeffs, var="t"):
-        while coeffs and field.is_zero(coeffs[-1]):
-            coeffs = coeffs[:-1]
-        self.field = field
-        self.var = var
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def const(cls, field, c, var="t"):
-        return cls(field, (field.convert(c),), var)
-
-    @classmethod
-    def gen(cls, field, var="t"):
-        return cls(field, (field.zero, field.one), var)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
-    def lc(self):
-        return self.coeffs[-1]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UniPoly)
-            and self.field.tag == other.field.tag
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field.tag, self.coeffs))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return UniPoly(f, out, self.var)
-
-    def __neg__(self):
-        f = self.field
-        return UniPoly(f, [f.neg(c) for c in self.coeffs], self.var)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        f = self.field
-        if self.is_zero() or other.is_zero():
-            return UniPoly(f, (), self.var)
-        out = [f.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if f.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = f.add(out[i + j], f.mul(a, b))
-        return UniPoly(f, out, self.var)
-
-    def _coerce(self, other):
-        if isinstance(other, UniPoly):
-            return other
-        return UniPoly.const(self.field, other, self.var)
-
-    def scale(self, c):
-        f = self.field
-        return UniPoly(f, [f.mul(a, c) for a in self.coeffs], self.var)
-
-    def divmod(self, other):
-        f = self.field
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return UniPoly(f, (), self.var), self
-        quo = [f.zero] * (dq + 1)
-        inv_lc = f.inv(other.lc())
-        for k in range(dq, -1, -1):
-            top = rem[k + other.degree]
-            if f.is_zero(top):
-                continue
-            q = f.mul(top, inv_lc)
-            quo[k] = q
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] = f.sub(rem[k + i], f.mul(q, c))
-        return UniPoly(f, quo, self.var), UniPoly(f, rem, self.var)
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        return self.scale(self.field.inv(self.lc()))
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
-
-    def eval(self, c):
-        f = self.field
-        c = f.convert(c)
-        acc = f.zero
-        for a in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, c), a)
-        return acc
-
-    def map_coeffs(self, field, fn):
-        return UniPoly(field, [fn(c) for c in self.coeffs], self.var)
-
-    def __repr__(self):
-        return f"UniPoly({poly_str(self)})"
-
-
-def poly_str(p: UniPoly) -> str:
-    """Human-readable form, highest degree first; round-trips through parse."""
-    if p.is_zero():
-        return "0"
-    f = p.field
-    parts = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeffs[k]
-        if f.is_zero(c):
-            continue
-        cs = f.fmt(c)
-        neg = cs.startswith("-")
-        mag = cs[1:] if neg else cs
-        if k == 0:
-            body = mag
-        else:
-            v = p.var if k == 1 else f"{p.var}^{k}"
-            body = v if mag == "1" else f"{mag}*{v}"
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append((" - " if neg else " + ") + body)
-    return "".join(parts)
-
-
-def poly_ext_gcd(a: UniPoly, b: UniPoly):
-    """Return (g, x, y) with x*a + y*b = g, g monic."""
-    f = a.field
-    zero, one = UniPoly(f, (), a.var), UniPoly.const(f, f.one, a.var)
-    r0, r1 = a, b
-    x0, x1 = one, zero
-    y0, y1 = zero, one
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if r0.is_zero():
-        return r0, x0, y0
-    c = f.inv(r0.lc())
-    return r0.scale(c), x0.scale(c), y0.scale(c)
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +222,27 @@ def _pquo(a, b):
     return None if any(r) else tuple(q)
 
 
-def _int_coeffs(p: UniPoly, m: int):
-    """Coefficients of m*p as ints; m must clear every denominator of p."""
-    return tuple(c.numerator * (m // c.denominator) for c in p.coeffs)
+def _poly_str(a, lc: int) -> str:
+    """The polynomial a/lc in u, highest degree first; round-trips through parse."""
+    if not a:
+        return "0"
+    parts = []
+    for k in range(len(a) - 1, -1, -1):
+        if not a[k]:
+            continue
+        cs = str(Fraction(a[k], lc))
+        neg = cs.startswith("-")
+        mag = cs[1:] if neg else cs
+        if k == 0:
+            body = mag
+        else:
+            v = "u" if k == 1 else f"u^{k}"
+            body = v if mag == "1" else f"{mag}*{v}"
+        if not parts:
+            parts.append(("-" if neg else "") + body)
+        else:
+            parts.append((" - " if neg else " + ") + body)
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -408,20 +255,13 @@ class RatF:
     n and d are tuples of ints (ascending coefficients, no trailing zeros)
     with gcd(n, d) = 1 in Z[u], joint content one and lc(d) > 0; zero is
     ((), (1,)).  The form is unique, so equality and hashing compare the
-    tuples.  num and den give the same value over Q with a monic den.
+    tuples.
     """
 
     __slots__ = ("n", "d")
 
-    def __init__(self, num, den=None):
-        """num, den: UniPolys over Q in u, or tuples of ints as stored."""
-        if isinstance(num, UniPoly):
-            if den is None:
-                den = UniPoly.const(QQ, 1, "u")
-            m = lcm(*(c.denominator for c in num.coeffs + den.coeffs))
-            num, den = _int_coeffs(num, m), _int_coeffs(den, m)
-        elif den is None:
-            den = (1,)
+    def __init__(self, num, den=(1,)):
+        """num, den: integer polynomials as tuples of ints, ascending."""
         if not den:
             raise ZeroDivisionError("zero denominator in rational function")
         if not num:
@@ -455,16 +295,6 @@ class RatF:
     @classmethod
     def gen(cls):
         return cls((0, 1))
-
-    @property
-    def num(self):
-        lc = self.d[-1]
-        return UniPoly(QQ, [Fraction(c, lc) for c in self.n], "u")
-
-    @property
-    def den(self):
-        lc = self.d[-1]
-        return UniPoly(QQ, [Fraction(c, lc) for c in self.d], "u")
 
     def is_zero(self):
         return not self.n
@@ -821,9 +651,11 @@ class RationalFunctionField(Field):
         return _parse_qu(s)
 
     def fmt(self, a) -> str:
+        """Numerator and denominator over Q with a monic denominator."""
+        lc = a.d[-1]
         if a.is_poly():
-            return poly_str(a.num)
-        return f"({poly_str(a.num)})/({poly_str(a.den)})"
+            return _poly_str(a.n, lc)
+        return f"({_poly_str(a.n, lc)})/({_poly_str(a.d, lc)})"
 
 
 QQ = RationalField()
@@ -880,6 +712,12 @@ class _Tok:
         if t is not None:
             self.i += len(t)
         return t
+
+
+# The power loop multiplies k times at a cost that grows with the degree, so
+# u^8000 already takes seconds and u^1000000 would never finish; cached Q(u)
+# constants reach u-degree 8, and u^1000 parses in tens of milliseconds.
+MAX_EXPONENT = 1000
 
 
 def _parse_qu(s: str) -> RatF:
@@ -940,13 +778,15 @@ def _qu_factor(tk) -> RatF:
         if t is None or not t.isdigit():
             raise ScalarSyntaxError("exponent must be an integer")
         k = int(t)
+        if k > MAX_EXPONENT:
+            raise ScalarSyntaxError(f"exponent {k} is above {MAX_EXPONENT}")
         out = RatF.const(1)
         for _ in range(k):
             out = out * v
         if neg:
             if out.is_zero():
                 raise ScalarSyntaxError("zero to a negative power")
-            out = RatF(out.den, out.num)
+            out = QU.inv(out)
         return out
     return v
 

@@ -3,11 +3,17 @@
 Covers the rank-4 catalog over exact fields, the non-self-injective
 rejects, the six one-parameter deformation families over Q(u), fiber
 specialization, and a JSON interchange format.
+
+Families 2-6 are R[t]/(g) with R = Q[u] and a quartic g, and each is kept
+as the tuple of g's roots in Q(u): the structure constants come from
+multiplying out g, and a fiber at u = c splits into local blocks read off
+the roots at c, so no polynomial in t is ever factored.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,9 +26,7 @@ from .fields import (
     MultiPoly,
     PrimeField,
     RatF,
-    UniPoly,
     field_from_descriptor,
-    poly_ext_gcd,
 )
 from .linalg import rref_rows
 
@@ -338,18 +342,23 @@ def _table_from_pairs(field, n, entries):
     return tab
 
 
-def _poly_quotient_algebra(field, g: UniPoly, names) -> CommAlgebra:
-    """k[t]/(g) on the monomial basis 1, t, ..., t^(deg-1)."""
-    n = g.degree
-    tab = [[dict() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            prod = UniPoly(field, (field.zero,) * (i + j) + (field.one,), g.var) % g
-            v = {k: c for k, c in enumerate(prod.coeffs) if not field.is_zero(c)}
-            tab[i][j] = dict(v)
-            tab[j][i] = dict(v)
-    unit = [field.one] + [field.zero] * (n - 1)
-    return CommAlgebra(field, names, tab, unit=unit)
+def _poly_quotient_algebra(field, roots, names) -> CommAlgebra:
+    """k[t]/(g) for g = prod (t - a) over roots, on the basis 1, t, ..., t^(n-1)."""
+    f, n = field, len(roots)
+    g = [f.one]  # ascending coefficients of the monic g
+    for a in roots:
+        g = [f.sub(lo, f.mul(a, hi)) for lo, hi in zip([f.zero] + g, g + [f.zero])]
+    # t^k mod g for k <= 2n - 2, by t^(k+1) = t * t^k with t^n replaced by t^n - g
+    powers = [[f.one] + [f.zero] * (n - 1)]
+    for _ in range(2 * n - 2):
+        p = powers[-1]
+        powers.append([f.sub(lo, f.mul(p[-1], c)) for lo, c in zip([f.zero] + p[:-1], g)])
+    tab = [
+        [{k: c for k, c in enumerate(powers[i + j]) if not f.is_zero(c)} for j in range(n)]
+        for i in range(n)
+    ]
+    unit = [f.one] + [f.zero] * (n - 1)
+    return CommAlgebra(f, names, tab, unit=unit)
 
 
 def _block_sum_algebra(field, blocks, names) -> CommAlgebra:
@@ -386,9 +395,7 @@ def catalog(name: str, field: Field = QQ):
         a = _block_sum_algebra(f, (3, 1), ("m", "t", "t2", "p"))
         return FrobeniusPair(a, (zero, zero, one, one), name=name)
     if name == "t4":
-        t = UniPoly.gen(f)
-        g = t * t * t * t
-        a = _poly_quotient_algebra(f, g, ("1", "t", "t2", "t3"))
+        a = _block_sum_algebra(f, (4,), ("1", "t", "t2", "t3"))
         return FrobeniusPair(a, (zero, zero, zero, one), name=name)
     if name == "bikwad":
         # k[s,t]/(s^2, t^2) on 1, s, t, st
@@ -463,7 +470,7 @@ class DeformationFamily:
     char2: bool
     algebra: CommAlgebra
     lam: tuple
-    g: object  # UniPoly over Q(u) for the k[t]/(g) families, else None
+    roots: tuple | None  # the roots of g in Q(u) for the k[t]/(g) families
     special: str  # catalog name of the u = 0 fiber
     generic: str  # catalog name of the generic fiber
 
@@ -472,7 +479,8 @@ def deformation(n: int, char2: bool = False) -> DeformationFamily:
     """One-parameter families joining the catalog algebras.
 
     Family 1 degenerates the square presentation (t^2 = u s); families 2
-    through 6 move roots of a quartic g together; the char2 flag replaces
+    through 6 are R[t]/(g) for a quartic g with the listed roots, some of
+    which move together at u = 0; the char2 flag replaces
     family 6 by a block presentation avoiding the char-2 coincidence of
     the +-1 roots.
     """
@@ -496,23 +504,20 @@ def deformation(n: int, char2: bool = False) -> DeformationFamily:
         tab = _table_from_pairs(QU, 4, entries)
         a = CommAlgebra(QU, ("1", "s", "t", "st"), tab, unit=(one, zero, zero, zero))
         return DeformationFamily(1, False, a, (zero, zero, zero, one), None, "bikwad", "t4")
-    t = UniPoly.gen(QU)
-    uc = UniPoly.const(QU, u)
-    onec = UniPoly.const(QU, 1)
     if n == 2:
-        g = (t * t) * (t - uc) * (t - uc)
+        roots = (zero, zero, u, u)
         special, generic = "t4", "two-dual-numbers"
     elif n == 3:
-        g = (t * t * t) * (t - uc)
+        roots = (zero, zero, zero, u)
         special, generic = "t4", "t3-plus-k"
     elif n == 4:
-        g = (t - onec) * (t - onec) * t * (t - uc)
+        roots = (one, one, zero, u)
         special, generic = "two-dual-numbers", "dual-numbers-pair"
     elif n == 5:
-        g = (t * t) * (t - onec) * (t - uc)
+        roots = (zero, zero, one, u)
         special, generic = "t3-plus-k", "dual-numbers-pair"
     elif n == 6 and not char2:
-        g = (t * t - uc * uc) * (t * t - onec)
+        roots = (u, -u, one, -one)
         special, generic = "dual-numbers-pair", "split4"
     elif n == 6 and char2:
         # R[t]/(t(t-u)) + R + R, block basis
@@ -528,10 +533,8 @@ def deformation(n: int, char2: bool = False) -> DeformationFamily:
         return DeformationFamily(6, True, a, (zero, one, one, one), None, "dual-numbers-pair", "split4")
     else:
         raise ValueError(f"no deformation family {n}")
-    names = ("1", "t", "t2", "t3")
-    a = _poly_quotient_algebra(QU, g, names)
-    lam = (zero, zero, zero, one)
-    return DeformationFamily(n, False, a, lam, g, special, generic)
+    a = _poly_quotient_algebra(QU, roots, ("1", "t", "t2", "t3"))
+    return DeformationFamily(n, False, a, (zero, zero, zero, one), roots, special, generic)
 
 
 def specialize_algebra(a: CommAlgebra, target: str, at=None) -> CommAlgebra:
@@ -564,110 +567,66 @@ def specialize_pair(p: FrobeniusPair, target: str, at=None) -> FrobeniusPair:
 # identification of special fibers with catalog presentations
 
 
-def rational_root_factorization(g: UniPoly):
-    """Factor a Q[t] polynomial with all roots rational into (root, mult) pairs.
+def block_presentation(fiber: CommAlgebra, roots) -> CommAlgebra:
+    """Rewrite k[t]/(g), g = prod (t - a) over roots, on the block basis of its local factors.
 
-    Roots are found by the rational root test; a leftover factor of positive
-    degree raises since the fiber identification only meets split cases.
+    fiber is k[t]/(g) on the monomial basis 1, t, t^2, ...  For a root a of
+    multiplicity m, the vectors h_a (t-a)^r for r < m span the a-block, where
+    h_a = prod_{b != a} (t-b)^(m_b).  The unit's coordinates in the basis of
+    all these vectors give the idempotent ehat_a of each block, and the block
+    basis is ehat_a, ehat_a (t-a), ..., ehat_a (t-a)^(m-1).  On it the
+    structure constants are exactly those of a sum of k[t]/(t^m) blocks,
+    which is what the comparison with the catalog verifies.  Blocks come in
+    order of falling multiplicity, then rising root.
     """
-    f = g.field
-    if f.tag != "q":
-        raise FieldMismatchError("root factorization works over q")
-    from math import lcm
+    f = fiber.field
+    blocks = sorted(Counter(roots).items(), key=lambda kv: (-kv[1], kv[0]))
+    one = fiber.unit_vec()
 
-    t = UniPoly.gen(f, g.var)
-    mults = {}
-    h = g
-    while h.degree > 0:
-        root = None
-        if f.is_zero(h.coeffs[0]):
-            root = Fraction(0)
-        else:
-            m = lcm(*(c.denominator for c in h.coeffs))
-            ints = [int(c * m) for c in h.coeffs]
-            a0, an = ints[0], ints[-1]
-            for pnum in _divisors(a0):
-                for pden in _divisors(an):
-                    for sgn in (1, -1):
-                        cand = Fraction(sgn * pnum, pden)
-                        if f.is_zero(h.eval(cand)):
-                            root = cand
-                            break
-                    if root is not None:
-                        break
-                if root is not None:
-                    break
-        if root is None:
-            raise ValueError("polynomial has an irrational root")
-        q, r = h.divmod(t - UniPoly.const(f, root, g.var))
-        if not r.is_zero():
-            raise InvariantError(f"{root} is a root but t - {root} leaves remainder {r}")
-        h = q
-        mults[root] = mults.get(root, 0) + 1
-    return sorted(mults.items(), key=lambda kv: (-kv[1], kv[0]))
+    def times_lin(x, a, r=1):
+        """x (t-a)^r."""
+        for _ in range(r):
+            x = fiber.mul_vec(x, f.post_reduce({0: f.neg(a), 1: f.one}))
+        return x
 
-
-def _divisors(m):
-    m = abs(m)
-    if m == 0:
-        return [1]
-    out = [d for d in range(1, m + 1) if m % d == 0]
-    return out
-
-
-def crt_block_presentation(g: UniPoly) -> CommAlgebra:
-    """Rewrite Q[t]/(g) on the block basis of its local factors.
-
-    For each factor (t-a)^m the block basis is ehat, ehat*(t-a), ...,
-    ehat*(t-a)^(m-1) with ehat the idempotent of that factor; on this basis
-    the structure constants are exactly those of a sum of k[t]/(t^m) blocks,
-    which is what the construction verifies.
-    """
-    f = g.field
-    blocks = rational_root_factorization(g)
-    n = g.degree
-    t = UniPoly.gen(f, g.var)
-    basis_polys = []
-    for root, m in blocks:
-        lin = t - UniPoly.const(f, root, g.var)
-        q = UniPoly.const(f, 1, g.var)
-        for _ in range(m):
-            q = q * lin
-        h = g.divmod(q)[0]
-        # ehat = alpha*h with alpha*h = 1 mod q
-        _, alpha, _ = poly_ext_gcd(h % q, q)
-        ehat = (alpha * h) % g
-        cur = ehat
+    spans = []
+    for a, m in blocks:
+        h = one
+        for b, mb in blocks:
+            if b != a:
+                h = times_lin(h, b, mb)
+        spans.append([times_lin(h, a, r) for r in range(m)])
+    (coords,) = _in_basis(f, [v for span in spans for v in span], [one])
+    basis, names, start = [], [], 0
+    for bi, ((a, m), span) in enumerate(zip(blocks, spans)):
+        ehat = {}
+        for c, v in zip(coords[start : start + m], span):
+            for k, x in v.items():
+                ehat[k] = f.add(ehat.get(k, f.zero), f.mul(c, x))
+        start += m
         for r in range(m):
-            basis_polys.append(cur)
-            cur = (cur * lin) % g
-    # change of basis: rows are coords of the block basis in the monomial basis
-    bmat = []
-    for bp in basis_polys:
-        co = list(bp.coeffs) + [f.zero] * (n - len(bp.coeffs))
-        bmat.append(co[:n])
-    binv = _dense_inverse(f, [tuple(r) for r in bmat])
-    if binv is None:
-        raise ValueError("block basis is degenerate")
-    tab = [[dict() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            prod = (basis_polys[i] * basis_polys[j]) % g
-            co = list(prod.coeffs) + [f.zero] * (n - len(prod.coeffs))
-            v = {}
-            for k in range(n):
-                acc = f.zero
-                for q_ in range(n):
-                    acc = f.add(acc, f.mul(co[q_], binv[q_][k]))
-                if not f.is_zero(acc):
-                    v[k] = acc
-            tab[i][j] = dict(v)
-            tab[j][i] = dict(v)
-    names = []
-    for bi, (root, m) in enumerate(blocks):
-        for r in range(m):
+            basis.append(times_lin(f.post_reduce(ehat), a, r))
             names.append(f"x{bi}_{r}")
+    n = len(basis)
+    prods = _in_basis(f, basis, [fiber.mul_vec(x, y) for x in basis for y in basis])
+    tab = [[dict(enumerate(prods[i * n + j])) for j in range(n)] for i in range(n)]
     return CommAlgebra(f, tuple(names), tab)
+
+
+def _in_basis(f: Field, basis, vecs):
+    """The dense coordinates of each of vecs in basis, n vectors spanning f^n."""
+    n = len(basis)
+    inv = _dense_inverse(f, [[b.get(k, f.zero) for k in range(n)] for b in basis])
+    if inv is None:
+        raise InvariantError("block basis is degenerate")
+    out = []
+    for v in vecs:
+        c = [f.zero] * n
+        for k, x in v.items():
+            for m in range(n):
+                c[m] = f.add(c[m], f.mul(x, inv[k][m]))
+        out.append(c)
+    return out
 
 
 def _fiber_matches_catalog(fam, at, target: str) -> bool:
@@ -679,10 +638,10 @@ def _fiber_matches_catalog(fam, at, target: str) -> bool:
     """
     want = catalog(target).algebra
     fiber = specialize_algebra(fam.algebra, "q", at)
-    if fam.g is not None:
-        g_at = fam.g.map_coeffs(QQ, lambda c: c.eval(Fraction(at)))
-        if len(rational_root_factorization(g_at)) > 1:
-            return crt_block_presentation(g_at).equal_constants(want)
+    if fam.roots is not None:
+        roots = [a.eval(Fraction(at)) for a in fam.roots]
+        if len(set(roots)) > 1:
+            return block_presentation(fiber, roots).equal_constants(want)
     return fiber.equal_constants(want)
 
 
@@ -695,7 +654,7 @@ def special_fiber_matches_catalog(n: int, char2: bool = False) -> bool:
 def generic_fiber_matches_catalog(n: int, at, char2: bool = False) -> bool:
     """Check a fiber at a generic parameter value equals its catalog target."""
     fam = deformation(n, char2)
-    if fam.g is None:
+    if fam.roots is None:
         # family 1 at u != 0 is the chain k[t]/t^4 after t |-> s + ...; compare dims only here
         raise ValueError("family 1 generic fiber needs its own identification")
     return _fiber_matches_catalog(fam, at, fam.generic)

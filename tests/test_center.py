@@ -26,6 +26,7 @@ from frobpi.fields import field_from_descriptor
 from frobpi.frobenius import (
     CommAlgebra,
     FrobeniusPair,
+    SingularGramError,
     _dense_inverse,
     deformation,
     make_frobenius,
@@ -319,4 +320,34 @@ def test_base_change_invariance(q_engines, fp_engines, name, tag):
     h = build(pair, 9)
     assert h.dims() == [g.dim(d) for d in range(10)]
     assert [h.split_dims(d) for d in range(9)] == [g.split_dims(d) for d in range(9)]
+    assert center_dims(h, 8) == center_dims(g, 8)
+
+
+def _twisted(pair, rng):
+    """The algebra with the functional lam' = lam(x .) for a seeded unit x.
+
+    lam(x .) has an invertible Gram matrix exactly when x is a unit.  x is
+    drawn until it is one and lam' is not a multiple of lam.
+    """
+    f, alg, n = pair.field, pair.algebra, pair.n
+    while True:
+        x = f.post_reduce({k: f.convert(rng.randint(-2, 2)) for k in range(n)})
+        lam = [pair.lam_apply(alg.mul_vec(x, alg.basis_vec(i))) for i in range(n)]
+        minors = [f.sub(f.mul(lam[i], pair.lam[j]), f.mul(lam[j], pair.lam[i])) for i in range(n) for j in range(i)]
+        if all(f.is_zero(m) for m in minors):
+            continue
+        try:
+            return FrobeniusPair(alg, lam)
+        except SingularGramError:
+            continue
+
+
+@pytest.mark.parametrize("tag", ["q", "fp:5"])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_functional_invariance(q_engines, fp_engines, name, tag):
+    # dims and centre dims do not depend on the Frobenius functional: any
+    # other one is lam(x .) for a unit x
+    g = q_engines[name] if tag == "q" else fp_engines[name, 5]
+    h = build(_twisted(g.pair, random.Random(f"unit {name} {tag}")), 9)
+    assert h.dims() == [g.dim(d) for d in range(10)]
     assert center_dims(h, 8) == center_dims(g, 8)

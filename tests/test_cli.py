@@ -164,6 +164,13 @@ def _zero_qu_denominator(doc):
     return doc
 
 
+def _huge_qu_exponent(doc):
+    # the power loop would run for hours: rejected before it starts
+    doc["field"] = "qu"
+    doc["lambda"][0] = "u^1000000"
+    return doc
+
+
 def _not_an_object(doc):
     return [1, 2]
 
@@ -190,6 +197,7 @@ def _scalar_is_a_number(doc):
         _short_lambda,
         _zero_residue_denominator,
         _zero_qu_denominator,
+        _huge_qu_exponent,
         _not_an_object,
         _basis_is_a_number,
         _constants_is_a_number,

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: Q, F_p, Q(u), and the polynomial helpers."""
+"""Exact scalar arithmetic: Q, F_p, Q(u), and the integer polynomial helpers."""
 
 import random
 from fractions import Fraction
@@ -13,13 +13,12 @@ from frobpi.fields import (
     QU,
     BadReductionError,
     FieldMismatchError,
+    MAX_EXPONENT,
     PoleError,
     RatF,
-    UniPoly,
+    ScalarSyntaxError,
     field_from_descriptor,
     is_prime,
-    poly_ext_gcd,
-    poly_str,
 )
 
 
@@ -53,46 +52,15 @@ def test_rational_field_parse_fmt():
     assert QQ.fmt(Fraction(-2, 3)) == "-2/3"
 
 
-def test_unipoly_divmod_gcd():
-    t = UniPoly.gen(QQ)
-    one = UniPoly.const(QQ, 1)
-    p = (t - one) * (t - one) * (t + one)
-    q, r = p.divmod(t - one)
-    assert r.is_zero()
-    assert q == (t - one) * (t + one)
-    g = p.gcd((t - one) * t)
-    assert g == (t - one).monic()
-
-
-def test_poly_ext_gcd_bezout():
-    t = UniPoly.gen(QQ)
-    one = UniPoly.const(QQ, 1)
-    a = (t - one) * (t - one)
-    b = t * (t + one)
-    g, x, y = poly_ext_gcd(a, b)
-    assert g == one
-    assert (a * x + b * y) == one
-
-
-def test_poly_str_round_trip():
-    t = UniPoly.gen(QQ)
-    p = t * t * t - t.scale(Fraction(3, 2)) + UniPoly.const(QQ, Fraction(-1, 4))
-    s = poly_str(p)
-    assert "t^3" in s
-    # round trip through the Q(u) expression parser with u as the variable
-    pu = UniPoly.gen(QQ, var="u")
-    q = pu * pu + UniPoly.const(QQ, 2, var="u")
-    assert QU.parse(poly_str(q)) == RatF(q)
-
-
 def test_ratf_canonical_form():
-    u = RatF.gen()
-    one = RatF.const(1)
+    u = RatF((0, 1))
+    one = RatF((1,))
     x = (u * u - one) / (u - one)
-    # common factor cancels, denominator becomes monic
+    # common factor cancels; the Q view has a monic denominator
     assert x == u + one
     y = one / (u + u)
-    assert y.den.lc() == Fraction(1)
+    assert (y.n, y.d) == ((1,), (0, 2))
+    assert _q_view(y)[1][-1] == Fraction(1)
     assert y * (u + u) == one
 
 
@@ -109,8 +77,49 @@ _RNG = random.Random("ratf-points")
 _POINTS = [Fraction(_RNG.randint(-40, 40), _RNG.randint(1, 9)) for _ in range(16)]
 
 
-def _qpoly(coeffs):
-    return UniPoly(QQ, [Fraction(c) for c in coeffs], "u")
+def _strip(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _mul(a, b):
+    """Product of two integer polynomials as ascending tuples."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _horner(a, c):
+    acc = Fraction(0)
+    for x in reversed(a):
+        acc = acc * c + x
+    return acc
+
+
+def _q_view(z):
+    """z as numerator and monic denominator over Q, ascending Fractions."""
+    lc = z.d[-1]
+    return [Fraction(c, lc) for c in z.n], [Fraction(c, lc) for c in z.d]
+
+
+def _gcd_degree(a, b):
+    """Degree of gcd(a, b) over Q, by Euclid's algorithm on Fraction coefficients."""
+    a, b = list(a), list(b)
+    while b:
+        while len(a) >= len(b):
+            q, k = a[-1] / b[-1], len(a) - len(b)
+            for i, c in enumerate(b):
+                a[k + i] -= q * c
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
 
 
 @st.composite
@@ -120,18 +129,16 @@ def _ratf_case(draw):
     Both are multiplied by a drawn common factor, so that building the RatF
     has something to cancel.
     """
-    common = _qpoly(draw(_INT_POLY))
-    num = _qpoly(draw(_INT_POLY)) * common
-    den = _qpoly(draw(_INT_POLY)) * common
-    if den.is_zero():
-        den = UniPoly.const(QQ, 1, "u")
+    common = _strip(draw(_INT_POLY))
+    num = _mul(_strip(draw(_INT_POLY)), common)
+    den = _mul(_strip(draw(_INT_POLY)), common) or (1,)
     return RatF(num, den), num, den
 
 
 def _value(num, den, c):
-    """num(c)/den(c) from the Fraction-based UniPoly.eval, or None at a pole."""
-    d = den.eval(c)
-    return None if d == 0 else Fraction(num.eval(c)) / d
+    """num(c)/den(c) by Horner's rule on Fractions, or None at a pole."""
+    d = _horner(den, c)
+    return None if d == 0 else _horner(num, c) / d
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -151,11 +158,14 @@ def test_ratf_ops_match_fraction_reference(xc, yc):
             assert z.eval(c) == op(a, b), (name, c)
             checked += 1
         assert checked, name
-        assert z.den.lc() == 1
-        assert z.num.gcd(z.den).degree == 0  # the Fraction-based Euclidean gcd
+        num, den = _q_view(z)
+        assert den[-1] == 1 and z.d[-1] > 0
+        assert _gcd_degree(num, den) == 0
         assert QU.parse(QU.fmt(z)) == z
-        assert RatF(z.num, z.den) == z
-        assert hash(RatF(z.num, z.den)) == hash(z)
+        # a common factor and a content put back cancel to the same form
+        w = RatF(_mul(z.n, (3, -6)), _mul(z.d, (3, -6)))
+        assert (w.n, w.d) == (z.n, z.d)
+        assert w == z and hash(w) == hash(z)
 
 
 def test_heuristic_gcd_agrees_with_prs():
@@ -186,6 +196,33 @@ def test_qu_parse_expressions():
     assert f.fmt(f.parse("u")) == "u"
     with pytest.raises(ValueError):
         f.parse("u +")
+
+
+@pytest.mark.parametrize(
+    "text,shown",
+    [
+        ("(3*u^2 - 6)/(4*u + 2)", "(3/4*u^2 - 3/2)/(u + 1/2)"),
+        ("(u+1)^-2", "(1)/(u^2 + 2*u + 1)"),
+        ("u^-1 - u", "(-u^2 + 1)/(u)"),
+        ("(1-u)^-1", "(-1)/(u - 1)"),
+        ("(2*u+4)/(6)", "1/3*u + 2/3"),
+        ("-u^3 + 2*u - 7", "-u^3 + 2*u - 7"),
+        ("(u^2-1)/(u-1)", "u + 1"),
+        ("0", "0"),
+    ],
+)
+def test_qu_fmt_pinned(text, shown):
+    # the printed form is part of every Q(u) cache key and algebra file
+    assert QU.fmt(QU.parse(text)) == shown
+    assert QU.parse(shown) == QU.parse(text)
+
+
+def test_qu_exponent_is_bounded():
+    assert QU.parse(f"u^{MAX_EXPONENT}") == RatF((0,) * MAX_EXPONENT + (1,))
+    assert QU.parse(f"u^-{MAX_EXPONENT}") == RatF((1,), (0,) * MAX_EXPONENT + (1,))
+    for s in (f"u^{MAX_EXPONENT + 1}", "(u+1)^-1000000", "2^99999999999999999999"):
+        with pytest.raises(ScalarSyntaxError):
+            QU.parse(s)
 
 
 def test_specialize_u_and_reduction():

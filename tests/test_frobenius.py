@@ -1,10 +1,12 @@
 """Rank-4 algebra catalog, functionals, deformations, serialization."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from frobpi.fields import FP, QQ, QU, UniPoly, field_from_descriptor
+from frobpi.cli import GENERIC_SAMPLE
+from frobpi.fields import QQ, field_from_descriptor
 from frobpi.frobenius import (
     CATALOG_NAMES,
     REJECT_NAMES,
@@ -12,15 +14,17 @@ from frobpi.frobenius import (
     CommAlgebra,
     FrobeniusPair,
     SingularGramError,
+    _block_sum_algebra,
+    _fiber_matches_catalog,
+    _poly_quotient_algebra,
     algebra_from_json,
     algebra_to_json,
+    block_presentation,
     catalog,
-    crt_block_presentation,
     deformation,
     generic_fiber_matches_catalog,
     is_frobenius,
     make_frobenius,
-    rational_root_factorization,
     special_fiber_matches_catalog,
     specialize_pair,
 )
@@ -137,23 +141,21 @@ def test_json_is_stable_bytes():
     assert text == algebra_to_json(catalog("bikwad"))
 
 
-def test_rational_root_factorization_fractional_coeffs():
-    t = UniPoly.gen(QQ)
-    half = UniPoly.const(QQ, Fraction(1, 2))
-    g = (t - half) * (t - half) * (t + UniPoly.const(QQ, 3))
-    roots = rational_root_factorization(g)
-    assert roots == [(Fraction(1, 2), 2), (Fraction(-3), 1)]
-
-
 def test_crt_block_presentation_idempotents():
-    t = UniPoly.gen(QQ)
-    one = UniPoly.const(QQ, 1)
-    g = t * t * (t - one) * (t + one)
-    alg = crt_block_presentation(g)
+    # g = t^2 (t - 1)(t + 1): the t^2 block first, then the simple roots in order
+    fiber = _poly_quotient_algebra(QQ, (0, 0, 1, -1), ("1", "t", "t2", "t3"))
+    alg = block_presentation(fiber, (0, 0, 1, -1))
     assert alg.n == 4
-    # block orders: (t^2 block) then two single roots; unit decomposes
+    assert alg.names == ("x0_0", "x0_1", "x1_0", "x2_0")
     unit = alg.unit_vec()
     assert alg.mul_vec(unit, unit) == unit
+    assert alg.equal_constants(_block_sum_algebra(QQ, (2, 1, 1), alg.names))
+    # fractional roots, listed in any order: (t - 1/2)^2 (t + 3)
+    half = Fraction(1, 2)
+    fiber = _poly_quotient_algebra(QQ, (-3, half, half), ("1", "t", "t2"))
+    alg = block_presentation(fiber, (half, -3, half))
+    assert alg.names == ("x0_0", "x0_1", "x1_0")
+    assert alg.equal_constants(_block_sum_algebra(QQ, (2, 1), alg.names))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -168,6 +170,43 @@ def test_char2_family_special_fiber():
 @pytest.mark.parametrize("n,at", [(2, 1), (3, 1), (4, 2), (5, 2), (6, 3)])
 def test_generic_fibers_match_catalog(n, at):
     assert generic_fiber_matches_catalog(n, at)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_fiber_matches_only_its_own_catalog_algebra(n):
+    fam = deformation(n)
+    for at, name in ((0, fam.special), (GENERIC_SAMPLE[n], fam.generic)):
+        assert [c for c in CATALOG_NAMES if _fiber_matches_catalog(fam, at, c)] == [name]
+
+
+# sha256 of algebra_to_json, which feeds cache.cache_key: a change here moves
+# every cache entry of these algebras
+FAMILY_JSON_SHA256 = {
+    (1, False): "fc15f130ea03e59a38016357796e91a90ce24f86ade75c549becf8ebe1d507ed",
+    (2, False): "d7206aaffb87dd38a295653a22c9fc71035f153684730d56ba5641b7d7fde0fc",
+    (3, False): "c7d8134eb20e9bb0988d6d9bd36e77e54fb140743731cc05bed2c90d8d224185",
+    (4, False): "3eebce7d6111c33ac67b1366783f613d9d411a608b5ba8e2bbd7df63da4c3d5f",
+    (5, False): "06e1ac4ea08fbe3b2b43a7dfe4d77473eac21f5b3dc516e116513c449d3b88d6",
+    (6, False): "71d4d9f797ca1f1dbf68f4e352c351c643eb0ad45037628bc73789e336784cb2",
+    (6, True): "3233f8c48db110a6e616ddf6d64abc07be228cb1e4398b2a907c367e483f0649",
+}
+T4_JSON_SHA256 = {
+    "q": "b54b70d6d94718681940acc92767b057ff478d93496339bf11a4d24b19e772a9",
+    "fp:2": "29b1c22c01882c1a0e58562a40532fb8d312deec7dda01ac5555d8ccade72980",
+    "fp:5": "0838917bf249c39b4131723cd3ba118c879b9b117074f297f3f22b30c6c45024",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_algebra_json_bytes_pinned():
+    for (n, char2), digest in FAMILY_JSON_SHA256.items():
+        fam = deformation(n, char2)
+        assert _sha256(algebra_to_json(make_frobenius(fam.algebra, fam.lam))) == digest, (n, char2)
+    for desc, digest in T4_JSON_SHA256.items():
+        assert _sha256(algebra_to_json(catalog("t4", field_from_descriptor(desc)))) == digest, desc
 
 
 def test_deformation_metadata():
