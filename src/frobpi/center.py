@@ -13,6 +13,11 @@ from .frobenius import catalog
 from .linalg import Subspace, left_kernel, vec_add, vec_apply, vec_sub
 
 
+def _need_room(g: GradedAlgebra, d: int):
+    if d + 1 > g.D:
+        raise DegreeRangeError(f"center at degree {d} needs build degree {d + 1}")
+
+
 def _commutator_ops(g: GradedAlgebra, d: int, signs=None):
     """Rows of x -> x l - sigma(l) x on degree d, with the target degree, per letter l.
 
@@ -20,8 +25,7 @@ def _commutator_ops(g: GradedAlgebra, d: int, signs=None):
     scales b_j by signs[j]; without signs it is the identity.  A letter's
     rows are built only when the iteration reaches it.
     """
-    if d + 1 > g.D:
-        raise DegreeRangeError(f"center at degree {d} needs build degree {d + 1}")
+    _need_room(g, d)
     f = g.field
 
     def pair(right, left, c=None):
@@ -41,12 +45,22 @@ def _commutator_ops(g: GradedAlgebra, d: int, signs=None):
 def center_degree(g: GradedAlgebra, d: int) -> Subspace:
     """Degree-d center as a canonical subspace of the degree-d piece.
 
-    Starting from the whole piece, each letter whose commutator does not
-    vanish there cuts the subspace down to the part it commutes with.
+    The commutator with a is diagonal: its kernel is spanned by the words
+    that start with a exactly when they end on the R side, so the cut
+    starts from those coordinates and reduces nothing.  In odd degrees no
+    word does, and the center is zero.  Then each other letter whose
+    commutator does not vanish cuts the subspace down to the part it
+    commutes with.
     """
+    _need_room(g, d)
     f = g.field
-    z = Subspace.full(f, g.dim(d))
-    for op, tdeg in _commutator_ops(g, d):
+    keep = tuple(i for i, w in enumerate(g.words[d]) if g.is_r[d][i] == (w[0] == A_LETTER))
+    z = Subspace(f, g.dim(d), keep, tuple({i: f.one} for i in keep))
+    if not keep:
+        return z
+    ops = _commutator_ops(g, d)
+    next(ops)  # a, whose kernel z already is
+    for op, tdeg in ops:
         m_rows = [vec_apply(f, v, op) for v in z.rows]
         if any(m_rows):
             z = left_kernel(f, m_rows, g.dim(tdeg), basis=z)

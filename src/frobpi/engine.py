@@ -2,13 +2,18 @@
 
 Degree d is built as a quotient of the free extension of degree d-1 by one
 letter: coordinates are (basis word of d-1) followed by e, or followed by
-f and an S-basis slot.  The two tensor relations, multiplied by every
-basis word of degree d-2, span exactly the new relations; row reducing
-them leaves a canonical word basis and the reduction map gives the right
-multiplication operators by each letter.  Multiplication and the left
-multiplications fold through those operators, so one code path serves
-every coefficient field; the projections onto the two one-sided pieces
-are read off the words themselves.
+f and an S-basis slot.  Each basis word x of degree d-2 gives one
+relation row: x f e when x ends on the R side, and x r otherwise, with
+r = sum_q b'_q e f b_q the dual-basis relation (b'_q the basis dual to b_q
+under the Frobenius form).  The right multiples x r b_j add nothing: the
+Casimir element sum_q b'_q (x) b_q of a commutative Frobenius algebra
+commutes with S, so x r b_j = (x b_j) r, a combination of the rows of
+other words.  The rows therefore span exactly the new relations.  Row
+reducing them leaves a canonical word basis and the reduction map gives
+the right multiplication operators by each letter.  Multiplication and
+the left multiplications fold through those operators, so one code path
+serves every coefficient field; the projections onto the two one-sided
+pieces are read off the words themselves.
 """
 
 from __future__ import annotations
@@ -141,30 +146,10 @@ class GradedAlgebra:
             raise InputError(f"basis names collide with letters: {sorted(bad)}")
 
     def _relation_terms(self):
-        """Right multiples of the dual-basis relation by each slot.
-
-        terms[j] maps (q, m) to the coefficient of (b_q e)(f b_m) in
-        (sum_i e_i f_i) b_j.
-        """
+        """The dual-basis relation r: (q, m) -> coefficient of (b_q e)(f b_m) in r."""
         f = self.field
-        alg = self.pair.algebra
-        n = self.n
-        base = {}
-        for q in range(n):
-            for m in range(n):
-                c = self.pair.dual_right[q][m]
-                if not f.is_zero(c):
-                    base[(q, m)] = c
-        terms = []
-        for j in range(n):
-            tj = {}
-            for (q, m), c in base.items():
-                for m2, c2 in alg.table[m][j].items():
-                    key = (q, m2)
-                    t = c * c2
-                    tj[key] = tj[key] + t if key in tj else t
-            terms.append({k: v for k, v in tj.items() if not f.is_zero(v)})
-        return terms
+        dual = self.pair.dual_right
+        return {(q, m): c for q, row in enumerate(dual) for m, c in enumerate(row) if not f.is_zero(c)}
 
     def dims(self):
         return [len(w) for w in self.words]
@@ -193,37 +178,26 @@ class GradedAlgebra:
                     coords.append((i, "f", m))
         ncols = len(coords)
 
+        # one row per basis word x of degree d-2; see the module docstring
         rel = []
         if d >= 2:
             e_prev = self.E[d - 1]
+            f_prev = self.F[d - 1]
             b_prev = self.B[d - 2]
-            for x in range(len(self.words[d - 2])):
-                # x (f e): f-append then e-append
-                xf = self.F[d - 1][x]
+            for x, isr in enumerate(self.is_r[d - 2]):
+                if isr:
+                    # x f e: f-append then e-append
+                    rel.append({ecol[i]: c for i, c in f_prev[x].items()})
+                    continue
+                # x r
+                xe = [vec_apply(f, b_prev[q][x], e_prev) for q in range(n)]
                 row = {}
-                for i, c in xf.items():
-                    col = ecol.get(i)
-                    if col is not None:
-                        row[col] = c
-                if row:
-                    rel.append(row)
-                # x (sum e_q f_q) b_j
-                xe = []
-                for q in range(n):
-                    xb = b_prev[q][x]
-                    xe.append(vec_apply(f, xb, e_prev))
-                for j in range(n):
-                    row = {}
-                    for (q, m), c in self._r2_terms[j].items():
-                        for w, cw in xe[q].items():
-                            col = fcol.get((w, m))
-                            if col is None:
-                                continue
-                            t = c * cw
-                            row[col] = row[col] + t if col in row else t
-                    row = f.post_reduce(row)
-                    if row:
-                        rel.append(row)
+                for (q, m), c in self._r2_terms.items():
+                    for w, cw in xe[q].items():
+                        col = fcol[(w, m)]
+                        t = c * cw
+                        row[col] = row[col] + t if col in row else t
+                rel.append(f.post_reduce(row))
 
         pivots, rrows = rref_rows(f, rel, ncols)
         pivset = set(pivots)
@@ -449,9 +423,6 @@ class GradedAlgebra:
             else:
                 parts.append((" - " if neg else " + ") + body)
         return "".join(parts)
-
-    def basis_words(self, d: int):
-        return [self.word_str(w) for w in self.words[d]]
 
     # -- left multiplication ------------------------------------------------
 

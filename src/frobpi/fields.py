@@ -519,8 +519,12 @@ class RationalField(Field):
         return {k: v for k, v in d.items() if v}
 
     def parse(self, s: str):
+        t = s.strip()
+        digits = t[1:] if t.startswith("-") else t
+        if digits.isascii() and digits.isdigit():  # cached integers skip Fraction's regex
+            return int(t)
         try:
-            return self.convert(Fraction(s.strip()))
+            return self.convert(Fraction(t))
         except (ValueError, ZeroDivisionError) as e:
             raise ScalarSyntaxError(f"bad rational {s!r}") from e
 

@@ -63,7 +63,7 @@ def vec_sub(field: Field, a: dict, b: dict) -> dict:
 # row reduction
 
 
-def _rref_generic(field: Field, rows):
+def _rref_generic(field: Field, rows, keep_from=0):
     """Sparse elimination over any field.
 
     Pivot row choice: fewest nonzeros, then lowest leading column, then
@@ -78,6 +78,10 @@ def _rref_generic(field: Field, rows):
     longer matches its row is skipped.  The finished rows are then
     back-substituted once, in descending pivot column order, each by the
     already reduced rows whose pivots it holds.
+
+    Only the rows with pivot column >= keep_from are back-substituted; only
+    rows with a higher pivot reduce such a row, so these come out exactly as
+    in the full reduction, and the pivots are the same.
     """
     work = [field.post_reduce(r) for r in rows]
     lead = [min(w) if w else None for w in work]
@@ -114,6 +118,8 @@ def _rref_generic(field: Field, rows):
     done.sort()
     reduced = dict(done)
     for c, r in reversed(done):
+        if c < keep_from:
+            break
         for k in [k for k in r if k != c and k in reduced]:
             _axpy_into(field, r, r[k], reduced[k])
     return [c for c, _ in done], [r for _, r in done]
@@ -188,8 +194,9 @@ def left_kernel(field: Field, rows, ncols: int, basis: Subspace | None = None) -
 
     One reduction of the augmented rows [rows_i | basis_i]: the reduced rows
     whose pivot lies past the first ncols columns are zero there, so their
-    tails are the canonical basis of the answer.  The basis defaults to the
-    unit vectors, which gives the kernel of the transpose.
+    tails are the canonical basis of the answer, and only those rows are
+    back-substituted.  The basis defaults to the unit vectors, which gives
+    the kernel of the transpose.
     """
     if basis is None:
         basis = Subspace.full(field, len(rows))
@@ -197,7 +204,7 @@ def left_kernel(field: Field, rows, ncols: int, basis: Subspace | None = None) -
         {**r, **{ncols + j: x for j, x in v.items()}}
         for r, v in zip(rows, basis.rows, strict=True)
     ]
-    piv, red = rref_rows(field, aug, ncols + basis.ambient)
+    piv, red = _rref_generic(field, aug, keep_from=ncols)
     if len(piv) != len(aug):
         raise InvariantError(f"{len(aug)} augmented rows have rank {len(piv)}: dependent basis")
     k = sum(c < ncols for c in piv)

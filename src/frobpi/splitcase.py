@@ -130,18 +130,6 @@ def invariant_generators():
     return a, b, c
 
 
-def satisfies_conditions(poly: MultiPoly) -> bool:
-    """Both invariance conditions, checked coefficientwise on a polynomial."""
-    zero = Fraction(0)
-    for (m, n), c in poly.terms.items():
-        if (m + 3 * n) % 4:
-            return False
-        swapped = poly.terms.get((n, m), zero)
-        if swapped != (c if m % 2 == 0 else -c):
-            return False
-    return True
-
-
 def invariant_relation_check() -> bool:
     """C^2 - B(A^2 - 4B^2) = 0 as a literal polynomial identity."""
     a, b, c = invariant_generators()

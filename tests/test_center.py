@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from frobpi import CATALOG_NAMES, build, catalog, linalg
+from frobpi import CATALOG_NAMES, build, catalog, engine, linalg
 from frobpi import center as center_module
 from frobpi.center import (
     _commutator_ops,
@@ -104,14 +104,26 @@ def test_a_commutator_rows_match_products(q_engines, fp_engines):
 def test_center_degree_reduces_once_per_generator(q_engines, monkeypatch):
     # each reduction cuts the subspace down, so none re-reduces a finished basis
     calls = []
-    rref_rows = linalg.rref_rows
-    monkeypatch.setattr(linalg, "rref_rows", lambda *a: calls.append(len(a[1])) or rref_rows(*a))
+    rref = linalg._rref_generic
+    monkeypatch.setattr(linalg, "_rref_generic", lambda *a, **k: calls.append(len(a[1])) or rref(*a, **k))
     g = q_engines["bikwad"]
     for d in (4, 6, 8):
         calls.clear()
         z = center_degree(g, d)
         assert calls[0] == g.dim(d)
         assert all(a > b for a, b in zip(calls, calls[1:] + [z.dim])), calls
+
+
+def test_odd_center_reduces_nothing(q_engines, fp_engines, monkeypatch):
+    # no word of odd degree starts with a and ends on the R side, or the
+    # other way round, so the a commutator alone leaves nothing to reduce
+    calls = []
+    rref = linalg._rref_generic
+    monkeypatch.setattr(linalg, "_rref_generic", lambda *a, **k: calls.append(len(a[1])) or rref(*a, **k))
+    for g in [q_engines["bikwad"], fp_engines["bikwad", 2], fp_engines["t4", 5]]:
+        for d in (1, 3, 5, 7, 9, 11):
+            z = center_degree(g, d)
+            assert (z.dim, z.ambient, calls) == (0, g.dim(d), []), (g.field.tag, d)
 
 
 def test_center_vectors_are_central(q_engines):
@@ -321,6 +333,44 @@ def test_base_change_invariance(q_engines, fp_engines, name, tag):
     assert h.dims() == [g.dim(d) for d in range(10)]
     assert [h.split_dims(d) for d in range(9)] == [g.split_dims(d) for d in range(9)]
     assert center_dims(h, 8) == center_dims(g, 8)
+
+
+@pytest.mark.parametrize("tag", ["q", "fp:5"])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_right_multiples_of_the_relation_add_nothing(q_engines, fp_engines, monkeypatch, name, tag):
+    # the build takes one row x r per word x, r the dual-basis relation; the
+    # right multiples x r b_j lie in the span of those rows.  In a rebased
+    # pair no slot is the unit, so none of them is a row itself
+    g = q_engines[name] if tag == "q" else fp_engines[name, 5]
+    pair = _rebased(g.pair, random.Random(f"{name} {tag}"))
+    seen = []
+    real = linalg.rref_rows
+    monkeypatch.setattr(engine, "rref_rows", lambda f, rows, ncols: seen.append((rows, ncols)) or real(f, rows, ncols))
+    h = build(pair, 7)
+    f, n, table, dual = h.field, h.n, pair.algebra.table, pair.dual_right
+    checked = 0
+    for d in range(2, 8):
+        rows, ncols = seen[d - 1]
+        span = linalg.Subspace.from_vectors(f, ncols, rows)
+        # the build's columns: x e for each word x of degree d-1 that ends on
+        # the S side, then x f b_m for each word that ends on the R side
+        isr = h.is_r[d - 1]
+        r_words = [i for i, r in enumerate(isr) if r]
+        fcol = {(i, m): isr.count(False) + k * n + m for k, i in enumerate(r_words) for m in range(n)}
+        for x in range(h.dim(d - 2)):
+            xe = [linalg.vec_apply(f, h.B[d - 2][q][x], h.E[d - 1]) for q in range(n)]
+            for j in range(n):
+                row = {}
+                for q in range(n):
+                    for m in range(n):
+                        for m2, c2 in table[m][j].items():
+                            for w, cw in xe[q].items():
+                                t = f.mul(f.mul(dual[q][m], c2), cw)
+                                row[fcol[w, m2]] = f.add(row.get(fcol[w, m2], f.zero), t)
+                row = f.post_reduce(row)
+                assert span.contains(row), (d, x, j)
+                checked += bool(row)
+    assert checked
 
 
 def _twisted(pair, rng):

@@ -13,12 +13,12 @@ from fractions import Fraction
 
 import pytest
 
-from frobpi import CATALOG_NAMES, build, catalog
+from frobpi import CATALOG_NAMES, build, catalog, engine
 from frobpi.cache import CacheValidationError, build_cached, cache_key
 from frobpi.engine import DegreeRangeError, GradedAlgebra, WordSyntaxError
 from frobpi.fields import field_from_descriptor
 from frobpi.frobenius import deformation, make_frobenius, specialize_pair
-from frobpi.linalg import Subspace
+from frobpi.linalg import Subspace, rref_rows
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +130,41 @@ def test_degree2_oracle_matches_engine(name, q_engines):
     dr, ds = g.split_dims(2)
     assert dr == 4 - rank_r == 3
     assert ds == 16 - rank_s == 12
+
+
+# ---------------------------------------------------------------------------
+# relation rows
+
+
+def _check_one_row_per_word(monkeypatch, pair, D):
+    """Each relation reduction of a build to D gets dim Pi_{d-2} rows, of full rank."""
+    seen = []
+
+    def counted(f, rows, ncols):
+        pivots, red = rref_rows(f, rows, ncols)
+        seen.append((len(rows), len(pivots)))
+        return pivots, red
+
+    monkeypatch.setattr(engine, "rref_rows", counted)
+    g = GradedAlgebra(pair, D)
+    assert len(seen) == D
+    for d in range(2, D + 1):
+        assert seen[d - 1] == (g.dim(d - 2), g.dim(d - 2)), (pair.field.tag, d)
+
+
+@pytest.mark.parametrize("tag", ["q", "fp:2", "fp:3", "fp:5", "fp:7"])
+def test_one_independent_relation_row_per_word(monkeypatch, tag):
+    # each basis word of degree d-2 gives one relation row of degree d, and
+    # the rows are independent: the build reduces no row it does not need
+    f = field_from_descriptor(tag)
+    for name in CATALOG_NAMES:
+        _check_one_row_per_word(monkeypatch, catalog(name, f), 16)
+
+
+def test_one_independent_relation_row_per_word_over_qu(monkeypatch):
+    for n, char2 in [(n, False) for n in range(1, 7)] + [(6, True)]:
+        fam = deformation(n, char2)
+        _check_one_row_per_word(monkeypatch, make_frobenius(fam.algebra, list(fam.lam)), 6)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +292,7 @@ def test_word_examples(bikwad_q):
 def test_word_round_trip(bikwad_q):
     g = bikwad_q
     for d in range(5):
-        for s in g.basis_words(d):
+        for s in (g.word_str(w) for w in g.words[d]):
             el = g.element_from_word(s)
             assert not el.is_zero()
             assert g.format_element(el) == s

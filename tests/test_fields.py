@@ -52,6 +52,22 @@ def test_rational_field_parse_fmt():
     assert QQ.fmt(Fraction(-2, 3)) == "-2/3"
 
 
+@pytest.mark.parametrize(
+    "text", ["12", "-0", "007", " 5 ", "+3", "1_0", "٣", "1e3", "3/6", "--5", "-", "", "0x10"]
+)
+def test_rational_parse_integer_path_matches_fraction(text):
+    # plain ASCII integers skip Fraction's parser; every string must still
+    # give the value and type, or the error, that the Fraction path gives
+    try:
+        want = QQ.convert(Fraction(text.strip()))
+    except ValueError:
+        with pytest.raises(ScalarSyntaxError):
+            QQ.parse(text)
+        return
+    got = QQ.parse(text)
+    assert (got, type(got)) == (want, type(want))
+
+
 def test_ratf_canonical_form():
     u = RatF((0, 1))
     one = RatF((1,))

@@ -198,6 +198,22 @@ def test_generic_rref_over_qu_with_fill_in():
     assert all(span.contains(r) for r in rows)
 
 
+def test_partial_back_substitution_keeps_the_tail_rows():
+    # keep_from=k back-substitutes only the rows with pivot >= k: they come
+    # out as in the full reduction, and the pivots do not move
+    rng = random.Random(29)
+    for f in (QQ, FP(2), FP(5)):
+        for _ in range(40):
+            ncols = rng.randint(1, 16)
+            rows = _random_rows(rng, f, rng.randint(1, 14), ncols, density=rng.choice([0.15, 0.4]))
+            full_piv, full_red = _rref_generic(f, rows)
+            for k in range(ncols + 1):
+                piv, red = _rref_generic(f, rows, keep_from=k)
+                assert piv == full_piv, (f, k)
+                tail = [(c, r) for c, r in zip(piv, red) if c >= k]
+                assert tail == [(c, r) for c, r in zip(full_piv, full_red) if c >= k], (f, k)
+
+
 @pytest.mark.parametrize(
     "p,nrows,ncols,density",
     [

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from frobpi import splitcase
-from frobpi.fields import InvariantError
+from frobpi.fields import QQ, InvariantError, MultiPoly
 from frobpi.splitcase import (
     StarQuiver,
     invariant_dims,
@@ -15,7 +15,6 @@ from frobpi.splitcase import (
     monomial_count,
     no_lower_relation_check,
     quiver_hilbert,
-    satisfies_conditions,
     split_table,
     star_adjacency,
 )
@@ -82,6 +81,18 @@ def test_invariant_slice_degree2_empty():
     assert invariant_dims(12) == [1, 0, 0, 0, 2, 0, 1, 0, 3, 0, 2, 0, 4]
 
 
+def satisfies_conditions(poly: MultiPoly) -> bool:
+    """Both invariance conditions, checked coefficientwise on a polynomial."""
+    zero = Fraction(0)
+    for (m, n), c in poly.terms.items():
+        if (m + 3 * n) % 4:
+            return False
+        swapped = poly.terms.get((n, m), zero)
+        if swapped != (c if m % 2 == 0 else -c):
+            return False
+    return True
+
+
 def test_generators_satisfy_conditions():
     A, B, C = invariant_generators()
     for p in (A, B, C):
@@ -89,8 +100,6 @@ def test_generators_satisfy_conditions():
 
 
 def test_xy_is_not_invariant():
-    from frobpi.fields import QQ, MultiPoly
-
     xy = MultiPoly(QQ, 2, {(1, 1): Fraction(1)})
     assert not satisfies_conditions(xy)
 
