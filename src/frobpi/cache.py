@@ -3,8 +3,9 @@
 A cache entry is keyed by sha256 over the canonical JSON of the algebra
 presentation and functional, the field tag, the build degree, and the
 format version.  A file holds, per degree 1..D, what the build decided:
-the parent of each basis word and the E and FB reduction operators.  Words,
-sides, B and F follow from those and are derived by the engine on load.
+the parent of each basis word and the E and FB reduction operators.  The
+words' first letters, sides, B and F follow from those and are derived by
+the engine on load.
 Files are created exclusively (link-into-place) and never rewritten.  On
 load the header (format, key, field, degree) and a sha256 of the operator
 body are checked before any scalar is parsed; a file that does not parse

@@ -8,7 +8,7 @@ is the intersection of the per-letter commutator kernels.
 
 from __future__ import annotations
 
-from .engine import A_LETTER, DegreeRangeError, GradedAlgebra, PiElement
+from .engine import DegreeRangeError, GradedAlgebra, PiElement
 from .frobenius import catalog
 from .linalg import Subspace, left_kernel, vec_add, vec_apply, vec_sub
 
@@ -33,7 +33,7 @@ def _commutator_ops(g: GradedAlgebra, d: int, signs=None):
 
     # x a keeps the words that end on the R side, a x the words that start with a
     sign = {(True, False): f.one, (False, True): f.neg(f.one)}
-    ends_starts = zip(g.is_r[d], (w[0] == A_LETTER for w in g.words[d]))
+    ends_starts = zip(g.is_r[d], g.starts_a[d])
     yield [{i: sign[k]} if k in sign else {} for i, k in enumerate(ends_starts)], d
     l0 = g.left0(d)
     for j in range(g.n):
@@ -54,7 +54,7 @@ def center_degree(g: GradedAlgebra, d: int) -> Subspace:
     """
     _need_room(g, d)
     f = g.field
-    keep = tuple(i for i, w in enumerate(g.words[d]) if g.is_r[d][i] == (w[0] == A_LETTER))
+    keep = tuple(i for i, (r, a) in enumerate(zip(g.is_r[d], g.starts_a[d])) if r == a)
     z = Subspace(f, g.dim(d), keep, tuple({i: f.one} for i in keep))
     if not keep:
         return z

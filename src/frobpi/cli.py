@@ -107,7 +107,7 @@ def _center_record(g, d):
 
 
 def _resolution_record(g, d):
-    alt_r, alt_s = g.resolution_sums(d)[d]
+    alt_r, alt_s = g.resolution_sum(d)
     return {"alternating_r": alt_r, "alternating_s": alt_s, "pass": alt_r == 0 and alt_s == 0}
 
 

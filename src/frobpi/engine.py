@@ -12,15 +12,17 @@ other words.  The rows therefore span exactly the new relations.  Row
 reducing them leaves a canonical word basis and the reduction map gives
 the right multiplication operators by each letter.  Multiplication and
 the left multiplications fold through those operators, so one code path
-serves every coefficient field; the projections onto the two one-sided
-pieces are read off the words themselves.
+serves every coefficient field.  The parent table is the only record of
+the words: a word is spelled out through it when it is printed or
+multiplied by, and the first letter of each word, which gives the
+projections onto the two one-sided pieces, is kept beside it.
 """
 
 from __future__ import annotations
 
 from .fields import Field, InputError
 from .frobenius import FrobeniusPair
-from .linalg import rref_rows, vec_add, vec_apply
+from .linalg import rref_rows, vec_add, vec_apply, vec_sub
 
 A_LETTER = -1
 E_LETTER = -2
@@ -80,12 +82,7 @@ class PiElement:
             return NotImplemented
         if self.graded is not other.graded or self.d != other.d:
             return False
-        f = self.graded.field
-        a, b = self.vec, other.vec
-        for k in a.keys() | b.keys():
-            if not f.is_zero(f.sub(a.get(k, f.zero), b.get(k, f.zero))):
-                return False
-        return True
+        return not vec_sub(self.graded.field, self.vec, other.vec)
 
     def __hash__(self):
         return hash((self.d, tuple(sorted(self.vec))))
@@ -123,8 +120,8 @@ class GradedAlgebra:
         self.n = n = pair.n
         self.D = D
         self._check_names()
-        self.words = [[(A_LETTER,)] + [(j,) for j in range(n)]]
         self.is_r = [[True] + [False] * n]  # True when the word ends on the R side
+        self.starts_a = [[True] + [False] * n]  # True when the word starts with a
         self.parent = [None]  # (i, 'e', None) or (i, 'f', m) for degree >= 1
         self.E = [None]  # E[d]: right append e, degree d-1 -> d
         self.FB = [None]  # FB[d][j]: right append f b_j
@@ -152,18 +149,18 @@ class GradedAlgebra:
         return {(q, m): c for q, row in enumerate(dual) for m, c in enumerate(row) if not f.is_zero(c)}
 
     def dims(self):
-        return [len(w) for w in self.words]
+        return [len(r) for r in self.is_r]
 
     def dim(self, d: int) -> int:
         if not 0 <= d <= self.D:
             raise DegreeRangeError(f"degree {d} outside 0..{self.D}")
-        return len(self.words[d])
+        return len(self.is_r[d])
 
     def _build_degree(self, d):
         f = self.field
         n = self.n
-        prev_dim = len(self.words[d - 1])
         prev_isr = self.is_r[d - 1]
+        prev_dim = len(prev_isr)
         ecol = {}
         fcol = {}
         coords = []
@@ -228,31 +225,24 @@ class GradedAlgebra:
 
         A basis word is its parent word followed by e, or by f and an S slot;
         B, the right multiplication by each slot, follows from FB because
-        (x f b_m) b_j = sum_q c^q_{m j} x f b_q.
+        (x f b_m) b_j = sum_q c^q_{m j} x f b_q, and F, the letter f, is FB
+        weighted by the unit.
         """
         f = self.field
-        prev_words = self.words[-1]
-        table = self.pair.algebra.table
-        words = []
-        b_rows = [[] for _ in range(self.n)]
-        for i, kind, m in parent:
-            if kind == "e":
-                words.append(prev_words[i] + (E_LETTER,))
-                for rows in b_rows:
-                    rows.append({})
-                continue
-            words.append(prev_words[i] + (F_LETTER, m))
-            for j, rows in enumerate(b_rows):
-                acc = {}
-                for q, c in table[m][j].items():
-                    acc = vec_add(f, acc, fb[q][i], c)
-                rows.append(acc)
-        self.words.append(words)
+        algebra = self.pair.algebra
+        fb_cols = [[op[i] for op in fb] for i in range(len(e_rows))]  # x -> x f b_q, per q
+        b_rows = [
+            [{} if kind == "e" else vec_apply(f, algebra.table[m][j], fb_cols[i]) for i, kind, m in parent]
+            for j in range(self.n)
+        ]
+        prev_a = self.starts_a[-1]
         self.is_r.append([kind == "e" for _, kind, _ in parent])
+        self.starts_a.append([prev_a[i] for i, _, _ in parent])
         self.parent.append(parent)
         self.E.append(e_rows)
         self.FB.append(fb)
-        self.F.append(unit_weighted(f, self.pair.algebra.unit, fb))
+        unit = algebra.unit_vec()
+        self.F.append([vec_apply(f, unit, cols) for cols in fb_cols])
         self.B.append(b_rows)
 
     # -- elements and multiplication ---------------------------------------
@@ -290,21 +280,24 @@ class GradedAlgebra:
         return vec, d
 
     def multiply(self, x: PiElement, y: PiElement) -> PiElement:
-        f = self.field
         if x.graded is not self or y.graded is not self:
             raise DegreeRangeError("elements from a different build")
         dt = x.d + y.d
         if dt > self.D:
             raise DegreeRangeError(f"product degree {dt} exceeds build degree {self.D}")
-        out = {}
-        for idx, c in y.vec.items():
-            v, dd = self._fold(x.vec, x.d, self.words[y.d][idx])
-            for k, w in v.items():
-                t = c * w
-                out[k] = out[k] + t if k in out else t
-        return PiElement(self, dt, out)
+        rows = {i: self._fold(x.vec, x.d, self.word(y.d, i))[0] for i in y.vec}
+        return PiElement(self, dt, vec_apply(self.field, y.vec, rows))
 
     # -- words --------------------------------------------------------------
+
+    def word(self, d: int, i: int):
+        """The letters of basis word i of degree d, spelled out through the parent table."""
+        letters = []
+        for k in range(d, 0, -1):
+            i, kind, m = self.parent[k][i]
+            letters += (E_LETTER,) if kind == "e" else (m, F_LETTER)
+        letters.append(A_LETTER if i == 0 else i - 1)
+        return tuple(reversed(letters))
 
     def _token_list(self):
         toks = [(nm, ("slot", j)) for j, nm in enumerate(self.pair.algebra.names)]
@@ -410,10 +403,9 @@ class GradedAlgebra:
         f = self.field
         if not x.vec:
             return "0"
-        items = sorted(x.vec.items(), key=lambda kv: (self.word_str(self.words[x.d][kv[0]]), kv[0]))
+        items = sorted((self.word_str(self.word(x.d, i)), i, c) for i, c in x.vec.items())
         parts = []
-        for i, c in items:
-            w = self.word_str(self.words[x.d][i])
+        for w, _, c in items:
             cs = f.fmt(c)
             neg = cs.startswith("-")
             mag = cs[1:] if neg else cs
@@ -438,7 +430,8 @@ class GradedAlgebra:
             return ops
         f = self.field
         if d == 0:
-            ops = [[self._fold(dict(gv), shift, w)[0] for w in self.words[0]] for gv in gvecs()]
+            words = [self.word(0, i) for i in range(self.dim(0))]
+            ops = [[self._fold(dict(gv), shift, w)[0] for w in words] for gv in gvecs()]
         else:
             ops = []
             for prev in self._left_ops(memo, d - 1, shift, gvecs):
@@ -480,48 +473,28 @@ class GradedAlgebra:
         the others, 1_S does the opposite, and the ranks are the two counts.
         """
         dim = self.dim(d)
-        ra = sum(w[0] == A_LETTER for w in self.words[d])
+        ra = sum(self.starts_a[d])
         return ra, dim - ra
 
-    def resolution_sums(self, D: int):
-        """Euler characteristic of the standard projective resolution.
+    def resolution_sum(self, d: int):
+        """Euler characteristic of the standard projective resolution in degree d.
 
         With h_d(R) and h_d(S) the dimensions of the two one-sided pieces,
-        returns for each d up to D the pair of alternating sums
+        returns the pair of alternating sums
         h_{d-2}(R) - h_{d-1}(S) + h_d(R) - delta_{d,0} and
         h_{d-2}(S) - n h_{d-1}(R) + h_d(S) - n delta_{d,0}, which vanish
         when the resolution is exact.
         """
-        if D > self.D:
-            raise DegreeRangeError(f"degree {D} exceeds build degree {self.D}")
         n = self.n
-        h = [(0, 0), (0, 0)] + [self.split_dims(d) for d in range(D + 1)]
-        return [
-            (
-                h[d][0] - h[d + 1][1] + h[d + 2][0] - (1 if d == 0 else 0),
-                h[d][1] - n * h[d + 1][0] + h[d + 2][1] - (n if d == 0 else 0),
-            )
-            for d in range(D + 1)
-        ]
+        (r2, s2), (r1, s1), (r0, s0) = (self.split_dims(k) if k >= 0 else (0, 0) for k in (d - 2, d - 1, d))
+        return (
+            r2 - s1 + r0 - (1 if d == 0 else 0),
+            s2 - n * r1 + s0 - (n if d == 0 else 0),
+        )
 
     def resolution_identity_check(self, D: int) -> bool:
-        """Both alternating sums of `resolution_sums` vanish up to degree D."""
-        return all(s == (0, 0) for s in self.resolution_sums(D))
-
-
-def unit_weighted(f: Field, unit, ops):
-    """Rows of sum_j unit[j] * ops[j]: the operator of the letter weighted by the unit."""
-    rows = []
-    for i in range(len(ops[0])):
-        acc = {}
-        for c, op in zip(unit, ops):
-            if f.is_zero(c):
-                continue
-            for k, v in op[i].items():
-                t = c * v
-                acc[k] = acc[k] + t if k in acc else t
-        rows.append(f.post_reduce(acc))
-    return rows
+        """Both alternating sums of `resolution_sum` vanish in every degree up to D."""
+        return all(self.resolution_sum(d) == (0, 0) for d in range(D + 1))
 
 
 def build(pair: FrobeniusPair, D: int, cache_dir=None) -> GradedAlgebra:

@@ -28,7 +28,7 @@ from .fields import (
     RatF,
     field_from_descriptor,
 )
-from .linalg import rref_rows
+from .linalg import rref_rows, vec_sub
 
 CATALOG_NAMES = (
     "split4",
@@ -65,7 +65,7 @@ class CommAlgebra:
 
     __slots__ = ("field", "names", "table", "unit")
 
-    def __init__(self, field: Field, names, table, unit=None, check=True):
+    def __init__(self, field: Field, names, table, unit=None):
         n = len(names)
         if len(set(names)) != n:
             raise AlgebraStructureError("basis names must be distinct")
@@ -79,8 +79,7 @@ class CommAlgebra:
         self.names = tuple(names)
         self.table = tuple(tab)
         self.unit = tuple(self._find_unit()) if unit is None else tuple(unit)
-        if check:
-            self.check()
+        self.check()
 
     @property
     def n(self):
@@ -170,10 +169,7 @@ class CommAlgebra:
 
 
 def _vec_eq(f: Field, a: dict, b: dict) -> bool:
-    for k in a.keys() | b.keys():
-        if not f.is_zero(f.sub(a.get(k, f.zero), b.get(k, f.zero))):
-            return False
-    return True
+    return not vec_sub(f, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +183,9 @@ class FrobeniusPair:
     so lam(e_i f_j) = delta_ij.
     """
 
-    __slots__ = ("algebra", "lam", "gram", "dual_right", "name")
+    __slots__ = ("algebra", "lam", "gram", "dual_right")
 
-    def __init__(self, algebra: CommAlgebra, lam, name=None):
+    def __init__(self, algebra: CommAlgebra, lam):
         f = algebra.field
         n = algebra.n
         lam = tuple(f.convert(c) for c in lam)
@@ -210,7 +206,6 @@ class FrobeniusPair:
         self.lam = lam
         self.gram = tuple(gram)
         self.dual_right = tuple(tuple(inv[q][j] for q in range(n)) for j in range(n))
-        self.name = name
         for i in range(n):
             for j in range(n):
                 v = self.lam_apply(algebra.mul_vec(algebra.basis_vec(i), {q: self.dual_right[j][q] for q in range(n) if not f.is_zero(self.dual_right[j][q])}))
@@ -384,19 +379,19 @@ def catalog(name: str, field: Field = QQ):
     if name == "split4":
         tab = [[({i: one} if i == j else {}) for j in range(4)] for i in range(4)]
         a = CommAlgebra(f, ("e1", "e2", "e3", "e4"), tab, unit=(one, one, one, one))
-        return FrobeniusPair(a, (one, one, one, one), name=name)
+        return FrobeniusPair(a, (one, one, one, one))
     if name == "dual-numbers-pair":
         a = _block_sum_algebra(f, (2, 1, 1), ("m", "t", "p", "q"))
-        return FrobeniusPair(a, (zero, one, one, one), name=name)
+        return FrobeniusPair(a, (zero, one, one, one))
     if name == "two-dual-numbers":
         a = _block_sum_algebra(f, (2, 2), ("m", "s", "n", "t"))
-        return FrobeniusPair(a, (zero, one, zero, one), name=name)
+        return FrobeniusPair(a, (zero, one, zero, one))
     if name == "t3-plus-k":
         a = _block_sum_algebra(f, (3, 1), ("m", "t", "t2", "p"))
-        return FrobeniusPair(a, (zero, zero, one, one), name=name)
+        return FrobeniusPair(a, (zero, zero, one, one))
     if name == "t4":
         a = _block_sum_algebra(f, (4,), ("1", "t", "t2", "t3"))
-        return FrobeniusPair(a, (zero, zero, zero, one), name=name)
+        return FrobeniusPair(a, (zero, zero, zero, one))
     if name == "bikwad":
         # k[s,t]/(s^2, t^2) on 1, s, t, st
         entries = {
@@ -413,7 +408,7 @@ def catalog(name: str, field: Field = QQ):
         }
         tab = _table_from_pairs(f, 4, entries)
         a = CommAlgebra(f, ("1", "s", "t", "st"), tab, unit=(one, zero, zero, zero))
-        return FrobeniusPair(a, (zero, zero, zero, one), name=name)
+        return FrobeniusPair(a, (zero, zero, zero, one))
     if name == "reject-jet2-plus-k":
         # k[s,t]/(s,t)^2 + k
         entries = {
@@ -560,7 +555,7 @@ def specialize_pair(p: FrobeniusPair, target: str, at=None) -> FrobeniusPair:
         lam = [v.eval(c) for v in p.lam]
     else:
         lam = [tf.convert(v) for v in p.lam]
-    return FrobeniusPair(a, lam, name=p.name)
+    return FrobeniusPair(a, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +602,14 @@ def block_presentation(fiber: CommAlgebra, roots) -> CommAlgebra:
         for r in range(m):
             basis.append(times_lin(f.post_reduce(ehat), a, r))
             names.append(f"x{bi}_{r}")
+    return _rebase(fiber, basis, names)
+
+
+def _rebase(alg: CommAlgebra, basis, names) -> CommAlgebra:
+    """alg rewritten on a new basis, given as vectors in its old one."""
+    f = alg.field
     n = len(basis)
-    prods = _in_basis(f, basis, [fiber.mul_vec(x, y) for x in basis for y in basis])
+    prods = _in_basis(f, basis, [alg.mul_vec(x, y) for x in basis for y in basis])
     tab = [[dict(enumerate(prods[i * n + j])) for j in range(n)] for i in range(n)]
     return CommAlgebra(f, tuple(names), tab)
 
@@ -634,10 +635,20 @@ def _fiber_matches_catalog(fam, at, target: str) -> bool:
 
     Direct basis match where the family already uses the catalog basis or
     the fiber stays local; block rewriting via idempotents for the
-    k[t]/(g) families whose fiber splits.
+    k[t]/(g) families whose fiber splits.  At u = c != 0, family 1
+    (t^2 = u s) is the chain k[t]/t^4 on the basis 1, t, c s, c s t, and
+    family 6c (t^2 = u t in its first block) splits on the idempotents
+    m - t/c, t/c, p, q.
     """
     want = catalog(target).algebra
     fiber = specialize_algebra(fam.algebra, "q", at)
+    if fam.roots is None and at:
+        f, c = fiber.field, fiber.field.convert(at)
+        if fam.n == 1:
+            basis = [{0: f.one}, {2: f.one}, {1: c}, {3: c}]
+        else:
+            basis = [{0: f.one, 1: f.neg(f.inv(c))}, {1: f.inv(c)}, {2: f.one}, {3: f.one}]
+        return _rebase(fiber, basis, want.names).equal_constants(want)
     if fam.roots is not None:
         roots = [a.eval(Fraction(at)) for a in fam.roots]
         if len(set(roots)) > 1:
@@ -654,9 +665,6 @@ def special_fiber_matches_catalog(n: int, char2: bool = False) -> bool:
 def generic_fiber_matches_catalog(n: int, at, char2: bool = False) -> bool:
     """Check a fiber at a generic parameter value equals its catalog target."""
     fam = deformation(n, char2)
-    if fam.roots is None:
-        # family 1 at u != 0 is the chain k[t]/t^4 after t |-> s + ...; compare dims only here
-        raise ValueError("family 1 generic fiber needs its own identification")
     return _fiber_matches_catalog(fam, at, fam.generic)
 
 

@@ -172,6 +172,16 @@ def test_generic_fibers_match_catalog(n, at):
     assert generic_fiber_matches_catalog(n, at)
 
 
+@pytest.mark.parametrize("at", [1, 2, Fraction(-1, 2)])
+def test_rebased_generic_fibers_match_catalog(at):
+    # families 1 and 6c are not k[t]/(g) presentations; their generic fibres
+    # are identified on an explicit basis
+    assert generic_fiber_matches_catalog(1, at)
+    assert not _fiber_matches_catalog(deformation(1), at, "bikwad")
+    assert generic_fiber_matches_catalog(6, at, char2=True)
+    assert not _fiber_matches_catalog(deformation(6, char2=True), at, "dual-numbers-pair")
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_fiber_matches_only_its_own_catalog_algebra(n):
     fam = deformation(n)
