@@ -5,6 +5,10 @@ Exit codes: 0 when every reported check passes, 1 when any check fails,
 ValueError, or a broken invariant) or an unreadable cache file.  Output is
 deterministic for a fixed command line, and running with or without a
 cache directory produces identical results.
+
+`verify` builds each catalog (pair, field) once, runs every selected suite
+that reads the build on it, and drops it before making the next one, so
+only the build in use is kept.
 """
 
 import argparse
@@ -48,41 +52,23 @@ def _expected_split(d):
 
 
 # ---------------------------------------------------------------------------
-# engine builds shared across suites
-
-
-class _Builds:
-    def __init__(self, cache_dir, plan):
-        self.cache_dir = cache_dir
-        self.plan = plan
-        self._memo = {}
-
-    def get(self, name, tag):
-        key = (name, tag)
-        if key not in self._memo:
-            pair = catalog(name, field_from_descriptor(tag))
-            self._memo[key] = build(pair, self.plan[tag], cache_dir=self.cache_dir)
-        return self._memo[key]
-
-
-# ---------------------------------------------------------------------------
-# verification suites; each yields records ending in a boolean "pass"
+# verification suites; each record ends in a boolean "pass"
 
 
 def _per_degree(suite, record):
-    """Suite runner: one record per catalog pair, field and degree up to the cap.
+    """Per-build hook: one record per degree up to the cap, for one catalog build.
 
     record(g, d) gives the record's fields after "degree", ending in "pass".
     """
 
-    def run(builds, fields, cap):
-        for name in CATALOG_NAMES:
-            for tag in fields:
-                g = builds.get(name, tag)
-                for d in range(cap[tag] + 1):
-                    yield {"suite": suite, "pair": name, "field": tag, "degree": d, **record(g, d)}
+    def rows(name, g, cap):
+        tag = g.field.tag
+        return [
+            {"suite": suite, "pair": name, "field": tag, "degree": d, **record(g, d)}
+            for d in range(cap + 1)
+        ]
 
-    return run
+    return rows
 
 
 def _rank_record(g, d):
@@ -111,20 +97,19 @@ def _resolution_record(g, d):
     return {"alternating_r": alt_r, "alternating_s": alt_s, "pass": alt_r == 0 and alt_s == 0}
 
 
-def _suite_sigma(builds, fields, cap):
-    for name in CATALOG_NAMES:
-        for tag in fields:
-            g = builds.get(name, tag)
-            yield {
-                "suite": "sigma",
-                "pair": name,
-                "field": tag,
-                "max_degree": cap[tag],
-                "pass": sigma_surjectivity_check(g, cap[tag]),
-            }
+def _sigma_rows(name, g, cap):
+    return [
+        {
+            "suite": "sigma",
+            "pair": name,
+            "field": g.field.tag,
+            "max_degree": cap,
+            "pass": sigma_surjectivity_check(g, cap),
+        }
+    ]
 
 
-def _suite_invariants(builds, fields, cap):
+def _invariant_checks(cap, cache_dir):
     yield {
         "suite": "invariants",
         "check": "relation",
@@ -135,18 +120,24 @@ def _suite_invariants(builds, fields, cap):
         "check": "no-lower-relation",
         "pass": splitcase.no_lower_relation_check(),
     }
-    g = builds.get("split4", "q")
-    inv = splitcase.invariant_dims(cap["q"])
-    for d in range(cap["q"] + 1):
+
+
+def _invariant_rows(name, g, cap):
+    inv = splitcase.invariant_dims(cap)
+    rows = []
+    for d in range(cap + 1):
         zc = center_degree(g, d).dim
-        yield {
-            "suite": "invariants",
-            "check": "dims-vs-center",
-            "degree": d,
-            "invariant_dim": inv[d],
-            "center_dim": zc,
-            "pass": inv[d] == zc,
-        }
+        rows.append(
+            {
+                "suite": "invariants",
+                "check": "dims-vs-center",
+                "degree": d,
+                "invariant_dim": inv[d],
+                "center_dim": zc,
+                "pass": inv[d] == zc,
+            }
+        )
+    return rows
 
 
 def _fibres(n, char2, D, cache_dir):
@@ -191,13 +182,13 @@ def _deformation_records(n, char2, cap, cache_dir):
         }
 
 
-def _suite_deformations(builds, fields, cap):
+def _suite_deformations(cap, cache_dir):
     for n in range(1, 7):
-        yield from _deformation_records(n, False, cap["qu"], builds.cache_dir)
-    yield from _deformation_records(6, True, cap["qu"], builds.cache_dir)
+        yield from _deformation_records(n, False, cap["qu"], cache_dir)
+    yield from _deformation_records(6, True, cap["qu"], cache_dir)
 
 
-def _suite_classification(builds, fields, cap):
+def _suite_classification(cap, cache_dir):
     for name in CATALOG_NAMES + REJECT_NAMES:
         expected = name in CATALOG_NAMES
         alg = catalog(name).algebra if expected else catalog(name)
@@ -214,8 +205,10 @@ def _suite_classification(builds, fields, cap):
 
 @dataclass(frozen=True)
 class _Suite:
-    run: Callable  # (builds, fields, cap) -> records; cap maps each field to its degree cap
     fields: tuple  # the fields whose records the suite checks
+    per_build: Optional[Callable] = None  # (pair name, build g, cap on g's field) -> records of g
+    run: Optional[Callable] = None  # (cap, cache_dir) -> records that use no catalog build, first
+    pairs: tuple = CATALOG_NAMES  # the catalog pairs that per_build checks
     cap: Optional[int] = None  # default degree cap; None if the suite reads no cap, builds nothing
     fp_cap: Optional[int] = None  # default degree cap over a prime field, where it differs
     build: Optional[Callable] = None  # degree cap -> build degree of the catalog pairs
@@ -230,21 +223,34 @@ class _Suite:
 
 SUITES = {
     "ranks": _Suite(
-        _per_degree("ranks", _rank_record), RANK_FIELDS, 12, build=lambda c: max(c, 1)
+        RANK_FIELDS, _per_degree("ranks", _rank_record), cap=12, build=lambda c: max(c, 1)
     ),
     "split": _Suite(
-        _per_degree("split", _split_record), RANK_FIELDS, 12, build=lambda c: max(c, 1)
+        RANK_FIELDS, _per_degree("split", _split_record), cap=12, build=lambda c: max(c, 1)
     ),
     "center": _Suite(
-        _per_degree("center", _center_record), CENTER_FIELDS, 12, 16, build=lambda c: c + 1
+        CENTER_FIELDS,
+        _per_degree("center", _center_record),
+        cap=12,
+        fp_cap=16,
+        build=lambda c: c + 1,
     ),
     "resolution": _Suite(
-        _per_degree("resolution", _resolution_record), ("q",), 16, build=lambda c: max(c, 1)
+        ("q",), _per_degree("resolution", _resolution_record), cap=16, build=lambda c: max(c, 1)
     ),
-    "sigma": _Suite(_suite_sigma, CENTER_FIELDS, 12, 16, build=lambda c: max(1, min(c, 7))),
-    "invariants": _Suite(_suite_invariants, ("q",), 12, build=lambda c: c + 1),
-    "deformations": _Suite(_suite_deformations, ("qu",), 8),
-    "classification": _Suite(_suite_classification, ("q",)),
+    "sigma": _Suite(
+        CENTER_FIELDS, _sigma_rows, cap=12, fp_cap=16, build=lambda c: max(1, min(c, 7))
+    ),
+    "invariants": _Suite(
+        ("q",),
+        _invariant_rows,
+        _invariant_checks,
+        pairs=("split4",),
+        cap=12,
+        build=lambda c: c + 1,
+    ),
+    "deformations": _Suite(("qu",), run=_suite_deformations, cap=8),
+    "classification": _Suite(("q",), run=_suite_classification),
 }
 
 
@@ -257,6 +263,41 @@ def _build_plan(suites, dmax):
             for tag in s.fields:
                 plan[tag] = max(plan.get(tag, 0), s.build(s.cap_for(tag, dmax)))
     return plan
+
+
+def _run_suites(suites, tag, dmax, cache_dir):
+    """Records of the selected suites: suite by suite in SUITES order, then pair, field, degree.
+
+    The catalog builds are made in one pass, pairs in CATALOG_NAMES order and
+    fields in the order the suites list them.  Each build is made once, read
+    by every suite that checks it, and dropped before the next one is made,
+    so only one catalog build is alive at a time.
+    """
+    plan = _build_plan(suites, dmax)
+    selected = []  # (suite name, suite, fields, cap per field) in SUITES order
+    for name, s in SUITES.items():
+        if name in suites:
+            fields = s.fields if tag is None else (tag,)
+            selected.append((name, s, fields, {t: s.cap_for(t, dmax) for t in fields}))
+    readers = [sel for sel in selected if sel[1].per_build is not None]
+    found = {}  # (suite name, pair, field) -> records
+    for pair in CATALOG_NAMES:
+        for t in dict.fromkeys(t for _, _, fields, _ in readers for t in fields):
+            users = [
+                (name, s, cap) for name, s, fields, cap in readers if t in fields and pair in s.pairs
+            ]
+            if users:
+                g = build(catalog(pair, field_from_descriptor(t)), plan[t], cache_dir=cache_dir)
+                for name, s, cap in users:
+                    found[name, pair, t] = s.per_build(pair, g, cap[t])
+                del g
+    rows = []
+    for name, s, fields, cap in selected:
+        if s.run is not None:
+            rows.extend(s.run(cap, cache_dir))
+        if s.per_build is not None:
+            rows.extend(r for pair in s.pairs for t in fields for r in found.pop((name, pair, t)))
+    return rows
 
 
 def _select_suites(suite_arg, tag):
@@ -382,13 +423,7 @@ def cmd_verify(args):
         if value is not None and all(SUITES[name].cap is None for name in suites):
             unread = f"{', '.join(suites)} reads no degree cap and builds nothing"
             raise InputError(f"{flag} applies to no selected suite: {unread}")
-    builds = _Builds(_cache_dir(args), _build_plan(suites, args.max_degree))
-    rows = []
-    for name, s in SUITES.items():
-        if name in suites:
-            fields = s.fields if tag is None else (tag,)
-            cap = {t: s.cap_for(t, args.max_degree) for t in fields}
-            rows.extend(s.run(builds, fields, cap))
+    rows = _run_suites(suites, tag, args.max_degree, _cache_dir(args))
     _emit(rows, args.format, "json")
     return _exit_code(rows)
 

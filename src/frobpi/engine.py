@@ -423,7 +423,10 @@ class GradedAlgebra:
 
         Degree 0 folds each element through the words; each later word
         extends its parent by one letter, so its row is the parent's row
-        times that letter's operator one degree up.
+        times that letter's operator one degree up.  The memo keeps the
+        last two degrees computed, which serves the ascending calls of the
+        centre; the recursion recomputes any other degree upward from the
+        nearest kept degree below it, or from degree 0.
         """
         ops = memo.get(d)
         if ops is not None:
@@ -441,6 +444,8 @@ class GradedAlgebra:
                     rows.append(vec_apply(f, prev[i], op) if prev[i] else {})
                 ops.append(rows)
         memo[d] = ops
+        if len(memo) > 2:
+            del memo[next(iter(memo))]  # the oldest degree computed
         return ops
 
     def left0(self, d: int):

@@ -1,15 +1,18 @@
 """Command line interface: exit codes, formats, determinism, caching."""
 
+import collections
 import dataclasses
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
-from frobpi import CATALOG_NAMES, algebra_to_json, catalog, cli, field_from_descriptor
+from frobpi import CATALOG_NAMES, algebra_to_json, catalog, cli, engine, field_from_descriptor
 from frobpi.cli import main
 from frobpi.fields import InvariantError
 
@@ -247,7 +250,7 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     def broken(g, d):
         raise InvariantError("planted")
 
-    ranks = dataclasses.replace(cli.SUITES["ranks"], run=cli._per_degree("ranks", broken))
+    ranks = dataclasses.replace(cli.SUITES["ranks"], per_build=cli._per_degree("ranks", broken))
     monkeypatch.setitem(cli.SUITES, "ranks", ranks)
     argv = ["verify", "--suite", "ranks", "--field", "q", "--max-degree", "1", "--no-cache"]
     code, out, err = run(capsys, argv)
@@ -260,7 +263,7 @@ def test_engine_value_error_exit_code(capsys, monkeypatch):
     def broken(g, d):
         raise ValueError("planted")
 
-    ranks = dataclasses.replace(cli.SUITES["ranks"], run=cli._per_degree("ranks", broken))
+    ranks = dataclasses.replace(cli.SUITES["ranks"], per_build=cli._per_degree("ranks", broken))
     monkeypatch.setitem(cli.SUITES, "ranks", ranks)
     argv = ["verify", "--suite", "ranks", "--field", "q", "--max-degree", "1", "--no-cache"]
     code, out, err = run(capsys, argv)
@@ -274,7 +277,7 @@ def test_degree_range_error_exit_code(capsys, monkeypatch):
     def past_build(g, d):
         return {"dim": g.dim(g.D + 1), "pass": True}
 
-    ranks = dataclasses.replace(cli.SUITES["ranks"], run=cli._per_degree("ranks", past_build))
+    ranks = dataclasses.replace(cli.SUITES["ranks"], per_build=cli._per_degree("ranks", past_build))
     monkeypatch.setitem(cli.SUITES, "ranks", ranks)
     argv = ["verify", "--suite", "ranks", "--field", "q", "--max-degree", "1", "--no-cache"]
     code, out, err = run(capsys, argv)
@@ -427,6 +430,58 @@ def test_verify_stdout_golden(capsys, argv, digest):
     code, out, _ = run(capsys, argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_verify_all_suites_stdout_golden(capsys):
+    # pins the order of all eight suites' records: suite, then pair, field, degree
+    code, out, _ = run(capsys, ["verify", "--max-degree", "6", "--no-cache"])
+    assert code == 1
+    digest = "9329138a2860df4f7388a7f5183d8a8cb92eb00c1feb6baf93b243e240c96fb7"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("cache", [False, True], ids=["no-cache", "cold-warm"])
+def test_verify_drops_each_build_before_the_next(capsys, tmp_path, monkeypatch, cache):
+    refs = []
+    alive = []  # per build made, how many earlier builds are still alive
+    start = engine.GradedAlgebra._start
+
+    def noted_start(g, pair, D):
+        gc.collect()
+        alive.append(sum(r() is not None for r in refs))
+        refs.append(weakref.ref(g))
+        start(g, pair, D)
+
+    monkeypatch.setattr(engine.GradedAlgebra, "_start", noted_start)
+    argv = ["verify", "--suite", "ranks,split,resolution,center,sigma,invariants", "--max-degree", "4"]
+    flags = [["--cache-dir", str(tmp_path)]] * 2 if cache else [["--no-cache"]]
+    for flag in flags:
+        refs.clear()
+        alive.clear()
+        assert run(capsys, argv + flag)[0] == 1
+        assert len(refs) == len(CATALOG_NAMES) * len(cli.RANK_FIELDS)
+        assert alive == [0] * len(refs)
+
+
+def test_verify_builds_each_pair_and_field_once(capsys, monkeypatch):
+    named = {}  # id of each pair cli.catalog made -> (pair, name); the pair stays alive
+    built = collections.Counter()
+    catalog_fn, build_fn = cli.catalog, cli.build
+
+    def noted_catalog(name, *args):
+        pair = catalog_fn(name, *args)
+        named[id(pair)] = pair, name
+        return pair
+
+    def counted_build(pair, D, cache_dir=None):
+        if id(pair) in named:
+            built[named[id(pair)][1], pair.field.tag] += 1
+        return build_fn(pair, D, cache_dir=cache_dir)
+
+    monkeypatch.setattr(cli, "catalog", noted_catalog)
+    monkeypatch.setattr(cli, "build", counted_build)
+    assert run(capsys, ["verify", "--max-degree", "4", "--no-cache"])[0] == 1
+    assert built == {(name, t): 1 for name in CATALOG_NAMES for t in cli.RANK_FIELDS}
 
 
 def test_cache_round_trip_same_output(capsys, tmp_path):

@@ -15,6 +15,7 @@ import pytest
 
 from frobpi import CATALOG_NAMES, build, catalog, engine
 from frobpi.cache import CacheValidationError, build_cached, cache_key
+from frobpi.center import center_dims
 from frobpi.engine import DegreeRangeError, GradedAlgebra, WordSyntaxError
 from frobpi.fields import field_from_descriptor
 from frobpi.frobenius import deformation, make_frobenius, specialize_pair
@@ -327,6 +328,25 @@ def test_element_expr_and_format(bikwad_q):
     g = bikwad_q
     x = g.element_from_expr("sef + efs - 2*fse")
     assert g.element_from_expr(g.format_element(x)) == x
+
+
+# ---------------------------------------------------------------------------
+# left multiplication
+
+
+@pytest.mark.parametrize("tag", ["q", "fp:3"])
+def test_left_rows_out_of_order_match_ascending(tag):
+    # the memo keeps two degrees; any other degree is recomputed, to the same rows
+    pair = catalog("t4", field_from_descriptor(tag))
+    fresh = build(pair, 10)
+    left0 = [fresh.left0(d) for d in range(10)]
+    left1 = [fresh.left1(d) for d in range(10)]
+    g = build(pair, 10)
+    center_dims(g, 9)
+    assert len(g._l0) == len(g._l1) == 2
+    for d in (9, 6, 6, 2, 0, 0, 7, 3, 9):
+        assert g.left0(d) == left0[d] and g.left1(d) == left1[d]
+        assert len(g._l0) <= 2 and len(g._l1) <= 2
 
 
 # ---------------------------------------------------------------------------
