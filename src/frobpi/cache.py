@@ -6,30 +6,38 @@ format version.  A file holds, per degree 1..D, what the build decided:
 the parent of each basis word and the E and FB reduction operators.  The
 words' first letters, sides, B and F follow from those and are derived by
 the engine on load.
+
+A file is one JSON header line, {format, key, field, degree, sha256}, then
+the body [parents, E, FB], serialised once.  An operator row is a flat list
+[k0, v0, k1, v1, ...]; a payload that is a Python int is written as a JSON
+int and read back through field.convert, any other payload is written
+through field.fmt and read back through field.parse.  sha256 is taken over
+the body bytes exactly as written and as read.
 Files are created exclusively (link-into-place) and never rewritten.  On
-load the header (format, key, field, degree) and a sha256 of the operator
-body are checked before any scalar is parsed; a file that does not parse
-or match raises CacheValidationError.
+load the header is checked, then the hash of the body bytes, before the
+body is parsed; a file that does not parse or match raises
+CacheValidationError.
 """
 
 import json
 import os
+from itertools import chain
 
 from .engine import GradedAlgebra
 from .fields import InputError
 from .frobenius import algebra_to_json
 
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 
 class CacheValidationError(RuntimeError):
     """A cache file does not parse, or does not match the key its name promises."""
 
 
-def _sha256(text: str) -> str:
+def _sha256(data: bytes) -> str:
     import hashlib  # loads OpenSSL, megabytes of resident memory; only cached builds need it
 
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return hashlib.sha256(data).hexdigest()
 
 
 def cache_key(pair, D: int) -> str:
@@ -41,57 +49,77 @@ def cache_key(pair, D: int) -> str:
             algebra_to_json(pair),
         ]
     )
-    return _sha256(payload)
+    return _sha256(payload.encode("utf-8"))
 
 
-def _body_hash(data: dict) -> str:
-    return _sha256(json.dumps([data["parent"], data["E"], data["FB"]]))
+def _flat(rows):
+    return [list(chain.from_iterable(row.items())) if row else [] for row in rows]
 
 
-def _enc_rows(field, rows):
-    return [[[k, field.fmt(v)] for k, v in sorted(row.items())] for row in rows]
-
-
-def _dec_rows(field, data):
-    return [{int(k): field.parse(v) for k, v in row} for row in data]
-
-
-def _encode(g: GradedAlgebra, key: str) -> dict:
+def _encode(g: GradedAlgebra, key: str) -> bytes:
     f = g.field
     degrees = range(1, g.D + 1)
-    data = {
-        "format": CACHE_FORMAT,
-        "key": key,
-        "field": f.tag,
-        "degree": g.D,
-        "parent": [[list(p) for p in g.parent[d]] for d in degrees],
-        "E": [_enc_rows(f, g.E[d]) for d in degrees],
-        "FB": [[_enc_rows(f, g.FB[d][j]) for j in range(g.n)] for d in degrees],
-    }
-    data["sha256"] = _body_hash(data)
-    return data
+    e = [_flat(g.E[d]) for d in degrees]
+    fb = [[_flat(op) for op in g.FB[d]] for d in degrees]
+    # default=f.fmt writes every payload that is not an int
+    body = json.dumps([g.parent[1:], e, fb], separators=(",", ":"), default=f.fmt).encode("ascii")
+    header = {"format": CACHE_FORMAT, "key": key, "field": f.tag, "degree": g.D}
+    header["sha256"] = _sha256(body)
+    return json.dumps(header).encode("ascii") + b"\n" + body
 
 
-def _decode(pair, D: int, data: dict, key: str) -> GradedAlgebra:
-    if data.get("format") != CACHE_FORMAT or data.get("key") != key:
+def _dec_rows(field, rows, ncols):
+    convert, parse, is_zero = field.convert, field.parse, field.is_zero
+    out = []
+    for flat in rows:
+        if type(flat) is not list:
+            raise CacheValidationError(f"operator row {flat!r} is not a list")
+        row = {}
+        out.append(row)
+        if not flat:  # most rows are empty
+            continue
+        it = iter(flat)
+        for k, v in zip(it, it, strict=True):
+            if type(k) is not int or not 0 <= k < ncols or k in row:
+                raise CacheValidationError(f"bad operator index {k!r}")
+            if type(v) is int:
+                x = convert(v)
+            elif type(v) is str:
+                x = parse(v)
+            else:
+                raise CacheValidationError(f"bad operator payload {v!r}")
+            if is_zero(x):
+                raise CacheValidationError(f"zero operator payload {v!r}")
+            row[k] = x
+    return out
+
+
+def _decode(pair, D: int, data: bytes, key: str) -> GradedAlgebra:
+    head, _, body = data.partition(b"\n")
+    header = json.loads(head)
+    if not isinstance(header, dict):
+        raise CacheValidationError("cache file header is not an object")
+    if header.get("format") != CACHE_FORMAT or header.get("key") != key:
         raise CacheValidationError("cache file key mismatch")
-    if data.get("field") != pair.field.tag or data.get("degree") != D:
+    if header.get("field") != pair.field.tag or header.get("degree") != D:
         raise CacheValidationError("cache file field/degree mismatch")
-    if data.get("sha256") != _body_hash(data):
+    if header.get("sha256") != _sha256(body):
         raise CacheValidationError("cache file operator hash mismatch")
+    parents, e, fb = json.loads(body)
     f = pair.field
     degrees = []
-    for parent, e, fb in zip(data["parent"], data["E"], data["FB"]):
+    for parent, e_rows, fb_rows in zip(parents, e, fb, strict=True):
         parent = [(i, kind, m) for i, kind, m in parent]
-        degrees.append((parent, _dec_rows(f, e), [_dec_rows(f, rows) for rows in fb]))
+        n = len(parent)
+        degrees.append((parent, _dec_rows(f, e_rows, n), [_dec_rows(f, rows, n) for rows in fb_rows]))
     return GradedAlgebra.from_operators(pair, D, degrees)
 
 
-def _write_exclusive(path: str, text: str):
+def _write_exclusive(path: str, data: bytes):
     """Atomic write-once: exclusive temp file, named uniquely per writer, linked into place."""
     tmp = f"{path}.tmp.{os.getpid()}.{os.urandom(8).hex()}"
-    with open(tmp, "x", encoding="utf-8") as fh:
-        fh.write(text)
+    with open(tmp, "xb") as fh:
+        fh.write(data)
     try:
         os.link(tmp, path)
     except FileExistsError:
@@ -110,13 +138,13 @@ def build_cached(pair, D: int, cache_dir: str) -> GradedAlgebra:
     path = os.path.join(cache_dir, f"{key}.json")
     if os.path.exists(path):
         try:
-            with open(path, encoding="utf-8") as fh:
-                return _decode(pair, D, json.load(fh), key)
+            with open(path, "rb") as fh:
+                return _decode(pair, D, fh.read(), key)
         except (
             CacheValidationError, OSError, ValueError, LookupError, TypeError, AttributeError,
             ArithmeticError,
         ) as e:
             raise CacheValidationError(f"cannot load cache file {path}: {e}") from e
     g = GradedAlgebra(pair, D)
-    _write_exclusive(path, json.dumps(_encode(g, key)))
+    _write_exclusive(path, _encode(g, key))
     return g

@@ -255,7 +255,10 @@ SUITES = {
 
 
 def _build_plan(suites, dmax):
-    """Build degree per field: the deepest that any selected suite needs."""
+    """Build degree per field: the deepest that any of the given suites needs.
+
+    verify plans each catalog pair with the suites that check that pair.
+    """
     plan = {}
     for name in suites:
         s = SUITES[name]
@@ -273,7 +276,6 @@ def _run_suites(suites, tag, dmax, cache_dir):
     by every suite that checks it, and dropped before the next one is made,
     so only one catalog build is alive at a time.
     """
-    plan = _build_plan(suites, dmax)
     selected = []  # (suite name, suite, fields, cap per field) in SUITES order
     for name, s in SUITES.items():
         if name in suites:
@@ -282,6 +284,7 @@ def _run_suites(suites, tag, dmax, cache_dir):
     readers = [sel for sel in selected if sel[1].per_build is not None]
     found = {}  # (suite name, pair, field) -> records
     for pair in CATALOG_NAMES:
+        plan = _build_plan([name for name in suites if pair in SUITES[name].pairs], dmax)
         for t in dict.fromkeys(t for _, _, fields, _ in readers for t in fields):
             users = [
                 (name, s, cap) for name, s, fields, cap in readers if t in fields and pair in s.pairs

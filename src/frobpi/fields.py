@@ -488,10 +488,10 @@ class RationalField(Field):
     one = 1
 
     def convert(self, c):
+        if isinstance(c, int):  # before Fraction, whose isinstance check goes through the ABC machinery
+            return c
         if isinstance(c, Fraction):
             return c.numerator if c.denominator == 1 else c
-        if isinstance(c, int):
-            return c
         raise FieldMismatchError(f"cannot interpret {c!r} as a rational")
 
     def add(self, a, b):

@@ -23,7 +23,22 @@ from .fields import Field, InvariantError
 
 
 def vec_apply(field: Field, vec: dict, rows) -> dict:
-    """Row vector times matrix: sum of vec[i] * rows[i]."""
+    """Row vector times matrix: sum of vec[i] * rows[i], as a new dict.
+
+    Every row must already be reduced (field.post_reduce(row) == row), as
+    every stored operator row is: an empty vector then gives {}, and a
+    single entry 1 * rows[i] gives a copy of the row with no arithmetic.
+    """
+    if len(vec) <= 1:
+        if not vec:
+            return {}
+        ((i, c),) = vec.items()
+        row = rows[i]
+        if not row:
+            return {}
+        if c == field.one:
+            return dict(row)
+        return field.post_reduce({j: c * v for j, v in row.items()})
     out = {}
     for i, c in vec.items():
         row = rows[i]

@@ -13,6 +13,7 @@ import weakref
 import pytest
 
 from frobpi import CATALOG_NAMES, algebra_to_json, catalog, cli, engine, field_from_descriptor
+from frobpi.cache import cache_key
 from frobpi.cli import main
 from frobpi.fields import InvariantError
 
@@ -290,26 +291,69 @@ def _truncate(path):
     path.write_text(text[: len(text) // 2])
 
 
+def _read_cache(path):
+    """A format-3 cache file: its header line and its body, both parsed."""
+    head, body = path.read_text().split("\n", 1)
+    return json.loads(head), json.loads(body)
+
+
+def _write_cache(path, header, body, rehash=False):
+    text = json.dumps(body)
+    if rehash:
+        header = {**header, "sha256": hashlib.sha256(text.encode()).hexdigest()}
+    path.write_text(json.dumps(header) + "\n" + text)
+
+
+def _first_e_row(body):
+    # body is [parents, E, FB]; E[1] holds the degree-2 rows, flat [k0, v0, k1, v1, ...]
+    return next(r for r in body[1][1] if r)
+
+
 def _edit_key(path):
-    doc = json.loads(path.read_text())
-    doc["key"] = "0" * 64
-    path.write_text(json.dumps(doc))
+    header, body = _read_cache(path)
+    header["key"] = "0" * 64
+    _write_cache(path, header, body)
 
 
 def _bad_scalar(path):
-    doc = json.loads(path.read_text())
-    row = next(r for r in doc["E"][1] if r)
-    row[0][1] = "oops"
-    path.write_text(json.dumps(doc))
+    header, body = _read_cache(path)
+    _first_e_row(body)[1] = "oops"
+    _write_cache(path, header, body)
 
 
 def _edit_operator(path):
     # well-formed, so only the payload hash can tell
-    doc = json.loads(path.read_text())
-    row = next(r for r in doc["E"][1] if r)
-    assert row[0][1] != "7"
-    row[0][1] = "7"
-    path.write_text(json.dumps(doc))
+    header, body = _read_cache(path)
+    row = _first_e_row(body)
+    assert row[1] != 7
+    row[1] = 7
+    _write_cache(path, header, body)
+
+
+def _true_payload(path):
+    # the hash matches, so the payload itself must be refused, not read as 1
+    header, body = _read_cache(path)
+    _first_e_row(body)[1] = True
+    _write_cache(path, header, body, rehash=True)
+
+
+def _float_payload(path):
+    header, body = _read_cache(path)
+    _first_e_row(body)[1] = 1.5
+    _write_cache(path, header, body, rehash=True)
+
+
+def _column_out_of_range(path):
+    header, body = _read_cache(path)
+    _first_e_row(body)[0] = 999
+    _write_cache(path, header, body, rehash=True)
+
+
+def _zero_payload(path):
+    # a stored zero would leave a row unreduced
+    header, body = _read_cache(path)
+    _first_e_row(body)[1] = 0
+    _write_cache(path, header, body, rehash=True)
 
 
 def _not_an_object(path):
@@ -322,7 +366,19 @@ def _directory(path):
 
 
 @pytest.mark.parametrize(
-    "spoil", [_truncate, _edit_key, _bad_scalar, _directory, _edit_operator, _not_an_object]
+    "spoil",
+    [
+        _truncate,
+        _edit_key,
+        _bad_scalar,
+        _directory,
+        _edit_operator,
+        _not_an_object,
+        _true_payload,
+        _float_payload,
+        _zero_payload,
+        _column_out_of_range,
+    ],
 )
 def test_unreadable_cache_file(capsys, tmp_path, spoil):
     # a cache file that does not load is neither bad input nor a failed check
@@ -376,6 +432,22 @@ def test_verify_at_degree_cap_0(capsys, suite, count):
 def test_sigma_build_plan_stops_at_degree_7(cap):
     # degree 7 settles every cap past 6, and a cap below 7 needs no more than itself
     assert cli._build_plan(["sigma"], cap) == {t: max(1, min(cap, 7)) for t in cli.CENTER_FIELDS}
+
+
+def test_build_degree_planned_per_pair(capsys, tmp_path):
+    # invariants reads only split4, so only split4 is built one degree past the cap
+    argv = ["verify", "--suite", "ranks,invariants", "--field", "q", "--max-degree", "10"]
+    code, out, _ = run(capsys, argv + ["--cache-dir", str(tmp_path)])
+    assert (code, out) == run(capsys, argv + ["--no-cache"])[:2]
+    degrees = {}
+    for path in tmp_path.iterdir():
+        header = json.loads(path.read_text().split("\n", 1)[0])
+        degrees[path.name] = header["degree"]
+    want = {}
+    for name in CATALOG_NAMES:
+        D = 11 if name == "split4" else 10
+        want[f"{cache_key(catalog(name), D)}.json"] = D
+    assert degrees == want
 
 
 def test_sigma_suite_passes(capsys):

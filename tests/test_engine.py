@@ -349,6 +349,30 @@ def test_left_rows_out_of_order_match_ascending(tag):
         assert len(g._l0) <= 2 and len(g._l1) <= 2
 
 
+def _check_rows_reduced(g, D):
+    """Every stored operator row is already reduced, as vec_apply's shortcuts assume."""
+    f = g.field
+    ops = []
+    for d in range(D + 1):
+        if d:
+            ops += [g.E[d], g.F[d], *g.FB[d]]
+        ops += [*g.B[d], *g.left0(d)]
+        if d < g.D:
+            ops += g.left1(d)
+    for rows in ops:
+        for row in rows:
+            assert f.post_reduce(row) == row, (f.tag, row)
+
+
+def test_operator_rows_are_reduced(q_engines, fp_engines):
+    for name in CATALOG_NAMES:
+        _check_rows_reduced(q_engines[name], 12)
+        _check_rows_reduced(fp_engines[name, 2], 12)
+        _check_rows_reduced(fp_engines[name, 5], 12)
+    fam = deformation(4)
+    _check_rows_reduced(GradedAlgebra(make_frobenius(fam.algebra, list(fam.lam)), 5), 5)
+
+
 # ---------------------------------------------------------------------------
 # cache behavior
 
@@ -385,8 +409,10 @@ def _check_round_trip(cache_dir, pair, D):
             assert direct.multiply(x, y).vec == c2.multiply(px, py).vec
     # the file holds only what the build decided; the rest is derived on load
     (path,) = cache_dir.iterdir()
-    doc = json.loads(path.read_text())
-    assert set(doc) == {"format", "key", "field", "degree", "sha256", "parent", "E", "FB"}
+    head, body = path.read_text().split("\n", 1)
+    assert set(json.loads(head)) == {"format", "key", "field", "degree", "sha256"}
+    parents, e, fb = json.loads(body)
+    assert len(parents) == len(e) == len(fb) == D
 
 
 def test_cache_write_once(tmp_path):
@@ -415,9 +441,10 @@ def test_cache_tamper_detected(tmp_path):
     build_cached(pair, 4, str(tmp_path))
     key = cache_key(pair, 4)
     path = tmp_path / f"{key}.json"
-    doc = json.loads(path.read_text())
-    doc["key"] = "0" * 64
-    path.write_text(json.dumps(doc))
+    head, body = path.read_text().split("\n", 1)
+    header = json.loads(head)
+    header["key"] = "0" * 64
+    path.write_text(json.dumps(header) + "\n" + body)
     with pytest.raises(CacheValidationError):
         build_cached(pair, 4, str(tmp_path))
 

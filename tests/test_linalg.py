@@ -48,6 +48,58 @@ def test_vec_helpers():
     }
 
 
+def _apply_by_loop(field, vec, rows):
+    """vec_apply's reference: accumulate every product, then reduce once."""
+    out = {}
+    for i, c in vec.items():
+        for j, v in rows[i].items():
+            out[j] = out[j] + c * v if j in out else c * v
+    return field.post_reduce(out)
+
+
+def _random_scalar(rng, field):
+    """A nonzero scalar; over Q(u) a ratio of linear polynomials in u."""
+    while True:
+        if field is QU:
+            u = RatF.gen()
+            a, b = rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            num = QU.convert(a) * u + QU.convert(b)
+            x = num / (u + QU.convert(rng.randint(1, 3))) if rng.random() < 0.5 else num
+        elif field is QQ:
+            x = field.convert(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        else:
+            x = field.convert(rng.randint(-5, 5))
+        if not field.is_zero(x):
+            return x
+
+
+@pytest.mark.parametrize("field", [QQ, FP(2), FP(5), QU], ids=["q", "fp2", "fp5", "qu"])
+def test_vec_apply_matches_loop_then_reduce(field):
+    # the empty and single-entry shortcuts agree with the general product and
+    # never hand out the operator's own row
+    rng = random.Random(19)
+    for _ in range(30):
+        ncols = rng.randint(1, 6)
+        rows = [
+            {j: _random_scalar(rng, field) for j in range(ncols) if rng.random() < 0.5}
+            for _ in range(rng.randint(1, 5))
+        ]
+        snapshot = [dict(r) for r in rows]
+        i = rng.randrange(len(rows))
+        c = _random_scalar(rng, field)
+        vecs = [{}, {i: field.one}, {i: c}]
+        if len(rows) > 1:
+            keys = rng.sample(range(len(rows)), rng.randint(2, len(rows)))
+            vecs.append({k: _random_scalar(rng, field) for k in keys})
+        for vec in vecs:
+            got = vec_apply(field, vec, rows)
+            assert got == _apply_by_loop(field, vec, rows)
+            assert all(got is not r for r in rows)
+            got[ncols] = field.one
+            got.pop(0, None)
+            assert rows == snapshot
+
+
 def test_rref_canonical_given_row_order_shuffle():
     # the reduced form is a basis invariant: shuffling input rows cannot move it
     rng = random.Random(7)
