@@ -33,12 +33,8 @@ def vec_apply(field: Field, vec: dict, rows) -> dict:
         if not vec:
             return {}
         ((i, c),) = vec.items()
-        row = rows[i]
-        if not row:
-            return {}
         if c == field.one:
-            return dict(row)
-        return field.post_reduce({j: c * v for j, v in row.items()})
+            return dict(rows[i])
     out = {}
     for i, c in vec.items():
         row = rows[i]
