@@ -13,7 +13,8 @@ the body [parents, E, FB], serialised once.  An operator row is a flat list
 int and read back through field.convert, any other payload is written
 through field.fmt and read back through field.parse.  sha256 is taken over
 the body bytes exactly as written and as read.
-Files are created exclusively (link-into-place) and never rewritten.  On
+Files are created exclusively (link-into-place) and never rewritten; a file
+that cannot be written raises InputError.  On
 load the header is checked, then the hash of the body bytes, before the
 body is parsed; a file that does not parse or match raises
 CacheValidationError.
@@ -118,9 +119,10 @@ def _decode(pair, D: int, data: bytes, key: str) -> GradedAlgebra:
 def _write_exclusive(path: str, data: bytes):
     """Atomic write-once: exclusive temp file, named uniquely per writer, linked into place."""
     tmp = f"{path}.tmp.{os.getpid()}.{os.urandom(8).hex()}"
-    with open(tmp, "xb") as fh:
-        fh.write(data)
+    fh = open(tmp, "xb")
     try:
+        with fh:
+            fh.write(data)
         os.link(tmp, path)
     except FileExistsError:
         pass
@@ -142,9 +144,12 @@ def build_cached(pair, D: int, cache_dir: str) -> GradedAlgebra:
                 return _decode(pair, D, fh.read(), key)
         except (
             CacheValidationError, OSError, ValueError, LookupError, TypeError, AttributeError,
-            ArithmeticError,
+            ArithmeticError, RecursionError,
         ) as e:
             raise CacheValidationError(f"cannot load cache file {path}: {e}") from e
     g = GradedAlgebra(pair, D)
-    _write_exclusive(path, _encode(g, key))
+    try:
+        _write_exclusive(path, _encode(g, key))
+    except OSError as e:
+        raise InputError(f"cannot write cache file {path}: {e}") from e
     return g

@@ -390,7 +390,7 @@ def _resolve_pair(args):
             raise InputError(f"cannot read {args.algebra}: {e}") from e
         try:
             alg, lam = algebra_from_json(text)
-        except (ValueError, KeyError) as e:
+        except (ValueError, KeyError, RecursionError) as e:
             raise InputError(f"bad algebra file: {e}") from e
         try:
             if lam is None:
@@ -491,13 +491,9 @@ def cmd_quiver(args):
     if n != 4:
         if args.cache_dir is not None or args.no_cache:
             raise InputError("--cache-dir and --no-cache apply only to --arrows 4")
-        mats, totals = splitcase.quiver_hilbert(n, cap)
+        col0, totals = splitcase.quiver_hilbert(n, cap)
         rows = [
-            {
-                "degree": d,
-                "quiver_total": totals[d],
-                "column0_sum": splitcase._column0(mats[d]),
-            }
+            {"degree": d, "quiver_total": totals[d], "column0_sum": col0[d]}
             for d in range(cap + 1)
         ]
         _emit(rows, args.format, "md")

@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fields import Field, InvariantError
 
@@ -225,39 +224,3 @@ def left_kernel(field: Field, rows, ncols: int, basis: Subspace | None = None) -
         tuple(c - ncols for c in piv[k:]),
         tuple({j - ncols: x for j, x in r.items()} for r in red[k:]),
     )
-
-
-# ---------------------------------------------------------------------------
-# truncated matrix power series
-
-
-def series_inverse(c, D: int):
-    """Coefficients of (I - t*C + t^2*I)^(-1) up to degree D, exactly over Q.
-
-    The recurrence W_0 = I, W_1 = C, W_d = C W_{d-1} - W_{d-2} is the
-    inversion of that quadratic matrix polynomial.  Returns the matrices
-    W_0..W_D, each a tuple of row tuples.
-    """
-    dense = [[Fraction(v) for v in row] for row in c]
-    n = len(dense)
-    if any(len(r) != n for r in dense):
-        raise ValueError("series_inverse needs a square matrix")
-
-    def matmul(a, b):
-        return [
-            [sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
-            for i in range(n)
-        ]
-
-    ident = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    mats = [ident]
-    if D >= 1:
-        mats.append([row[:] for row in dense])
-    for d in range(2, D + 1):
-        w = matmul(dense, mats[d - 1])
-        prev = mats[d - 2]
-        for i in range(n):
-            for j in range(n):
-                w[i][j] -= prev[i][j]
-        mats.append(w)
-    return tuple(tuple(tuple(r) for r in m) for m in mats)

@@ -3,94 +3,51 @@
 When S is a product of four copies of the ground field, the graded algebra
 is the preprojective algebra of the star quiver with one central vertex and
 four arms.  Its Hilbert data can therefore be recomputed two ways that never
-touch the engine: inverting 1 - tC + t^2 for the doubled-quiver adjacency
-matrix C, and counting symmetrized monomials x^m y^n invariant under the
-binary dihedral group of order 8 acting on the plane.  The quiver totals
-must match the engine dimensions, the column-0 sums must match the 1_R
-ranks, and the invariant counts must match the center ranks.
+touch the engine: the series 1/(1 - tC + t^2) for the doubled-quiver
+adjacency matrix C, and counting symmetrized monomials x^m y^n invariant
+under the binary dihedral group of order 8 acting on the plane.  The
+quiver totals must match the engine dimensions, the column-0 sums must
+match the 1_R ranks, and the invariant counts must match the center ranks.
 
 Invariance is decided by two coefficient conditions kept inside Q (no
 fourth root of unity is ever constructed): the rotation eigenvalue forces
 m + 3n = 0 mod 4, and the swap forces c_{n,m} = (-1)^m c_{m,n}.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
-
-from .fields import QQ, InvariantError, MultiPoly
-from .linalg import series_inverse
+from .fields import QQ, MultiPoly
 from .center import center_degree
 
 
-@dataclass(frozen=True)
-class StarQuiver:
-    """Doubled star with central vertex 0 and n outer vertices."""
-
-    n: int
-    adjacency: tuple
-
-    def __post_init__(self):
-        n, c = self.n, self.adjacency
-        if n < 1:
-            raise ValueError("star quiver needs at least one arrow")
-        if len(c) != n + 1 or any(len(r) != n + 1 for r in c):
-            raise ValueError("adjacency must be (n+1) x (n+1)")
-        for i in range(n + 1):
-            for j in range(n + 1):
-                if c[i][j] != c[j][i]:
-                    raise ValueError("adjacency must be symmetric")
-        if any(c[0][j] != 1 for j in range(1, n + 1)) or c[0][0] != 0:
-            raise ValueError("central row must be all ones off-diagonal")
-        for i in range(1, n + 1):
-            if c[i][0] != 1 or any(c[i][j] != 0 for j in range(1, n + 1)):
-                raise ValueError("outer rows connect to the center only")
-
-
-def star_adjacency(n: int) -> StarQuiver:
-    rows = [tuple(0 if j == 0 else 1 for j in range(n + 1))]
-    for i in range(1, n + 1):
-        rows.append(tuple(1 if j == 0 else 0 for j in range(n + 1)))
-    return StarQuiver(n, tuple(rows))
-
-
-def _int(x):
-    if x.denominator != 1:
-        raise InvariantError(f"quiver series coefficient {x} is not an integer")
-    return int(x)
-
-
 def quiver_hilbert(n: int, D: int):
-    """Coefficient matrices of 1/(1 - tC + t^2) and their entry totals.
+    """Column-0 sums and entry totals of the coefficients of 1/(1 - tC + t^2).
 
-    Returns (mats, totals) where mats[d] is the degree-d coefficient,
-    an (n+1) x (n+1) matrix of Fractions with integer values, and
-    totals[d] is the sum of all its entries: the dimension of the
-    degree-d component of the star preprojective algebra.
+    C is the adjacency matrix of the doubled star: vertex 0 joined to each
+    of the outer vertices 1..n.  The coefficients W_0 = I, W_1 = C,
+    W_d = C W_{d-1} - W_{d-2} are polynomials in C, so each is symmetric and
+    fixed by every permutation of the outer vertices.  W_d then has four
+    distinct entries: a at (0, 0), b at (0, i) and (i, 0), c at (i, i),
+    and e at (i, j) for outer i != j; the recurrence runs on those four.
+
+    Returns (column0_sums, totals) for degrees 0..D.  For n >= 4 the star
+    is not Dynkin, totals[d] is the dimension of the degree-d component of
+    the star preprojective algebra, and column0_sums[d] that of its paths
+    ending at the central vertex.  For n = 1, 2, 3 the star is the Dynkin
+    diagram A_2, A_3 or D_4, the preprojective algebra is finite-dimensional,
+    the series is not its Hilbert series, and coefficients can be negative.
     """
-    quiver = star_adjacency(n)
-    mats = series_inverse([list(r) for r in quiver.adjacency], D)
-    totals = [_int(sum(sum(row, Fraction(0)) for row in m)) for m in mats]
-    return mats, totals
-
-
-def _column0(mat):
-    return _int(sum((row[0] for row in mat), Fraction(0)))
+    col0, totals = [], []
+    prev, cur = (0, 0, 0, 0), (1, 0, 1, 0)
+    for _ in range(D + 1):
+        a, b, c, e = cur
+        col0.append(a + n * b)
+        totals.append(a + 2 * n * b + n * c + n * (n - 1) * e)
+        pa, pb, pc, pe = prev
+        prev, cur = cur, (n * b - pa, c + (n - 1) * e - pb, b - pc, b - pe)
+    return col0, totals
 
 
 # ---------------------------------------------------------------------------
 # invariants of the plane under the order-8 binary dihedral group
-
-
-@dataclass(frozen=True)
-class InvariantSlice:
-    """Basis of degree-d invariants as symmetrized exponent pairs (m, n).
-
-    A pair with m > n stands for x^m y^n + (-1)^m x^n y^m; a diagonal
-    pair (m, m) stands for the single monomial x^m y^m.
-    """
-
-    degree: int
-    pairs: tuple
 
 
 def _pair_survives(m: int, n: int) -> bool:
@@ -103,23 +60,28 @@ def _pair_survives(m: int, n: int) -> bool:
     return True
 
 
-def invariant_slice(d: int) -> InvariantSlice:
+def invariant_slice(d: int) -> tuple:
+    """Basis of degree-d invariants as symmetrized exponent pairs (m, n).
+
+    A pair with m > n stands for x^m y^n + (-1)^m x^n y^m; a diagonal
+    pair (m, m) stands for the single monomial x^m y^m.
+    """
     pairs = []
     m = d
     while 2 * m >= d:
         if _pair_survives(m, d - m):
             pairs.append((m, d - m))
         m -= 1
-    return InvariantSlice(d, tuple(pairs))
+    return tuple(pairs)
 
 
 def invariant_dims(D: int) -> list:
     """Invariant-ring dimensions in degrees 0..D."""
-    return [len(invariant_slice(d).pairs) for d in range(D + 1)]
+    return [len(invariant_slice(d)) for d in range(D + 1)]
 
 
 def _mono(m, n, c=1):
-    return MultiPoly(QQ, 2, {(m, n): Fraction(c)})
+    return MultiPoly(QQ, 2, {(m, n): c})
 
 
 def invariant_generators():
@@ -133,7 +95,7 @@ def invariant_generators():
 def invariant_relation_check() -> bool:
     """C^2 - B(A^2 - 4B^2) = 0 as a literal polynomial identity."""
     a, b, c = invariant_generators()
-    return (c * c - b * (a * a - (b * b).scale(Fraction(4)))).is_zero()
+    return (c * c - b * (a * a - (b * b).scale(4))).is_zero()
 
 
 def monomial_count(d: int) -> int:

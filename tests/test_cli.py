@@ -2,8 +2,10 @@
 
 import collections
 import dataclasses
+import errno
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -175,6 +177,18 @@ def _huge_qu_exponent(doc):
     return doc
 
 
+def _deep_qu_lambda(doc):
+    # the scalar parser recurses once per parenthesis
+    doc["field"] = "qu"
+    doc["lambda"][0] = "(" * 3000 + "u" + ")" * 3000
+    return doc
+
+
+def _deeply_nested_text(doc):
+    # json.loads recurses once per bracket; json.dumps cannot build this, so it is text
+    return "[" * 100_000
+
+
 def _not_an_object(doc):
     return [1, 2]
 
@@ -202,6 +216,8 @@ def _scalar_is_a_number(doc):
         _zero_residue_denominator,
         _zero_qu_denominator,
         _huge_qu_exponent,
+        _deep_qu_lambda,
+        _deeply_nested_text,
         _not_an_object,
         _basis_is_a_number,
         _constants_is_a_number,
@@ -212,7 +228,7 @@ def test_bad_algebra_file_is_usage_error(capsys, tmp_path, spoil):
     # bad input, not a failed check: each used to end in a traceback and exit 1
     doc = spoil(json.loads(algebra_to_json(catalog("t4"))))
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     argv = ["dims", "--algebra", str(path), "--max-degree", "2", "--no-cache"]
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
@@ -360,6 +376,18 @@ def _not_an_object(path):
     path.write_text("[]")
 
 
+def _deep_header(path):
+    # written as text: json.dumps cannot build 100,000 nested lists
+    path.write_text("[" * 100_000 + "\n" + path.read_text().split("\n", 1)[1])
+
+
+def _deep_body(path):
+    header, _ = _read_cache(path)
+    body = "[" * 100_000
+    header["sha256"] = hashlib.sha256(body.encode()).hexdigest()
+    path.write_text(json.dumps(header) + "\n" + body)
+
+
 def _directory(path):
     path.unlink()
     path.mkdir()
@@ -378,6 +406,8 @@ def _directory(path):
         _float_payload,
         _zero_payload,
         _column_out_of_range,
+        _deep_header,
+        _deep_body,
     ],
 )
 def test_unreadable_cache_file(capsys, tmp_path, spoil):
@@ -398,6 +428,31 @@ def test_uncreatable_cache_dir(capsys, tmp_path):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith(f"frobpi: cannot create cache directory {sub}: ")
+
+
+def _no_space(*args):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class _FullDisk(io.FileIO):
+    write = _no_space
+
+
+@pytest.mark.parametrize("fail_at", ["write", "link"])
+def test_unwritable_cache_file(capsys, tmp_path, monkeypatch, fail_at):
+    # a full disk is an invalid invocation, as an uncreatable directory is, and
+    # leaves no temporary file behind
+    if fail_at == "link":
+        monkeypatch.setattr("os.link", _no_space)
+    else:
+        monkeypatch.setattr("frobpi.cache.open", _FullDisk, raising=False)
+    argv = ["dims", "--pair", "t4", "--max-degree", "2", "--cache-dir", str(tmp_path)]
+    code, out, err = run(capsys, argv)
+    monkeypatch.undo()
+    assert code == 2 and out == ""
+    assert err.startswith(f"frobpi: cannot write cache file {tmp_path}")
+    assert os.strerror(errno.ENOSPC) in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_per_degree_record_keys(capsys):

@@ -1,4 +1,4 @@
-"""Sparse exact row reduction, kernels, subspaces, series inversion."""
+"""Sparse exact row reduction, kernels, subspaces."""
 
 import random
 from fractions import Fraction
@@ -12,7 +12,6 @@ from frobpi.linalg import (
     left_kernel,
     _rref_generic,
     rref_rows,
-    series_inverse,
     vec_add,
     vec_apply,
     vec_sub,
@@ -367,30 +366,3 @@ def test_left_kernel_annihilates():
     for i, c in v.items():
         comb = vec_add(f, comb, rows[i], c)
     assert comb == {}
-
-
-def test_series_inverse_is_inverse():
-    # (I - tC + t^2 I) * W(t) = I through the truncation order
-    c = [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
-    D = 9
-    w = series_inverse(c, D)
-    assert len(w) == D + 1
-    n = 3
-    ident = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    cm = [[Fraction(v) for v in row] for row in c]
-
-    def matmul(a, b):
-        return [
-            [sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
-            for i in range(n)
-        ]
-
-    for d in range(D + 1):
-        acc = [list(row) for row in w[d]]
-        if d >= 1:
-            cw = matmul(cm, [list(r) for r in w[d - 1]])
-            acc = [[acc[i][j] - cw[i][j] for j in range(n)] for i in range(n)]
-        if d >= 2:
-            prev = w[d - 2]
-            acc = [[acc[i][j] + prev[i][j] for j in range(n)] for i in range(n)]
-        assert acc == (ident if d == 0 else [[Fraction(0)] * n for _ in range(n)])

@@ -1,13 +1,13 @@
 """Star quiver Hilbert series, binary-tetrahedral invariants, cross-checks."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from frobpi import splitcase
-from frobpi.fields import QQ, InvariantError, MultiPoly
+from frobpi.cli import main
+from frobpi.fields import QQ, MultiPoly
 from frobpi.splitcase import (
-    StarQuiver,
     invariant_dims,
     invariant_generators,
     invariant_relation_check,
@@ -16,24 +16,25 @@ from frobpi.splitcase import (
     no_lower_relation_check,
     quiver_hilbert,
     split_table,
-    star_adjacency,
 )
 
 
-def test_star_quiver_shape():
-    q = star_adjacency(4)
-    assert q.n == 4
-    assert q.adjacency[0] == (0, 1, 1, 1, 1)
-    for i in range(1, 5):
-        row = q.adjacency[i]
-        assert row[0] == 1 and sum(row) == 1
+def star_series(n, D):
+    """Dense oracle: W_0..W_D of 1/(1 - tC + t^2) for the explicit n-arm star."""
+    size = n + 1
+    c = [[int((i == 0) != (j == 0)) for j in range(size)] for i in range(size)]
+    ident = [[int(i == j) for j in range(size)] for i in range(size)]
+    prev, cur = [[0] * size for _ in range(size)], ident
+    mats = []
+    for _ in range(D + 1):
+        mats.append(cur)
+        cw = matmul(c, cur)
+        prev, cur = cur, [[cw[i][j] - prev[i][j] for j in range(size)] for i in range(size)]
+    return c, mats
 
 
-def test_star_quiver_validation():
-    with pytest.raises(ValueError):
-        StarQuiver(2, ((0, 1, 1), (1, 0, 0), (0, 0, 0)))  # not symmetric
-    with pytest.raises(ValueError):
-        StarQuiver(2, ((0, 1, 0), (1, 0, 0), (0, 0, 0)))  # center misses a leaf
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def closed_form_totals(D):
@@ -50,34 +51,52 @@ def closed_form_totals(D):
 
 
 def test_quiver_totals_match_series():
-    mats, totals = quiver_hilbert(4, 24)
+    _, totals = quiver_hilbert(4, 24)
     assert totals == closed_form_totals(24)
 
 
-def test_non_integer_series_coefficient_raises():
-    # an explicit check, so it still holds under python -O
-    with pytest.raises(InvariantError):
-        splitcase._int(Fraction(1, 2))
-    assert splitcase._int(Fraction(6, 2)) == 3
+@pytest.mark.parametrize("n", range(1, 9))
+def test_orbit_recurrence_matches_dense_series(n):
+    D = 30
+    c, w = star_series(n, D)
+    size = n + 1
+    # (I - tC + t^2) W(t) = I through order D
+    for d in range(D + 1):
+        acc = [row[:] for row in w[d]]
+        if d >= 1:
+            cw = matmul(c, w[d - 1])
+            acc = [[acc[i][j] - cw[i][j] for j in range(size)] for i in range(size)]
+        if d >= 2:
+            acc = [[acc[i][j] + w[d - 2][i][j] for j in range(size)] for i in range(size)]
+        assert acc == [[int(d == 0 and i == j) for j in range(size)] for i in range(size)]
+    # symmetric, and constant on the orbits (0,0), (0,i), (i,i), (i,j) of S_n
+    for m in w:
+        assert all(m[i][j] == m[j][i] for i in range(size) for j in range(size))
+        assert len({m[0][i] for i in range(1, size)}) == 1
+        assert len({m[i][i] for i in range(1, size)}) == 1
+        assert len({m[i][j] for i in range(1, size) for j in range(1, size) if i != j}) <= 1
+    col0 = [sum(row[0] for row in m) for m in w]
+    totals = [sum(map(sum, m)) for m in w]
+    assert quiver_hilbert(n, D) == (col0, totals)
 
 
-def test_quiver_matrices_symmetric():
-    mats, _ = quiver_hilbert(4, 12)
-    for m in mats:
-        for i in range(5):
-            for j in range(5):
-                assert m[i][j] == m[j][i]
+@pytest.mark.parametrize("n", [1, 5])
+def test_cli_quiver_matches_dense_series(capsys, n):
+    # n = 1 is Dynkin: the series is not a Hilbert series and goes negative
+    assert main(["quiver", "--arrows", str(n), "--max-degree", "30", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    _, w = star_series(n, 30)
+    assert [r["quiver_total"] for r in rows] == [sum(map(sum, m)) for m in w]
+    assert [r["column0_sum"] for r in rows] == [sum(row[0] for row in m) for m in w]
 
 
 def test_quiver_column0_sums():
-    mats, _ = quiver_hilbert(4, 12)
-    for d, m in enumerate(mats):
-        col0 = sum(row[0] for row in m)
-        assert col0 == (d + 1 if d % 2 == 0 else 2 * (d + 1))
+    col0, _ = quiver_hilbert(4, 12)
+    assert col0 == [d + 1 if d % 2 == 0 else 2 * (d + 1) for d in range(13)]
 
 
 def test_invariant_slice_degree2_empty():
-    assert invariant_slice(2).pairs == ()
+    assert invariant_slice(2) == ()
     assert invariant_dims(12) == [1, 0, 0, 0, 2, 0, 1, 0, 3, 0, 2, 0, 4]
 
 
