@@ -3,7 +3,10 @@
 The algebra is generated by its word letters: the degree-0 idempotent a,
 the S-basis slots b_j, and the two degree-1 letters e and f.  Commuting
 with those forces commuting with everything, so the center in each degree
-is the intersection of the per-letter commutator kernels.
+is the intersection of the per-letter commutator kernels.  The centre
+skips one slot that the unit of S covers, since that cut follows from the
+others (see center_degree), and each cut reduces only the basis rows the
+letter moves.
 """
 
 from __future__ import annotations
@@ -18,25 +21,31 @@ def _need_room(g: GradedAlgebra, d: int):
         raise DegreeRangeError(f"center at degree {d} needs build degree {d + 1}")
 
 
-def _commutator_ops(g: GradedAlgebra, d: int, signs=None):
+def _commutator_ops(g: GradedAlgebra, d: int, signs=None, slots=None):
     """Rows of x -> x l - sigma(l) x on degree d, with the target degree, per letter l.
 
-    The letters are a, b_0..b_{n-1}, e and f.  sigma fixes a, e and f and
-    scales b_j by signs[j]; without signs it is the identity.  A letter's
-    rows are built only when the iteration reaches it.
+    The letters are a, then b_j for each j in slots (all n slots by
+    default), then e and f.  sigma fixes a, e and f and scales b_j by
+    signs[j]; without signs it is the identity.  A letter's rows are built
+    only when the iteration reaches it.  A word that both sides of a letter
+    send to zero, as every word from a to a does under each b_j, gets a
+    fresh {} without any arithmetic.
     """
     _need_room(g, d)
     f = g.field
 
     def pair(right, left, c=None):
-        return [vec_sub(f, r, l) if c is None else vec_add(f, r, l, c) for r, l in zip(right, left)]
+        return [
+            (vec_sub(f, r, l) if c is None else vec_add(f, r, l, c)) if r or l else {}
+            for r, l in zip(right, left)
+        ]
 
     # x a keeps the words that end on the R side, a x the words that start with a
     sign = {(True, False): f.one, (False, True): f.neg(f.one)}
     ends_starts = zip(g.is_r[d], g.starts_a[d])
     yield [{i: sign[k]} if k in sign else {} for i, k in enumerate(ends_starts)], d
     l0 = g.left0(d)
-    for j in range(g.n):
+    for j in range(g.n) if slots is None else slots:
         yield pair(g.B[d][j], l0[j], None if signs is None else f.neg(signs[j])), d
     for right, left in zip((g.E[d + 1], g.F[d + 1]), g.left1(d)):
         yield pair(right, left), d + 1
@@ -50,7 +59,13 @@ def center_degree(g: GradedAlgebra, d: int) -> Subspace:
     starts from those coordinates and reduces nothing.  In odd degrees no
     word does, and the center is zero.  Then each other letter whose
     commutator does not vanish cuts the subspace down to the part it
-    commutes with.
+    commutes with; left_kernel passes the basis rows it does not move
+    through unreduced.
+
+    What commutes with a commutes with 1_S = 1 - a = sum u_j b_j, so on
+    the subspace the a-cut leaves, the commutators with the b_j satisfy
+    sum u_j [x, b_j] = 0.  The cut by the last slot k with u_k != 0 thus
+    follows from the other slots, and it is skipped.
     """
     _need_room(g, d)
     f = g.field
@@ -58,7 +73,8 @@ def center_degree(g: GradedAlgebra, d: int) -> Subspace:
     z = Subspace(f, g.dim(d), keep, tuple({i: f.one} for i in keep))
     if not keep:
         return z
-    ops = _commutator_ops(g, d)
+    skip = max(j for j, c in enumerate(g.pair.algebra.unit) if not f.is_zero(c))
+    ops = _commutator_ops(g, d, slots=[j for j in range(g.n) if j != skip])
     next(ops)  # a, whose kernel z already is
     for op, tdeg in ops:
         m_rows = [vec_apply(f, v, op) for v in z.rows]

@@ -492,6 +492,10 @@ def cmd_quiver(args):
         if args.cache_dir is not None or args.no_cache:
             raise InputError("--cache-dir and --no-cache apply only to --arrows 4")
         col0, totals = splitcase.quiver_hilbert(n, cap)
+        # Python refuses to print an int longer than this (0: no limit; absent before 3.10.7)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and max(map(abs, col0 + totals)) >= 10**limit:
+            raise InputError(f"--max-degree {cap}: a series coefficient has more than {limit} digits")
         rows = [
             {"degree": d, "quiver_total": totals[d], "column0_sum": col0[d]}
             for d in range(cap + 1)

@@ -202,25 +202,31 @@ class Subspace:
 def left_kernel(field: Field, rows, ncols: int, basis: Subspace | None = None) -> Subspace:
     """{sum x_i basis_i : sum x_i rows_i = 0}, as a canonical subspace.
 
-    One reduction of the augmented rows [rows_i | basis_i]: the reduced rows
-    whose pivot lies past the first ncols columns are zero there, so their
-    tails are the canonical basis of the answer, and only those rows are
-    back-substituted.  The basis defaults to the unit vectors, which gives
-    the kernel of the transpose.
+    A row is idle when rows_i is {}: basis_i is then already in the answer,
+    and it passes through unreduced.  One reduction of the augmented live
+    rows [rows_i | basis_i] gives the rest: the reduced rows whose pivot
+    lies past the first ncols columns are zero there, so their tails are
+    the canonical basis of the live part's kernel, and only those rows are
+    back-substituted.  With a canonical basis the two sets merge into the
+    canonical answer as they stand: the tails are combinations of live basis
+    rows, so they lead at live pivots and vanish at idle ones, and the idle
+    rows vanish at live pivots.  Leading columns that collide, like a live
+    reduction short of full rank, mean a dependent basis.  The basis
+    defaults to the unit vectors, which gives the kernel of the transpose.
     """
     if basis is None:
         basis = Subspace.full(field, len(rows))
-    aug = [
-        {**r, **{ncols + j: x for j, x in v.items()}}
-        for r, v in zip(rows, basis.rows, strict=True)
-    ]
+    idle, aug = [], []
+    for r, v in zip(rows, basis.rows, strict=True):
+        if r:
+            aug.append({**r, **{ncols + j: x for j, x in v.items()}})
+        else:
+            idle.append(v)
     piv, red = _rref_generic(field, aug, keep_from=ncols)
-    if len(piv) != len(aug):
-        raise InvariantError(f"{len(aug)} augmented rows have rank {len(piv)}: dependent basis")
     k = sum(c < ncols for c in piv)
-    return Subspace(
-        field,
-        basis.ambient,
-        tuple(c - ncols for c in piv[k:]),
-        tuple({j - ncols: x for j, x in r.items()} for r in red[k:]),
-    )
+    merged = {c - ncols: {j - ncols: x for j, x in r.items()} for c, r in zip(piv[k:], red[k:])}
+    merged.update((min(v), v) for v in idle if v)
+    if len(piv) != len(aug) or len(merged) != len(piv) - k + len(idle):
+        raise InvariantError(f"{len(basis.rows)} basis rows are dependent over {len(aug)} live rows")
+    pivots = tuple(sorted(merged))
+    return Subspace(field, basis.ambient, pivots, tuple(merged[c] for c in pivots))

@@ -1,5 +1,6 @@
 """Center computation: ranks, explicit elements, generation, char-2 reality."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -51,20 +52,61 @@ def test_center_formula_over_fp5(fp_engines):
         assert center_dims(g, 12) == [expected_center_dim(d) for d in range(13)], name
 
 
+def _assert_incremental_matches_stacked(g, degrees):
+    for d in degrees:
+        inc = center_degree(g, d)
+        stk = centralizer_stack_kernel(g, d)
+        assert inc.pivots == stk.pivots, (g.field.tag, d)
+        assert inc.rows == stk.rows, (g.field.tag, d)
+
+
 def test_incremental_matches_stacked(q_engines, fp_engines):
-    # one reduction per letter lands on the same canonical subspace as one
-    # reduction of all the commutators stacked, over Q, both F_p lanes and Q(u)
+    # one reduction per letter, with one slot skipped, lands on the same
+    # canonical subspace as one reduction of all the commutators stacked,
+    # over Q, both F_p lanes and Q(u); bikwad's f-cut is live at degree 10
     fam = deformation(4)
     generic = build(make_frobenius(fam.algebra, list(fam.lam)), 4)
     cases = [(q_engines[name], range(9)) for name in CATALOG_NAMES]
     cases += [(fp_engines[name, 5], range(9)) for name in CATALOG_NAMES]
     cases += [(fp_engines["bikwad", 2], (0, 2, 4, 6, 8)), (generic, range(4))]
+    cases += [(q_engines["bikwad"], (10,))]
     for g, degrees in cases:
-        for d in degrees:
-            inc = center_degree(g, d)
-            stk = centralizer_stack_kernel(g, d)
-            assert inc.pivots == stk.pivots, (g.field.tag, d)
-            assert inc.rows == stk.rows, (g.field.tag, d)
+        _assert_incremental_matches_stacked(g, degrees)
+
+
+# sha256 of center_degree(g, d) for d <= 20, pivots and rows, per (pair, field):
+# the stdout goldens pin only dimensions, these pin the canonical rows
+CENTER_ROWS_SHA256 = {
+    ("split4", "q"): "a2832a16351dcae1f04729a181cc933a2cdd534de6a19d62b57ddce1c05bf739",
+    ("dual-numbers-pair", "q"): "7e3e193bef6baa9799d8bb04fe7e7c5c3a2ca60196ef144fb0bef8f597dc0e61",
+    ("two-dual-numbers", "q"): "b3b8dc77f011671888319486d7001446e05cf8a754419beb97e75a9c8a6cadc2",
+    ("t3-plus-k", "q"): "c71fd04aba58af6dcae85bed426bf5dcbefe280f45a850867ff04815ef63a564",
+    ("t4", "q"): "0295b5ca9f041ad3b295e29292ead31a14f821ae1b93a8079e2c888caf5ab736",
+    ("bikwad", "q"): "ce8212729c472f66091aee56e75fe5374cfcbe7aa15ad1a8c6cc569b1a159b0b",
+    ("split4", "fp:2"): "16e39499ecb88441648ca19e13767b9497b7b39fa6f4b1d5b1e83f2cccd0f7b6",
+    ("dual-numbers-pair", "fp:2"): "b40e02f6389dfaaf80248ef091610e4509e72a31e7fea6fcc03fca9e4979d8f2",
+    ("two-dual-numbers", "fp:2"): "80b55ecaae2f978ee32f93b8851c023c6f6184c9910a2cf497512cc02a7b5132",
+    ("t3-plus-k", "fp:2"): "6986bbb3370cdef072e2a1400130d8b8075c7e31748bfd5b09e16c3def6b3133",
+    ("t4", "fp:2"): "0b8e12faf132a7e586761a5f5b3b8e7a9be899a7b89fc5bc9d65fc53a7c76c78",
+    ("bikwad", "fp:2"): "4b10cbae7ed82cc9f78b572dee509f166285ab31d2d8d75b9f180c56e4947807",
+    ("split4", "fp:5"): "2b86648c92b4e43d544c1209df7019e117e5a98edbf04b1337f9efc30b3c01fe",
+    ("dual-numbers-pair", "fp:5"): "a62884257d0c20be2e4f544628b65694f4109bc24842a3e224faf1c8e2217c2c",
+    ("two-dual-numbers", "fp:5"): "dedd0fb948cd8a5f812f2c4393798ea6662e0c43e2a2158df505392cb0ae2df8",
+    ("t3-plus-k", "fp:5"): "662432e62f7abb285c541fda16d84ba78758bd4a7334edd722d2e34ba4822efa",
+    ("t4", "fp:5"): "9efd1c3999ab54d0cc9dc5c80099b3d5dd4b7c13c15c960866fe8189634ffa32",
+    ("bikwad", "fp:5"): "dc9415937a002dcda131c1a78855d59c53e4bcc7a68647bf57d669e9bde049ab",
+}
+
+
+def test_center_rows_pinned():
+    for (name, desc), digest in CENTER_ROWS_SHA256.items():
+        g = build(catalog(name, field_from_descriptor(desc)), 21)
+        f, lines = g.field, []
+        for d in range(21):
+            z = center_degree(g, d)
+            rows = ";".join(",".join(f"{j}:{f.fmt(v)}" for j, v in sorted(r.items())) for r in z.rows)
+            lines.append(f"{d} {list(z.pivots)} {rows}")
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest, (name, desc)
 
 
 def test_center_commutes_with_degree_0_and_1_bases(q_engines, fp_engines):
@@ -102,16 +144,31 @@ def test_a_commutator_rows_match_products(q_engines, fp_engines):
 
 
 def test_center_degree_reduces_once_per_generator(q_engines, monkeypatch):
-    # each reduction cuts the subspace down, so none re-reduces a finished basis
-    calls = []
+    # each cut reduces exactly the basis rows whose commutator is nonzero,
+    # each cut shrinks the basis, and the last slot the unit covers is
+    # never asked for, so its commutator is never reduced
+    reduced, cuts, slots = [], [], []
     rref = linalg._rref_generic
-    monkeypatch.setattr(linalg, "_rref_generic", lambda *a, **k: calls.append(len(a[1])) or rref(*a, **k))
-    g = q_engines["bikwad"]
-    for d in (4, 6, 8):
-        calls.clear()
-        z = center_degree(g, d)
-        assert calls[0] == g.dim(d)
-        assert all(a > b for a, b in zip(calls, calls[1:] + [z.dim])), calls
+    monkeypatch.setattr(linalg, "_rref_generic", lambda *a, **k: reduced.append(len(a[1])) or rref(*a, **k))
+    kernel = center_module.left_kernel
+
+    def cut(f, rows, ncols, basis):
+        cuts.append((sum(1 for r in rows if r), basis.dim))
+        return kernel(f, rows, ncols, basis=basis)
+
+    monkeypatch.setattr(center_module, "left_kernel", cut)
+    ops = center_module._commutator_ops
+    monkeypatch.setattr(center_module, "_commutator_ops", lambda g, d, **k: slots.append(k["slots"]) or ops(g, d, **k))
+    for name, skip in (("split4", 3), ("dual-numbers-pair", 3), ("t3-plus-k", 3), ("bikwad", 0)):
+        g = q_engines[name]
+        for d in (4, 6, 8):
+            for seen in (reduced, cuts, slots):
+                seen.clear()
+            z = center_degree(g, d)
+            assert slots == [[j for j in range(g.n) if j != skip]], (name, d)
+            assert reduced == [live for live, _ in cuts] and all(reduced), (name, d, cuts)
+            dims = [dim for _, dim in cuts] + [z.dim]
+            assert all(a > b for a, b in zip(dims, dims[1:])), (name, d, dims)
 
 
 def test_odd_center_reduces_nothing(q_engines, fp_engines, monkeypatch):
@@ -333,6 +390,8 @@ def test_base_change_invariance(q_engines, fp_engines, name, tag):
     assert h.dims() == [g.dim(d) for d in range(10)]
     assert [h.split_dims(d) for d in range(9)] == [g.split_dims(d) for d in range(9)]
     assert center_dims(h, 8) == center_dims(g, 8)
+    # the centre skips one of the slots the unit spreads over
+    _assert_incremental_matches_stacked(h, range(9))
 
 
 @pytest.mark.parametrize("tag", ["q", "fp:5"])

@@ -262,6 +262,19 @@ def test_quiver_cache_flags_need_four_arrows(capsys, tmp_path, cache_dir):
     assert run(capsys, argv)[0] == 0
 
 
+def test_quiver_coefficient_past_the_digit_limit_is_usage_error(capsys):
+    # a coefficient Python will not print is an input-caused failure: exit 2, not 3
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, ["quiver", "--arrows", "5", "--max-degree", "3200"])
+        assert (code, out) == (2, "")
+        assert err == "frobpi: --max-degree 3200: a series coefficient has more than 640 digits\n"
+        assert run(capsys, ["quiver", "--arrows", "5", "--max-degree", "1000"])[0] == 0
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     # a broken invariant is not a failed check: exit 3, not 1
     def broken(g, d):

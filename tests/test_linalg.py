@@ -348,12 +348,54 @@ def test_left_kernel_in_a_basis():
         assert (k.pivots, k.rows) == (ref.pivots, ref.rows)
 
 
+def _null_combinations(f, m, ncols):
+    """A basis of {x : sum x_i m_i = 0}, read off the reduced transpose."""
+    piv, red = rref_rows(f, _transpose(m, ncols), len(m))
+    xs = []
+    for q in range(len(m)):
+        if q not in piv:
+            x = {q: f.one}
+            x.update((p, f.neg(r[q])) for p, r in zip(piv, red) if q in r)
+            xs.append(x)
+    return xs
+
+
+def test_left_kernel_passes_idle_rows_through():
+    # a basis row whose image is {} is in the kernel already: it comes back
+    # verbatim, and the answer is the span of the explicit kernel combinations
+    rng = random.Random(29)
+    for f in (QQ, FP(7)):
+        basis = Subspace.from_vectors(f, 12, _random_rows(rng, f, 9, 12, density=0.3))
+        m = _random_rows(rng, f, basis.dim, 3, density=0.6)
+        idle = range(0, basis.dim, 3)
+        for i in idle:
+            m[i] = {}
+        k = left_kernel(f, m, 3, basis=basis)
+        assert k.dim > len(idle)
+        rows = dict(zip(k.pivots, k.rows))
+        for i in idle:
+            assert rows[basis.pivots[i]] == basis.rows[i]
+        xs = _null_combinations(f, m, 3)
+        ref = Subspace.from_vectors(f, 12, [vec_apply(f, x, basis.rows) for x in xs])
+        assert (k.pivots, k.rows) == (ref.pivots, ref.rows)
+
+
 def test_left_kernel_dependent_basis_raises():
     # a combination that vanishes in both m and b makes the reduction rank-deficient
     for f in (QQ, FP(7)):
-        twice = Subspace(f, 3, (0, 0), ({0: f.one}, {0: f.one}))
+        one = f.one
+        twice = Subspace(f, 3, (0, 0), ({0: one}, {0: one}))
         with pytest.raises(InvariantError):
-            left_kernel(f, [{1: f.one}, {1: f.one}], 2, basis=twice)
+            left_kernel(f, [{1: one}, {1: one}], 2, basis=twice)
+        # idle rows are not reduced, yet a duplicate among them is still caught
+        with pytest.raises(InvariantError):
+            left_kernel(f, [{}, {}], 2, basis=twice)
+        with pytest.raises(InvariantError):
+            left_kernel(f, [{}], 2, basis=Subspace(f, 3, (0,), ({},)))
+        # b_0 - b_1 + b_2 = 0 with m_0 = {} and m_1 = m_2: idle and live rows mixed
+        mixed = Subspace(f, 3, (0, 0, 2), ({0: one}, {0: one, 2: one}, {2: one}))
+        with pytest.raises(InvariantError):
+            left_kernel(f, [{}, {1: one}, {1: one}], 2, basis=mixed)
 
 
 def test_left_kernel_annihilates():
