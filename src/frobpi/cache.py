@@ -27,6 +27,7 @@ from itertools import chain
 from .engine import GradedAlgebra
 from .fields import InputError
 from .frobenius import algebra_to_json
+from .linalg import EMPTY_ROW
 
 CACHE_FORMAT = 3
 
@@ -75,10 +76,11 @@ def _dec_rows(field, rows, ncols):
     for flat in rows:
         if type(flat) is not list:
             raise CacheValidationError(f"operator row {flat!r} is not a list")
+        if not flat:  # most rows are empty
+            out.append(EMPTY_ROW)
+            continue
         row = {}
         out.append(row)
-        if not flat:  # most rows are empty
-            continue
         it = iter(flat)
         for k, v in zip(it, it, strict=True):
             if type(k) is not int or not 0 <= k < ncols or k in row:

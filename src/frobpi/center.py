@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .engine import DegreeRangeError, GradedAlgebra, PiElement
 from .frobenius import catalog
-from .linalg import Subspace, left_kernel, vec_add, vec_apply, vec_sub
+from .linalg import EMPTY_ROW, Subspace, left_kernel, vec_add, vec_apply, vec_sub
 
 
 def _need_room(g: GradedAlgebra, d: int):
@@ -26,27 +26,26 @@ def _commutator_ops(g: GradedAlgebra, d: int, signs=None, slots=None):
 
     The letters are a, then b_j for each j in slots (all n slots by
     default), then e and f.  sigma fixes a, e and f and scales b_j by
-    signs[j]; without signs it is the identity.  A letter's rows are built
-    only when the iteration reaches it.  A word that both sides of a letter
-    send to zero, as every word from a to a does under each b_j, gets a
-    fresh {} without any arithmetic.
+    signs[j]; without signs it is the identity.  A letter's rows, and the
+    left rows of a slot, are built only when the iteration reaches it.  A
+    word that both sides of a letter send to zero, as every word from a to
+    a does under each b_j, gets EMPTY_ROW without any arithmetic.
     """
     _need_room(g, d)
     f = g.field
 
     def pair(right, left, c=None):
         return [
-            (vec_sub(f, r, l) if c is None else vec_add(f, r, l, c)) if r or l else {}
+            (vec_sub(f, r, l) if c is None else vec_add(f, r, l, c)) if r or l else EMPTY_ROW
             for r, l in zip(right, left)
         ]
 
     # x a keeps the words that end on the R side, a x the words that start with a
     sign = {(True, False): f.one, (False, True): f.neg(f.one)}
     ends_starts = zip(g.is_r[d], g.starts_a[d])
-    yield [{i: sign[k]} if k in sign else {} for i, k in enumerate(ends_starts)], d
-    l0 = g.left0(d)
+    yield [{i: sign[k]} if k in sign else EMPTY_ROW for i, k in enumerate(ends_starts)], d
     for j in range(g.n) if slots is None else slots:
-        yield pair(g.B[d][j], l0[j], None if signs is None else f.neg(signs[j])), d
+        yield pair(g.B[d][j], g.left0(d, j), None if signs is None else f.neg(signs[j])), d
     for right, left in zip((g.E[d + 1], g.F[d + 1]), g.left1(d)):
         yield pair(right, left), d + 1
 

@@ -12,6 +12,7 @@ only the build in use is kept.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -41,14 +42,17 @@ CENTER_FIELDS = ("q", "fp:2", "fp:5")
 GENERIC_SAMPLE = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3}
 
 
-def _expected_dim(d):
-    return 5 * (d + 1) if d % 2 == 0 else 4 * (d + 1)
+@functools.cache
+def _expected_dims(n, d):
+    """(dim, a-side dim) of degree d for a pair of rank n: the star-quiver series.
 
-
-def _expected_split(d):
-    if d % 2 == 0:
-        return d + 1, 4 * (d + 1)
-    return 2 * (d + 1), 2 * (d + 1)
+    Totals and column-0 sums of splitcase.quiver_hilbert(n), cut at the
+    first zero total: for n <= 3 the star is Dynkin and the algebra stops
+    there.  For n = 4 these are 5(d+1) and d+1 in even degrees, 4(d+1) and
+    2(d+1) in odd ones.
+    """
+    col0, totals = splitcase.quiver_hilbert(n, d)
+    return (0, 0) if 0 in totals else (totals[d], col0[d])
 
 
 # ---------------------------------------------------------------------------
@@ -72,12 +76,13 @@ def _per_degree(suite, record):
 
 
 def _rank_record(g, d):
-    dim, exp = g.dim(d), _expected_dim(d)
+    dim, exp = g.dim(d), _expected_dims(g.n, d)[0]
     return {"dim": dim, "expected": exp, "pass": dim == exp}
 
 
 def _split_record(g, d):
-    (dr, ds), (er, es) = g.split_dims(d), _expected_split(d)
+    (dr, ds), (e, er) = g.split_dims(d), _expected_dims(g.n, d)
+    es = e - er
     return {
         "dim_r": dr,
         "dim_s": ds,

@@ -16,13 +16,18 @@ serves every coefficient field.  The parent table is the only record of
 the words: a word is spelled out through it when it is printed or
 multiplied by, and the first letter of each word, which gives the
 projections onto the two one-sided pieces, is kept beside it.
+
+Operator rows are stored once and shared, never copied: a B or F row that
+equals an FB row is that row, a left-multiplication row may be an E or FB
+row, and every zero row is linalg.EMPTY_ROW.  So no caller mutates a row it
+did not make.
 """
 
 from __future__ import annotations
 
 from .fields import Field, InputError
 from .frobenius import FrobeniusPair
-from .linalg import rref_rows, vec_add, vec_apply, vec_sub
+from .linalg import EMPTY_ROW, rref_rows, vec_add, vec_apply, vec_sub
 
 A_LETTER = -1
 E_LETTER = -2
@@ -128,12 +133,12 @@ class GradedAlgebra:
         self.F = [None]  # unit-weighted FB
         self.B = [[]]  # B[d][j]: right multiply by b_j, square
         for j in range(n):
-            rows = [dict()]
+            rows = [EMPTY_ROW]
             for i in range(n):
-                rows.append({1 + k: v for k, v in pair.algebra.table[i][j].items()})
+                rows.append({1 + k: v for k, v in pair.algebra.table[i][j].items()} or EMPTY_ROW)
             self.B[0].append(rows)
-        self._l0 = {}
-        self._l1 = {}
+        self._l0 = [{} for _ in range(n)]  # per slot: degree -> rows
+        self._l1 = ({}, {})  # e, f
 
     # -- construction -------------------------------------------------------
 
@@ -207,17 +212,13 @@ class GradedAlgebra:
                 red[col] = {len(parent): f.one}
                 parent.append(coord)
         for pc, r in zip(pivots, rrows):
-            red[pc] = {basis_at[q]: f.neg(v) for q, v in r.items() if q != pc}
+            red[pc] = {basis_at[q]: f.neg(v) for q, v in r.items() if q != pc} or EMPTY_ROW
 
-        e_rows = []
-        for i in range(prev_dim):
-            e_rows.append(red[ecol[i]] if i in ecol else {})
-        fb = []
-        for j in range(n):
-            rows = []
-            for i in range(prev_dim):
-                rows.append(red[fcol[(i, j)]] if (i, j) in fcol else {})
-            fb.append(rows)
+        e_rows = [red[ecol[i]] if i in ecol else EMPTY_ROW for i in range(prev_dim)]
+        fb = [
+            [red[fcol[(i, j)]] if (i, j) in fcol else EMPTY_ROW for i in range(prev_dim)]
+            for j in range(n)
+        ]
         self._add_degree(parent, e_rows, fb)
 
     def _add_degree(self, parent, e_rows, fb):
@@ -226,13 +227,14 @@ class GradedAlgebra:
         A basis word is its parent word followed by e, or by f and an S slot;
         B, the right multiplication by each slot, follows from FB because
         (x f b_m) b_j = sum_q c^q_{m j} x f b_q, and F, the letter f, is FB
-        weighted by the unit.
+        weighted by the unit.  Where b_m b_j, or the unit, is one slot with
+        coefficient 1, the row is that FB row itself (see vec_apply).
         """
         f = self.field
         algebra = self.pair.algebra
         fb_cols = [[op[i] for op in fb] for i in range(len(e_rows))]  # x -> x f b_q, per q
         b_rows = [
-            [{} if kind == "e" else vec_apply(f, algebra.table[m][j], fb_cols[i]) for i, kind, m in parent]
+            [EMPTY_ROW if kind == "e" else vec_apply(f, algebra.table[m][j], fb_cols[i]) for i, kind, m in parent]
             for j in range(self.n)
         ]
         prev_a = self.starts_a[-1]
@@ -266,15 +268,15 @@ class GradedAlgebra:
         for L in letters:
             if L == A_LETTER:
                 isr = self.is_r[d]
-                vec = {i: c for i, c in vec.items() if isr[i]}
+                vec = {i: c for i, c in vec.items() if isr[i]} or EMPTY_ROW
             elif L >= 0:
-                vec = vec_apply(f, vec, self.B[d][L]) if vec else {}
+                vec = vec_apply(f, vec, self.B[d][L])
             elif L == E_LETTER or L == F_LETTER:
                 d += 1
                 if d > self.D:
                     raise DegreeRangeError(f"degree {d} exceeds build degree {self.D}")
                 op = self.E[d] if L == E_LETTER else self.F[d]
-                vec = vec_apply(f, vec, op) if vec else {}
+                vec = vec_apply(f, vec, op)
             else:
                 raise ValueError(f"bad letter {L}")
         return vec, d
@@ -418,40 +420,42 @@ class GradedAlgebra:
 
     # -- left multiplication ------------------------------------------------
 
-    def _left_ops(self, memo, d, shift, gvecs):
-        """Left multiplication by each given element of degree shift, on degree d.
+    def _left_rows(self, memo, d, shift, gvec):
+        """Left multiplication by one element of degree shift, on degree d.
 
-        Degree 0 folds each element through the words; each later word
-        extends its parent by one letter, so its row is the parent's row
-        times that letter's operator one degree up.  The memo keeps the
-        last two degrees computed, which serves the ascending calls of the
-        centre; the recursion recomputes any other degree upward from the
-        nearest kept degree below it, or from degree 0.
+        Degree 0 folds the element, given by gvec(), through the words; each
+        later word extends its parent by one letter, so its row is the
+        parent's row times that letter's operator one degree up, often that
+        operator's own row.  The memo keeps the last two degrees computed,
+        which serves the ascending calls of the centre; the recursion
+        recomputes any other degree upward from the nearest kept degree
+        below it, or from degree 0.
         """
-        ops = memo.get(d)
-        if ops is not None:
-            return ops
+        rows = memo.get(d)
+        if rows is not None:
+            return rows
         f = self.field
         if d == 0:
-            words = [self.word(0, i) for i in range(self.dim(0))]
-            ops = [[self._fold(dict(gv), shift, w)[0] for w in words] for gv in gvecs()]
+            rows = [self._fold(gvec(), shift, self.word(0, i))[0] for i in range(self.dim(0))]
         else:
-            ops = []
-            for prev in self._left_ops(memo, d - 1, shift, gvecs):
-                rows = []
-                for (i, kind, m) in self.parent[d]:
-                    op = self.E[d + shift] if kind == "e" else self.FB[d + shift][m]
-                    rows.append(vec_apply(f, prev[i], op) if prev[i] else {})
-                ops.append(rows)
-        memo[d] = ops
+            prev = self._left_rows(memo, d - 1, shift, gvec)
+            E, FB = self.E[d + shift], self.FB[d + shift]
+            rows = [
+                vec_apply(f, prev[i], E if kind == "e" else FB[m]) if prev[i] else EMPTY_ROW
+                for i, kind, m in self.parent[d]
+            ]
+        memo[d] = rows
         if len(memo) > 2:
             del memo[next(iter(memo))]  # the oldest degree computed
-        return ops
+        return rows
 
-    def left0(self, d: int):
-        """Left multiplication rows for each slot, on degree d; a's are read off the words."""
-        one = self.field.one
-        return self._left_ops(self._l0, d, 0, lambda: [{1 + j: one} for j in range(self.n)])
+    def left0(self, d: int, j: int):
+        """Left multiplication rows for slot j, on degree d; a's are read off the words.
+
+        Each slot has its own memo, so a slot that no caller asks for is
+        never built.
+        """
+        return self._left_rows(self._l0[j], d, 0, lambda: {1 + j: self.field.one})
 
     def left1(self, d: int):
         """Left multiplication rows for e and f, degree d to d+1.
@@ -460,12 +464,10 @@ class GradedAlgebra:
         """
         if d + 1 > self.D:
             raise DegreeRangeError(f"degree {d + 1} exceeds build degree {self.D}")
-        return self._left_ops(
-            self._l1,
-            d,
-            1,
-            lambda: [self._fold(self.unit_element().vec, 0, (L,))[0] for L in (E_LETTER, F_LETTER)],
-        )
+        return [
+            self._left_rows(memo, d, 1, lambda L=L: self._fold(self.unit_element().vec, 0, (L,))[0])
+            for memo, L in zip(self._l1, (E_LETTER, F_LETTER))
+        ]
 
     # -- one-sided pieces -----------------------------------------------------
 

@@ -15,25 +15,32 @@ back-substituted in one pass at the end.  No pivot rescans every row.
 from __future__ import annotations
 
 import heapq
+import types
 from collections import defaultdict
 from dataclasses import dataclass
 
 from .fields import Field, InvariantError
 
 
+EMPTY_ROW = types.MappingProxyType({})
+"""The one empty row: read-only, and stored wherever an operator row is zero."""
+
+
 def vec_apply(field: Field, vec: dict, rows) -> dict:
-    """Row vector times matrix: sum of vec[i] * rows[i], as a new dict.
+    """Row vector times matrix: sum of vec[i] * rows[i].
 
     Every row must already be reduced (field.post_reduce(row) == row), as
-    every stored operator row is: an empty vector then gives {}, and a
-    single entry 1 * rows[i] gives a copy of the row with no arithmetic.
+    every stored operator row is.  The result may be shared: an empty vector
+    gives EMPTY_ROW, a single entry 1 * rows[i] gives rows[i] itself, and a
+    zero sum gives EMPTY_ROW; only a nonzero sum is a new dict.  So no caller
+    mutates a row it did not make.
     """
     if len(vec) <= 1:
         if not vec:
-            return {}
+            return EMPTY_ROW
         ((i, c),) = vec.items()
         if c == field.one:
-            return dict(rows[i])
+            return rows[i]
     out = {}
     for i, c in vec.items():
         row = rows[i]
@@ -45,7 +52,7 @@ def vec_apply(field: Field, vec: dict, rows) -> dict:
                 out[j] = out[j] + t
             else:
                 out[j] = t
-    return field.post_reduce(out)
+    return field.post_reduce(out) or EMPTY_ROW
 
 
 def vec_add(field: Field, a: dict, b: dict, coeff=None) -> dict:

@@ -17,7 +17,8 @@ import pytest
 from frobpi import CATALOG_NAMES, algebra_to_json, catalog, cli, engine, field_from_descriptor
 from frobpi.cache import cache_key
 from frobpi.cli import main
-from frobpi.fields import InvariantError
+from frobpi.fields import QQ, InvariantError
+from frobpi.frobenius import _block_sum_algebra
 
 
 def run(capsys, argv):
@@ -707,6 +708,37 @@ def test_algebra_json_input(capsys, tmp_path):
     )
     assert code == 0
     assert any("| 4 " in l and " 25 " in l for l in out.splitlines())
+
+
+def _rank_n_file(tmp_path, n, kind):
+    """k^n (split) or k[t]/t^n (local) over Q, written as an algebra file."""
+    blocks = [1] * n if kind == "split" else [n]
+    path = tmp_path / f"{kind}{n}.json"
+    path.write_text(algebra_to_json(_block_sum_algebra(QQ, blocks, [f"x{i}" for i in range(n)])))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["split", "local"])
+@pytest.mark.parametrize(
+    "n, cap, dims", [(2, 6, [3, 4, 3, 0]), (3, 7, [4, 6, 8, 6, 4, 0]), (5, 5, [6, 10, 24, 30, 66, 80])]
+)
+def test_dims_judges_every_rank(capsys, tmp_path, n, cap, dims, kind):
+    # the expected values are the star series of the pair's rank, cut at its first zero
+    argv = ["dims", "--algebra", str(_rank_n_file(tmp_path, n, kind)), "--max-degree", str(cap)]
+    code, out, _ = run(capsys, argv + ["--format", "json", "--no-cache"])
+    rows = json.loads(out)
+    assert code == 0 and all(r["pass"] for r in rows)
+    assert [r["dim"] for r in rows] == dims + [0] * (cap + 1 - len(dims))
+    assert all(r["dim_r"] + r["dim_s"] == r["expected"] for r in rows)
+
+
+def test_dims_fails_a_planted_wrong_rank(capsys, tmp_path, monkeypatch):
+    dim = engine.GradedAlgebra.dim
+    monkeypatch.setattr(engine.GradedAlgebra, "dim", lambda g, d: dim(g, d) + (d == 3))
+    argv = ["dims", "--algebra", str(_rank_n_file(tmp_path, 5, "split")), "--max-degree", "5"]
+    code, out, _ = run(capsys, argv + ["--format", "json", "--no-cache"])
+    assert code == 1
+    assert [r["degree"] for r in json.loads(out) if not r["pass"]] == [3]
 
 
 @pytest.mark.parametrize(

@@ -14,12 +14,12 @@ from fractions import Fraction
 import pytest
 
 from frobpi import CATALOG_NAMES, build, catalog, engine
-from frobpi.cache import CacheValidationError, build_cached, cache_key
-from frobpi.center import center_dims
-from frobpi.engine import DegreeRangeError, GradedAlgebra, WordSyntaxError
+from frobpi.cache import CacheValidationError, _decode, _encode, build_cached, cache_key
+from frobpi.center import center_dims, sigma_surjectivity_check
+from frobpi.engine import DegreeRangeError, GradedAlgebra, PiElement, WordSyntaxError
 from frobpi.fields import field_from_descriptor
 from frobpi.frobenius import deformation, make_frobenius, specialize_pair
-from frobpi.linalg import Subspace, rref_rows
+from frobpi.linalg import EMPTY_ROW, Subspace, rref_rows
 
 
 # ---------------------------------------------------------------------------
@@ -336,30 +336,44 @@ def test_element_expr_and_format(bikwad_q):
 
 @pytest.mark.parametrize("tag", ["q", "fp:3"])
 def test_left_rows_out_of_order_match_ascending(tag):
-    # the memo keeps two degrees; any other degree is recomputed, to the same rows
+    # each slot's memo and each of e's and f's keeps two degrees; any other
+    # degree is recomputed, to the same rows, whatever order they are asked in
     pair = catalog("t4", field_from_descriptor(tag))
     fresh = build(pair, 10)
-    left0 = [fresh.left0(d) for d in range(10)]
+    left0 = [[fresh.left0(d, j) for j in range(fresh.n)] for d in range(10)]
     left1 = [fresh.left1(d) for d in range(10)]
+    for j in range(fresh.n):
+        b_j = PiElement(fresh, 0, {1 + j: fresh.field.one})
+        for d in range(4):
+            products = [fresh.multiply(b_j, fresh.basis_element(d, i)).vec for i in range(fresh.dim(d))]
+            assert left0[d][j] == products
     g = build(pair, 10)
     center_dims(g, 9)
-    assert len(g._l0) == len(g._l1) == 2
+    # the centre skips the last slot the unit covers, and never builds its rows
+    skip = max(j for j, c in enumerate(pair.algebra.unit) if c)
+    assert [len(m) for m in g._l0] == [0 if j == skip else 2 for j in range(g.n)]
+    assert [len(m) for m in g._l1] == [2, 2]
     for d in (9, 6, 6, 2, 0, 0, 7, 3, 9):
-        assert g.left0(d) == left0[d] and g.left1(d) == left1[d]
-        assert len(g._l0) <= 2 and len(g._l1) <= 2
+        for j in (3, 0, 2, 1):
+            assert g.left0(d, j) == left0[d][j]
+        assert g.left1(d) == left1[d]
+        assert all(len(m) <= 2 for m in (*g._l0, *g._l1))
+
+
+def _stored_rows(g, D):
+    """Every operator row list the build keeps or hands out, degrees 0..D."""
+    for d in range(D + 1):
+        if d:
+            yield from [g.E[d], g.F[d], *g.FB[d]]
+        yield from [*g.B[d], *(g.left0(d, j) for j in range(g.n))]
+        if d < g.D:
+            yield from g.left1(d)
 
 
 def _check_rows_reduced(g, D):
     """Every stored operator row is already reduced, as vec_apply's shortcuts assume."""
     f = g.field
-    ops = []
-    for d in range(D + 1):
-        if d:
-            ops += [g.E[d], g.F[d], *g.FB[d]]
-        ops += [*g.B[d], *g.left0(d)]
-        if d < g.D:
-            ops += g.left1(d)
-    for rows in ops:
+    for rows in _stored_rows(g, D):
         for row in rows:
             assert f.post_reduce(row) == row, (f.tag, row)
 
@@ -371,6 +385,60 @@ def test_operator_rows_are_reduced(q_engines, fp_engines):
         _check_rows_reduced(fp_engines[name, 5], 12)
     fam = deformation(4)
     _check_rows_reduced(GradedAlgebra(make_frobenius(fam.algebra, list(fam.lam)), 5), 5)
+
+
+def _guard_builds():
+    fam = deformation(4)
+    out = [(build(catalog(name, field_from_descriptor(tag)), 12), 12) for tag in ("q", "fp:5") for name in CATALOG_NAMES]
+    return out + [(GradedAlgebra(make_frobenius(fam.algebra, list(fam.lam)), 5), 5)]
+
+
+def _plain(held):
+    return [[dict(r) for r in rows] for rows in held]
+
+
+def test_no_reader_mutates_a_stored_row():
+    # rows are shared, not copied, so one stray write would corrupt every
+    # table that holds the row; every reader must leave all of them as built
+    for g, D in _guard_builds():
+        held = list(_stored_rows(g, D))
+        snapshot = _plain(held)
+        center_dims(g, D - 1)
+        sigma_surjectivity_check(g, D)
+        for dx, dy in ((0, 2), (1, 1), (2, 1), (1, 3)):
+            xs = [g.basis_element(dx, i) for i in range(g.dim(dx))]
+            ys = [g.basis_element(dy, i) for i in range(g.dim(dy))]
+            for x in xs:
+                for y in ys:
+                    g.multiply(x, y)
+                    g.multiply(y, x)
+        for d in range(D + 1):
+            g.split_dims(d)
+            g.resolution_sum(d)
+        assert _plain(held) == snapshot, (g.field.tag, g.pair.algebra.names)
+        key = cache_key(g.pair, D)
+        loaded = _decode(g.pair, D, _encode(g, key), key)
+        assert loaded.E == g.E and loaded.FB == g.FB
+        assert _plain(held) == snapshot, (g.field.tag, g.pair.algebra.names)
+        assert not EMPTY_ROW
+
+
+@pytest.mark.parametrize("tag", ["q", "fp:5"])
+def test_operator_rows_are_shared(tag):
+    # every product b_m b_j of a catalog algebra is 0 or one slot, so each B row
+    # is an FB row; so is each F row where the unit is one slot
+    for name in CATALOG_NAMES:
+        g = build(catalog(name, field_from_descriptor(tag)), 12)
+        key = cache_key(g.pair, 12)
+        loaded = _decode(g.pair, 12, _encode(g, key), key)
+        for h in (g, loaded):
+            for d in range(1, 13):
+                fb = {id(r) for op in h.FB[d] for r in op} | {id(EMPTY_ROW)}
+                assert all(id(r) in fb for op in h.B[d] for r in op), (name, d)
+                if name in ("t4", "bikwad"):
+                    assert all(id(r) in fb for r in h.F[d]), (name, d)
+            for rows in _stored_rows(h, 12):
+                assert all(r is EMPTY_ROW for r in rows if not r), name
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from frobpi.fields import FP, QQ, QU, InvariantError, RatF
 from frobpi.linalg import (
+    EMPTY_ROW,
     Subspace,
     left_kernel,
     _rref_generic,
@@ -74,8 +75,9 @@ def _random_scalar(rng, field):
 
 @pytest.mark.parametrize("field", [QQ, FP(2), FP(5), QU], ids=["q", "fp2", "fp5", "qu"])
 def test_vec_apply_matches_loop_then_reduce(field):
-    # the empty and single-entry shortcuts agree with the general product and
-    # never hand out the operator's own row
+    # the empty and single-entry shortcuts agree with the general product; a
+    # single entry 1 hands out the operator's own row, an empty vector or a
+    # zero sum the shared empty row, and any other vector a new dict
     rng = random.Random(19)
     for _ in range(30):
         ncols = rng.randint(1, 6)
@@ -93,10 +95,16 @@ def test_vec_apply_matches_loop_then_reduce(field):
         for vec in vecs:
             got = vec_apply(field, vec, rows)
             assert got == _apply_by_loop(field, vec, rows)
-            assert all(got is not r for r in rows)
-            got[ncols] = field.one
-            got.pop(0, None)
+            if vec == {i: field.one}:
+                assert got is rows[i]
+            elif not got:
+                assert got is EMPTY_ROW
+            else:
+                assert type(got) is dict and all(got is not r for r in rows)
             assert rows == snapshot
+    assert not EMPTY_ROW
+    with pytest.raises(TypeError):
+        EMPTY_ROW[0] = field.one
 
 
 def test_rref_canonical_given_row_order_shuffle():
