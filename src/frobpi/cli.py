@@ -128,21 +128,17 @@ def _invariant_checks(cap, cache_dir):
 
 
 def _invariant_rows(name, g, cap):
-    inv = splitcase.invariant_dims(cap)
-    rows = []
-    for d in range(cap + 1):
-        zc = center_degree(g, d).dim
-        rows.append(
-            {
-                "suite": "invariants",
-                "check": "dims-vs-center",
-                "degree": d,
-                "invariant_dim": inv[d],
-                "center_dim": zc,
-                "pass": inv[d] == zc,
-            }
-        )
-    return rows
+    return [
+        {
+            "suite": "invariants",
+            "check": "dims-vs-center",
+            "degree": d,
+            "invariant_dim": inv,
+            "center_dim": zc,
+            "pass": inv == zc,
+        }
+        for d, _, _, inv, zc in splitcase.split_table(g, cap)
+    ]
 
 
 def _fibres(n, char2, D, cache_dir):

@@ -65,8 +65,7 @@ class PiElement:
 
     def __sub__(self, other):
         self._like(other)
-        f = self.graded.field
-        return PiElement(self.graded, self.d, vec_add(self.graded.field, self.vec, other.vec, f.neg(f.one)))
+        return PiElement(self.graded, self.d, vec_sub(self.graded.field, self.vec, other.vec))
 
     def __neg__(self):
         f = self.graded.field
@@ -301,42 +300,30 @@ class GradedAlgebra:
         letters.append(A_LETTER if i == 0 else i - 1)
         return tuple(reversed(letters))
 
-    def _token_list(self):
-        toks = [(nm, ("slot", j)) for j, nm in enumerate(self.pair.algebra.names)]
-        toks.extend([("a", ("a",)), ("e", ("e",)), ("f", ("f",))])
-        toks.sort(key=lambda t: -len(t[0]))
-        return toks
+    def element_from_word(self, text: str) -> PiElement:
+        """The element spelled by text in basis names of S and the letters a, e, f.
 
-    def tokenize(self, text: str):
-        toks = self._token_list()
-        out = []
+        The longest name that matches is read first, a basis name before a
+        letter of the same length.
+        """
+        names = [(nm, j) for j, nm in enumerate(self.pair.algebra.names)]
+        names += [("a", A_LETTER), ("e", E_LETTER), ("f", F_LETTER)]
+        names.sort(key=lambda t: -len(t[0]))
+        letters = []
         i = 0
         while i < len(text):
             if text[i].isspace() or text[i] == "*":
                 i += 1
                 continue
-            for nm, code in toks:
+            for nm, letter in names:
                 if text.startswith(nm, i):
-                    out.append(code)
+                    letters.append(letter)
                     i += len(nm)
                     break
             else:
                 raise WordSyntaxError(f"unreadable word at ...{text[i:]!r}")
-        if not out:
+        if not letters:
             raise WordSyntaxError("empty word")
-        return out
-
-    def element_from_word(self, text: str) -> PiElement:
-        letters = []
-        for code in self.tokenize(text):
-            if code[0] == "slot":
-                letters.append(code[1])
-            elif code[0] == "a":
-                letters.append(A_LETTER)
-            elif code[0] == "e":
-                letters.append(E_LETTER)
-            else:
-                letters.append(F_LETTER)
         target = sum(1 for L in letters if L in (E_LETTER, F_LETTER))
         if target > self.D:
             raise DegreeRangeError(f"word degree {target} exceeds build degree {self.D}")

@@ -532,12 +532,6 @@ class RationalField(Field):
         return str(a)
 
 
-def reduce_fraction_mod_p(x: Fraction, p: int) -> int:
-    if x.denominator % p == 0:
-        raise BadReductionError(f"denominator of {x} divisible by {p}")
-    return x.numerator * pow(x.denominator % p, -1, p) % p
-
-
 class PrimeField(Field):
     """F_p with int payloads kept reduced to [0, p)."""
 
@@ -562,7 +556,9 @@ class PrimeField(Field):
         if isinstance(c, int):
             return c % self.p
         if isinstance(c, Fraction):
-            return reduce_fraction_mod_p(c, self.p)
+            if c.denominator % self.p == 0:
+                raise BadReductionError(f"denominator of {c} divisible by {self.p}")
+            return c.numerator * pow(c.denominator % self.p, -1, self.p) % self.p
         raise FieldMismatchError(f"cannot interpret {c!r} in F_{self.p}")
 
     def add(self, a, b):
@@ -573,9 +569,6 @@ class PrimeField(Field):
 
     def mul(self, a, b):
         return a * b % self.p
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
 
     def neg(self, a):
         return -a % self.p
@@ -603,7 +596,7 @@ class PrimeField(Field):
         if "/" in s:
             a, b = s.split("/", 1)
             try:
-                return self.div(int(a) % self.p, int(b) % self.p)
+                return int(a) * self.inv(int(b)) % self.p
             except (ValueError, ZeroDivisionError) as e:
                 raise ScalarSyntaxError(f"bad residue {s!r}") from e
         try:

@@ -8,6 +8,10 @@ Families 2-6 are R[t]/(g) with R = Q[u] and a quartic g, and each is kept
 as the tuple of g's roots in Q(u): the structure constants come from
 multiplying out g, and a fiber at u = c splits into local blocks read off
 the roots at c, so no polynomial in t is ever factored.
+
+Every sparse sum in this layer, from a product of algebra elements to a
+change of basis, is computed through linalg's vec_apply and vec_sub, on
+the same reduced {index: coefficient} vectors as the engine's operators.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .fields import (
     QQ,
@@ -28,7 +33,7 @@ from .fields import (
     RatF,
     field_from_descriptor,
 )
-from .linalg import rref_rows, vec_sub
+from .linalg import rref_rows, vec_apply, vec_sub
 
 CATALOG_NAMES = (
     "split4",
@@ -58,7 +63,7 @@ class AlgebraStructureError(ValueError):
 class CommAlgebra:
     """Finite dimensional commutative algebra via structure constants.
 
-    table[i][j] is the sparse vector of b_i * b_j; the unit is stored as an
+    table[i][j] is the reduced sparse vector of b_i * b_j; the unit is stored as an
     explicit coefficient vector since natural bases (idempotents, block
     bases) rarely contain the identity as a basis element.
     """
@@ -69,15 +74,9 @@ class CommAlgebra:
         n = len(names)
         if len(set(names)) != n:
             raise AlgebraStructureError("basis names must be distinct")
-        tab = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                row.append({k: v for k, v in table[i][j].items() if not field.is_zero(v)})
-            tab.append(tuple(row))
         self.field = field
         self.names = tuple(names)
-        self.table = tuple(tab)
+        self.table = tuple(tuple(field.post_reduce(table[i][j]) for j in range(n)) for i in range(n))
         self.unit = tuple(self._find_unit()) if unit is None else tuple(unit)
         self.check()
 
@@ -86,41 +85,33 @@ class CommAlgebra:
         return len(self.names)
 
     def mul_vec(self, x: dict, y: dict) -> dict:
-        f = self.field
-        out = {}
-        for i, a in x.items():
-            for j, b in y.items():
-                c = a * b
-                for k, v in self.table[i][j].items():
-                    t = c * v
-                    if k in out:
-                        out[k] = out[k] + t
-                    else:
-                        out[k] = t
-        return f.post_reduce(out)
+        """The product x y, as sum_j y_j (sum_i x_i table[j][i]).
+
+        table[j][i] = b_j b_i = b_i b_j, as check() tests before its first
+        product.  Both sums are linalg.vec_apply, so the result may be
+        shared as vec_apply's is: a table entry itself (x or y a single
+        basis vector), or linalg.EMPTY_ROW.  Callers never mutate it.
+        """
+        f, table = self.field, self.table
+        return vec_apply(f, y, {j: vec_apply(f, x, table[j]) for j in y})
 
     def basis_vec(self, i: int) -> dict:
         return {i: self.field.one}
 
     def unit_vec(self) -> dict:
-        return self.field.post_reduce({i: c for i, c in enumerate(self.unit)})
+        return self.field.post_reduce(dict(enumerate(self.unit)))
 
     def _find_unit(self):
         # solve e * b_j = b_j for all j
         f = self.field
         n = self.n
-        rows = []
-        rhs = []
+        aug = []
         for j in range(n):
             for k in range(n):
-                rows.append({i: self.table[i][j].get(k, f.zero) for i in range(n)})
-                rhs.append(self.basis_vec(j).get(k, f.zero))
-        aug = []
-        for r, b in zip(rows, rhs):
-            rr = dict(r)
-            if not f.is_zero(b):
-                rr[n] = f.neg(b)
-            aug.append(f.post_reduce(rr))
+                row = {i: self.table[i][j].get(k, f.zero) for i in range(n)}
+                if j == k:
+                    row[n] = f.neg(f.one)  # the right-hand side, b_j's coordinate k
+                aug.append(f.post_reduce(row))
         piv, red = rref_rows(f, aug, n + 1)
         if n in piv:
             raise AlgebraStructureError("structure constants admit no unit")
@@ -134,18 +125,18 @@ class CommAlgebra:
         n = self.n
         for i in range(n):
             for j in range(i + 1, n):
-                if not _vec_eq(f, self.table[i][j], self.table[j][i]):
+                if vec_sub(f, self.table[i][j], self.table[j][i]):
                     raise AlgebraStructureError(f"not commutative at ({i},{j})")
         e = self.unit_vec()
         for j in range(n):
-            if not _vec_eq(f, self.mul_vec(e, self.basis_vec(j)), self.basis_vec(j)):
+            if vec_sub(f, self.mul_vec(e, self.basis_vec(j)), self.basis_vec(j)):
                 raise AlgebraStructureError(f"unit fails on basis element {j}")
         for i in range(n):
             for j in range(n):
                 for k in range(n):
                     lhs = self.mul_vec(self.table[i][j], self.basis_vec(k))
                     rhs = self.mul_vec(self.basis_vec(i), self.table[j][k])
-                    if not _vec_eq(f, lhs, rhs):
+                    if vec_sub(f, lhs, rhs):
                         raise AlgebraStructureError(f"not associative at ({i},{j},{k})")
         return True
 
@@ -160,16 +151,9 @@ class CommAlgebra:
     def equal_constants(self, other: "CommAlgebra") -> bool:
         if self.field.tag != other.field.tag or self.n != other.n:
             return False
-        f = self.field
-        for i in range(self.n):
-            for j in range(self.n):
-                if not _vec_eq(f, self.table[i][j], other.table[i][j]):
-                    return False
-        return True
-
-
-def _vec_eq(f: Field, a: dict, b: dict) -> bool:
-    return not vec_sub(f, a, b)
+        return not any(
+            vec_sub(self.field, a, b) for ra, rb in zip(self.table, other.table) for a, b in zip(ra, rb)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -188,27 +172,16 @@ class FrobeniusPair:
     def __init__(self, algebra: CommAlgebra, lam):
         f = algebra.field
         n = algebra.n
-        lam = tuple(f.convert(c) for c in lam)
-        gram = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                prod = algebra.table[i][j]
-                acc = f.zero
-                for k, v in prod.items():
-                    acc = f.add(acc, f.mul(v, lam[k]))
-                row.append(acc)
-            gram.append(tuple(row))
-        inv = _dense_inverse(f, gram)
+        self.algebra = algebra
+        self.lam = tuple(f.convert(c) for c in lam)
+        self.gram = tuple(tuple(self.lam_apply(prod) for prod in row) for row in algebra.table)
+        inv = _dense_inverse(f, self.gram)
         if inv is None:
             raise SingularGramError("functional has singular Gram matrix")
-        self.algebra = algebra
-        self.lam = lam
-        self.gram = tuple(gram)
         self.dual_right = tuple(tuple(inv[q][j] for q in range(n)) for j in range(n))
         for i in range(n):
             for j in range(n):
-                v = self.lam_apply(algebra.mul_vec(algebra.basis_vec(i), {q: self.dual_right[j][q] for q in range(n) if not f.is_zero(self.dual_right[j][q])}))
+                v = self.lam_apply(algebra.mul_vec(algebra.basis_vec(i), f.post_reduce(dict(enumerate(self.dual_right[j])))))
                 want = f.one if i == j else f.zero
                 if not f.is_zero(f.sub(v, want)):
                     raise SingularGramError("dual basis normalization failed")
@@ -253,8 +226,12 @@ def is_frobenius(a: CommAlgebra):
 
     Works with a generic functional: det of the Gram matrix in indeterminate
     coefficients is a polynomial, nonzero iff some functional works.  The
-    witness search scans small integer points; a grid of side 2*deg + 1
-    is guaranteed to contain a non-root when the determinant is nonzero.
+    witness is the first functional on which it does not vanish, among
+    all of F_p^n when p <= 2n, else among the integer points with
+    coordinates taken in the order 0, 1, -1, ..., n, -n, the first
+    coordinate varying fastest.  That grid of side 2n + 1 holds a non-root of the
+    degree-n determinant whenever it is nonzero over Q or a large F_p;
+    over a small F_p the witness is None when every functional fails.
     """
     f = a.field
     n = a.n
@@ -275,16 +252,13 @@ def is_frobenius(a: CommAlgebra):
     if det.is_zero():
         return False, None
     if isinstance(f, PrimeField) and f.p <= 2 * n:
-        # small field: exhaust all functionals instead of grid search
-        for lam in _all_tuples(f.p, n):
-            lamc = [c % f.p for c in lam]
-            if not f.is_zero(det.eval([f.convert(c) for c in lamc])):
-                return True, tuple(lamc)
-        return True, None
-    for lam in _grid_points(n, n):
-        point = [f.convert(c) for c in lam]
-        if not f.is_zero(det.eval(point)):
-            return True, tuple(lam)
+        vals = range(f.p)
+    else:
+        vals = [0, *(s * k for k in range(1, n + 1) for s in (1, -1))]
+    for lam in product(vals, repeat=n):
+        lam = lam[::-1]
+        if not f.is_zero(det.eval([f.convert(c) for c in lam])):
+            return True, lam
     return True, None
 
 
@@ -300,27 +274,6 @@ def _poly_det(m, zero):
         t = m[0][j] * _poly_det(minor, zero)
         acc = acc + (t if j % 2 == 0 else -t)
     return acc
-
-
-def _grid_points(n, deg):
-    vals = [0]
-    for k in range(1, deg + 1):
-        vals.extend((k, -k))
-    if n == 0:
-        yield ()
-        return
-    for rest in _grid_points(n - 1, deg):
-        for v in vals:
-            yield (v,) + rest
-
-
-def _all_tuples(p, n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _all_tuples(p, n - 1):
-        for v in range(p):
-            yield (v,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -532,30 +485,31 @@ def deformation(n: int, char2: bool = False) -> DeformationFamily:
     return DeformationFamily(n, False, a, (zero, zero, zero, one), roots, special, generic)
 
 
-def specialize_algebra(a: CommAlgebra, target: str, at=None) -> CommAlgebra:
-    """Entrywise scalar specialization of the structure constants."""
-    src = a.field.tag
+def _specializer(src: Field, target: str, at):
+    """The field named by target and the map that carries a scalar of src into it.
+
+    From qu the map evaluates at u = at (0 when at is None); from q into F_p it reduces mod p.
+    """
     tf = field_from_descriptor(target)
-    if src == "qu":
+    if src.tag == "qu":
         if tf.tag != "q":
             raise FieldMismatchError(f"cannot specialize qu constants into {target}")
         c = Fraction(at if at is not None else 0)
-        return a.map_scalars(QQ, lambda v: v.eval(c))
-    if src == "q" and isinstance(tf, PrimeField):
-        return a.map_scalars(tf, lambda v: tf.convert(v))
-    raise FieldMismatchError(f"no specialization from {src} to {target}")
+        return QQ, lambda v: v.eval(c)
+    if src.tag == "q" and isinstance(tf, PrimeField):
+        return tf, tf.convert
+    raise FieldMismatchError(f"no specialization from {src.tag} to {target}")
+
+
+def specialize_algebra(a: CommAlgebra, target: str, at=None) -> CommAlgebra:
+    """Entrywise scalar specialization of the structure constants."""
+    return a.map_scalars(*_specializer(a.field, target, at))
 
 
 def specialize_pair(p: FrobeniusPair, target: str, at=None) -> FrobeniusPair:
     """Specialize constants and functional together; Gram must stay invertible."""
-    a = specialize_algebra(p.algebra, target, at)
-    tf = a.field
-    if p.field.tag == "qu":
-        c = Fraction(at if at is not None else 0)
-        lam = [v.eval(c) for v in p.lam]
-    else:
-        lam = [tf.convert(v) for v in p.lam]
-    return FrobeniusPair(a, lam)
+    tf, fn = _specializer(p.field, target, at)
+    return FrobeniusPair(p.algebra.map_scalars(tf, fn), [fn(v) for v in p.lam])
 
 
 # ---------------------------------------------------------------------------
@@ -584,23 +538,20 @@ def block_presentation(fiber: CommAlgebra, roots) -> CommAlgebra:
             x = fiber.mul_vec(x, f.post_reduce({0: f.neg(a), 1: f.one}))
         return x
 
-    spans = []
+    flat = []  # the spanning vectors of every block, block after block
     for a, m in blocks:
         h = one
         for b, mb in blocks:
             if b != a:
                 h = times_lin(h, b, mb)
-        spans.append([times_lin(h, a, r) for r in range(m)])
-    (coords,) = _in_basis(f, [v for span in spans for v in span], [one])
+        flat += [times_lin(h, a, r) for r in range(m)]
+    (coords,) = _in_basis(f, flat, [one])
     basis, names, start = [], [], 0
-    for bi, ((a, m), span) in enumerate(zip(blocks, spans)):
-        ehat = {}
-        for c, v in zip(coords[start : start + m], span):
-            for k, x in v.items():
-                ehat[k] = f.add(ehat.get(k, f.zero), f.mul(c, x))
+    for bi, (a, m) in enumerate(blocks):
+        ehat = vec_apply(f, {k: c for k, c in coords.items() if start <= k < start + m}, flat)
         start += m
         for r in range(m):
-            basis.append(times_lin(f.post_reduce(ehat), a, r))
+            basis.append(times_lin(ehat, a, r))
             names.append(f"x{bi}_{r}")
     return _rebase(fiber, basis, names)
 
@@ -610,24 +561,18 @@ def _rebase(alg: CommAlgebra, basis, names) -> CommAlgebra:
     f = alg.field
     n = len(basis)
     prods = _in_basis(f, basis, [alg.mul_vec(x, y) for x in basis for y in basis])
-    tab = [[dict(enumerate(prods[i * n + j])) for j in range(n)] for i in range(n)]
+    tab = [prods[i * n : (i + 1) * n] for i in range(n)]
     return CommAlgebra(f, tuple(names), tab)
 
 
 def _in_basis(f: Field, basis, vecs):
-    """The dense coordinates of each of vecs in basis, n vectors spanning f^n."""
+    """The coordinates of each of vecs in basis, n vectors spanning f^n, as sparse vectors."""
     n = len(basis)
     inv = _dense_inverse(f, [[b.get(k, f.zero) for k in range(n)] for b in basis])
     if inv is None:
         raise InvariantError("block basis is degenerate")
-    out = []
-    for v in vecs:
-        c = [f.zero] * n
-        for k, x in v.items():
-            for m in range(n):
-                c[m] = f.add(c[m], f.mul(x, inv[k][m]))
-        out.append(c)
-    return out
+    rows = [f.post_reduce(dict(enumerate(r))) for r in inv]
+    return [vec_apply(f, v, rows) for v in vecs]
 
 
 def _fiber_matches_catalog(fam, at, target: str) -> bool:

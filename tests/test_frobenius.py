@@ -1,12 +1,13 @@
 """Rank-4 algebra catalog, functionals, deformations, serialization."""
 
+import copy
 import hashlib
 from fractions import Fraction
 
 import pytest
 
 from frobpi.cli import GENERIC_SAMPLE
-from frobpi.fields import QQ, field_from_descriptor
+from frobpi.fields import QQ, PrimeField, field_from_descriptor
 from frobpi.frobenius import (
     CATALOG_NAMES,
     REJECT_NAMES,
@@ -26,6 +27,7 @@ from frobpi.frobenius import (
     is_frobenius,
     make_frobenius,
     special_fiber_matches_catalog,
+    specialize_algebra,
     specialize_pair,
 )
 
@@ -258,3 +260,80 @@ def test_specialize_pair_q_to_fp():
     pair = specialize_pair(catalog("bikwad"), "fp:5")
     assert pair.field.tag == "fp:5"
     assert pair.lam == (0, 0, 0, 1)
+
+
+def _functionals_in_order(f, n):
+    """Every candidate functional, in the order is_frobenius documents.
+
+    All of F_p^n when p <= 2n, else the integer grid with coordinates
+    0, 1, -1, ..., n, -n; the first coordinate varies fastest.
+    """
+    if isinstance(f, PrimeField) and f.p <= 2 * n:
+        vals = list(range(f.p))
+    else:
+        vals = [0]
+        for k in range(1, n + 1):
+            vals += [k, -k]
+    b = len(vals)
+    for idx in range(b**n):
+        yield tuple(vals[idx // b**k % b] for k in range(n))
+
+
+def _gram_is_invertible(alg, lam):
+    try:
+        FrobeniusPair(alg, lam)
+    except SingularGramError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + REJECT_NAMES)
+@pytest.mark.parametrize("desc", ["q", "fp:2", "fp:3", "fp:5", "fp:7", "fp:11"])
+def test_is_frobenius_witness_is_first_working_functional(name, desc):
+    # oracle: try FrobeniusPair on each candidate in turn; the witness must be
+    # the first that works, and None only when none does
+    entry = catalog(name, field_from_descriptor(desc))
+    alg = entry.algebra if isinstance(entry, FrobeniusPair) else entry
+    ok, witness = is_frobenius(alg)
+    candidates = _functionals_in_order(alg.field, alg.n)
+    assert witness == next((lam for lam in candidates if _gram_is_invertible(alg, lam)), None)
+    assert ok or witness is None
+
+
+@pytest.mark.parametrize("desc", ["q", "fp:3", "fp:5"])
+def test_is_frobenius_witness_first_coordinate_fastest(desc):
+    # k[x]/(x^2 - 1) on 1, x has Gram determinant l0^2 - l1^2: both (1, 0)
+    # and (0, 1) work, and only the documented order puts (1, 0) first
+    f = field_from_descriptor(desc)
+    tab = [[{0: f.one}, {1: f.one}], [{1: f.one}, {0: f.one}]]
+    assert is_frobenius(CommAlgebra(f, ("1", "x"), tab)) == (True, (1, 0))
+
+
+def test_no_table_row_is_mutated_through_sharing(monkeypatch):
+    # mul_vec may return a table entry itself, so a caller that wrote into its
+    # result would change the table; snapshot every algebra as it is built
+    built = []
+    init = CommAlgebra.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append((self, copy.deepcopy(self.table)))
+
+    monkeypatch.setattr(CommAlgebra, "__init__", recording_init)
+    for desc in ("q", "fp:5"):
+        for name in CATALOG_NAMES:
+            pair = catalog(name, field_from_descriptor(desc))
+            pair.algebra.check()
+            FrobeniusPair(pair.algebra, pair.lam)
+    for n, char2 in [(n, False) for n in range(1, 7)] + [(6, True)]:
+        fam = deformation(n, char2)
+        fam.algebra.check()
+        FrobeniusPair(fam.algebra, fam.lam)
+        assert _fiber_matches_catalog(fam, 0, fam.special)
+        assert _fiber_matches_catalog(fam, 2, fam.generic)
+        if fam.roots is not None:
+            fiber = specialize_algebra(fam.algebra, "q", 2)
+            block_presentation(fiber, [a.eval(Fraction(2)) for a in fam.roots]).check()
+    assert len(built) > 30
+    for alg, snapshot in built:
+        assert alg.table == snapshot, alg.names
