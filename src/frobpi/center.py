@@ -182,44 +182,26 @@ def zeta_dimension_check(g: GradedAlgebra, D: int) -> bool:
     """Monomials in A, B, C span the center degreewise up to D.
 
     A and B sit in degree 4, C in degree 6 with C^2 = 0, so degree d takes
-    the monomials A^i B^j C^eps with 4i + 4j + 6 eps = d.
+    the monomials A^i B^j C^eps with 4i + 4j + 6 eps = d.  Their span is
+    A and B times the span four degrees down, through the left rows of A
+    and B, with C added in degree 6.
     """
     _require_bikwad(g)
     if D + 1 > g.D:
         raise DegreeRangeError(f"degree {D} needs build degree {D + 1}")
     f = g.field
     _, _, a_el, b_el, c_el = central_words(g)
-    pow_cache = {}
-
-    def monomial(i, j, eps):
-        key = (i, j, eps)
-        if key in pow_cache:
-            return pow_cache[key]
-        if i > 0:
-            el = g.multiply(a_el, monomial(i - 1, j, eps))
-        elif j > 0:
-            el = g.multiply(b_el, monomial(0, j - 1, eps))
-        elif eps:
-            el = c_el
-        else:
-            el = g.unit_element()
-        pow_cache[key] = el
-        return el
-
+    spans = []  # spans[d]: the monomials of degree d, as A spans[d - 4] + B spans[d - 4]
     for d in range(D + 1):
+        vecs = [g.unit_element().vec] if d == 0 else [c_el.vec] if d == 6 else []
+        if d >= 4 and spans[d - 4].rows:
+            for x in (a_el, b_el):
+                rows = g.left(x, d - 4)
+                vecs += [vec_apply(f, v, rows) for v in spans[d - 4].rows]
+        span = Subspace.from_vectors(f, g.dim(d), vecs)
+        spans.append(span)
         z = center_degree(g, d)
-        vecs = []
-        for eps in (0, 1):
-            rem = d - 6 * eps
-            if rem < 0 or rem % 4:
-                continue
-            k = rem // 4
-            for i in range(k + 1):
-                vecs.append(monomial(i, k - i, eps).vec)
-        span = Subspace.from_vectors(f, g.dim(d), [dict(v) for v in vecs])
-        if span.dim != z.dim:
-            return False
-        if not all(z.contains(r) for r in span.rows):
+        if span.dim != z.dim or not all(z.contains(r) for r in span.rows):
             return False
     return True
 
@@ -227,14 +209,8 @@ def zeta_dimension_check(g: GradedAlgebra, D: int) -> bool:
 def mu3_check(g: GradedAlgebra) -> bool:
     """u Pi_1 + v Pi_1 = Pi_3, with u and v the degree-2 normalizing elements."""
     _require_bikwad(g)
-    f = g.field
     u, v, _, _, _ = central_words(g)
-    vecs = []
-    for i in range(g.dim(1)):
-        x = g.basis_element(1, i)
-        vecs.append(g.multiply(u, x).vec)
-        vecs.append(g.multiply(v, x).vec)
-    span = Subspace.from_vectors(f, g.dim(3), vecs)
+    span = Subspace.from_vectors(g.field, g.dim(3), [*g.left(u, 1), *g.left(v, 1)])
     return span.dim == g.dim(3)
 
 
@@ -285,9 +261,5 @@ def sigma_surjectivity_check(g: GradedAlgebra, D: int) -> bool:
             return False
     if D <= 6:
         return True
-    vecs = [
-        g.multiply(PiElement(g, 4, z), g.basis_element(3, i)).vec
-        for z in center_degree(g, 4).rows
-        for i in range(g.dim(3))
-    ]
+    vecs = [row for z in center_degree(g, 4).rows for row in g.left(PiElement(g, 4, z), 3)]
     return Subspace.from_vectors(g.field, g.dim(7), vecs).dim == g.dim(7)

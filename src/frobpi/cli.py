@@ -255,27 +255,14 @@ SUITES = {
 }
 
 
-def _build_plan(suites, dmax):
-    """Build degree per field: the deepest that any of the given suites needs.
-
-    verify plans each catalog pair with the suites that check that pair.
-    """
-    plan = {}
-    for name in suites:
-        s = SUITES[name]
-        if s.build is not None:
-            for tag in s.fields:
-                plan[tag] = max(plan.get(tag, 0), s.build(s.cap_for(tag, dmax)))
-    return plan
-
-
 def _run_suites(suites, tag, dmax, cache_dir):
     """Records of the selected suites: suite by suite in SUITES order, then pair, field, degree.
 
     The catalog builds are made in one pass, pairs in CATALOG_NAMES order and
-    fields in the order the suites list them.  Each build is made once, read
-    by every suite that checks it, and dropped before the next one is made,
-    so only one catalog build is alive at a time.
+    fields in the order the suites list them.  Each build is made once, to
+    the deepest degree that any suite checking it needs, read by every such
+    suite, and dropped before the next one is made, so only one catalog
+    build is alive at a time.
     """
     selected = []  # (suite name, suite, fields, cap per field) in SUITES order
     for name, s in SUITES.items():
@@ -285,13 +272,13 @@ def _run_suites(suites, tag, dmax, cache_dir):
     readers = [sel for sel in selected if sel[1].per_build is not None]
     found = {}  # (suite name, pair, field) -> records
     for pair in CATALOG_NAMES:
-        plan = _build_plan([name for name in suites if pair in SUITES[name].pairs], dmax)
         for t in dict.fromkeys(t for _, _, fields, _ in readers for t in fields):
             users = [
                 (name, s, cap) for name, s, fields, cap in readers if t in fields and pair in s.pairs
             ]
             if users:
-                g = build(catalog(pair, field_from_descriptor(t)), plan[t], cache_dir=cache_dir)
+                D = max(s.build(cap[t]) for _, s, cap in users)
+                g = build(catalog(pair, field_from_descriptor(t)), D, cache_dir=cache_dir)
                 for name, s, cap in users:
                     found[name, pair, t] = s.per_build(pair, g, cap[t])
                 del g

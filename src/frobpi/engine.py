@@ -10,12 +10,13 @@ Casimir element sum_q b'_q (x) b_q of a commutative Frobenius algebra
 commutes with S, so x r b_j = (x b_j) r, a combination of the rows of
 other words.  The rows therefore span exactly the new relations.  Row
 reducing them leaves a canonical word basis and the reduction map gives
-the right multiplication operators by each letter.  Multiplication and
-the left multiplications fold through those operators, so one code path
-serves every coefficient field.  The parent table is the only record of
-the words: a word is spelled out through it when it is printed or
-multiplied by, and the first letter of each word, which gives the
-projections onto the two one-sided pieces, is kept beside it.
+the right multiplication operators by each letter.  Left multiplication
+by an element, and so every product, folds through those operators, so
+one code path serves every coefficient field.  The parent table is the
+only record of the words: a word is spelled out through it when it is
+printed, a left-multiplication row extends its parent word's row, and the
+first letter of each word, which gives the projections onto the two
+one-sided pieces, is kept beside it.
 
 Operator rows are stored once and shared, never copied: a B or F row that
 equals an FB row is that row, a left-multiplication row may be an E or FB
@@ -25,7 +26,7 @@ did not make.
 
 from __future__ import annotations
 
-from .fields import Field, InputError
+from .fields import Field, InputError, signed_sum
 from .frobenius import FrobeniusPair
 from .linalg import EMPTY_ROW, rref_rows, vec_add, vec_apply, vec_sub
 
@@ -283,11 +284,7 @@ class GradedAlgebra:
     def multiply(self, x: PiElement, y: PiElement) -> PiElement:
         if x.graded is not self or y.graded is not self:
             raise DegreeRangeError("elements from a different build")
-        dt = x.d + y.d
-        if dt > self.D:
-            raise DegreeRangeError(f"product degree {dt} exceeds build degree {self.D}")
-        rows = {i: self._fold(x.vec, x.d, self.word(y.d, i))[0] for i in y.vec}
-        return PiElement(self, dt, vec_apply(self.field, y.vec, rows))
+        return PiElement(self, x.d + y.d, vec_apply(self.field, y.vec, self.left(x, y.d)))
 
     # -- words --------------------------------------------------------------
 
@@ -389,21 +386,8 @@ class GradedAlgebra:
         return "".join(parts) or "1"
 
     def format_element(self, x: PiElement) -> str:
-        f = self.field
-        if not x.vec:
-            return "0"
         items = sorted((self.word_str(self.word(x.d, i)), i, c) for i, c in x.vec.items())
-        parts = []
-        for w, _, c in items:
-            cs = f.fmt(c)
-            neg = cs.startswith("-")
-            mag = cs[1:] if neg else cs
-            body = w if mag == "1" else f"{mag}*{w}"
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append((" - " if neg else " + ") + body)
-        return "".join(parts)
+        return signed_sum((self.field.fmt(c), w) for w, _, c in items)
 
     # -- left multiplication ------------------------------------------------
 
@@ -435,6 +419,12 @@ class GradedAlgebra:
         if len(memo) > 2:
             del memo[next(iter(memo))]  # the oldest degree computed
         return rows
+
+    def left(self, x: PiElement, d: int):
+        """Left multiplication rows for the element x, on degree d."""
+        if x.d + d > self.D:
+            raise DegreeRangeError(f"product degree {x.d + d} exceeds build degree {self.D}")
+        return self._left_rows({}, d, x.d, lambda: x.vec)
 
     def left0(self, d: int, j: int):
         """Left multiplication rows for slot j, on degree d; a's are read off the words.

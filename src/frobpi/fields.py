@@ -18,7 +18,7 @@ k[t]/(g) algebra is built from the roots of g (see frobenius.py).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 
 class FieldMismatchError(ValueError):
@@ -45,31 +45,27 @@ class InvariantError(ArithmeticError):
     """An identity that exact arithmetic guarantees does not hold: a bug, not a result."""
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
 def is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond the 2^31 cap used here."""
-    if p < 2:
-        return False
-    for q in _MR_BASES:
-        if p % q == 0:
-            return p == q
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, p)
-        if x == 1 or x == p - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division by the odd numbers up to sqrt(p): fast enough below the 2^31 cap on moduli."""
+    if p < 3:
+        return p == 2
+    return p % 2 == 1 and all(p % q for q in range(3, isqrt(p) + 1, 2))
+
+
+def signed_sum(terms) -> str:
+    """The sum of (coefficient text, monomial text) terms, as "-x + 2*y - 3".
+
+    A coefficient 1 is left out before a monomial, and an empty monomial is
+    a constant term.  No terms give "0".
+    """
+    parts = []
+    for cs, mono in terms:
+        neg = cs.startswith("-")
+        mag = cs[1:] if neg else cs
+        body = mag if not mono else mono if mag == "1" else f"{mag}*{mono}"
+        sep = (" - " if neg else " + ") if parts else ("-" if neg else "")
+        parts.append(sep + body)
+    return "".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -224,25 +220,12 @@ def _pquo(a, b):
 
 def _poly_str(a, lc: int) -> str:
     """The polynomial a/lc in u, highest degree first; round-trips through parse."""
-    if not a:
-        return "0"
-    parts = []
-    for k in range(len(a) - 1, -1, -1):
-        if not a[k]:
-            continue
-        cs = str(Fraction(a[k], lc))
-        neg = cs.startswith("-")
-        mag = cs[1:] if neg else cs
-        if k == 0:
-            body = mag
-        else:
-            v = "u" if k == 1 else f"u^{k}"
-            body = v if mag == "1" else f"{mag}*{v}"
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append((" - " if neg else " + ") + body)
-    return "".join(parts)
+    terms = (
+        (str(Fraction(c, lc)), "" if k == 0 else "u" if k == 1 else f"u^{k}")
+        for k, c in reversed(list(enumerate(a)))
+        if c
+    )
+    return signed_sum(terms)
 
 
 # ---------------------------------------------------------------------------

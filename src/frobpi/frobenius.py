@@ -290,6 +290,17 @@ def _table_from_pairs(field, n, entries):
     return tab
 
 
+def _local_algebra(field, names, products) -> CommAlgebra:
+    """The algebra with unit b_0 and products {(i, j): [(k, coeff), ...]} for 1 <= i <= j.
+
+    A product b_i b_j that is left out is zero.
+    """
+    n = len(names)
+    entries = {(0, j): [(j, 1)] for j in range(n)} | products
+    unit = [field.one] + [field.zero] * (n - 1)
+    return CommAlgebra(field, names, _table_from_pairs(field, n, entries), unit=unit)
+
+
 def _poly_quotient_algebra(field, roots, names) -> CommAlgebra:
     """k[t]/(g) for g = prod (t - a) over roots, on the basis 1, t, ..., t^(n-1)."""
     f, n = field, len(roots)
@@ -330,8 +341,7 @@ def catalog(name: str, field: Field = QQ):
     f = field
     one, zero = f.one, f.zero
     if name == "split4":
-        tab = [[({i: one} if i == j else {}) for j in range(4)] for i in range(4)]
-        a = CommAlgebra(f, ("e1", "e2", "e3", "e4"), tab, unit=(one, one, one, one))
+        a = _block_sum_algebra(f, (1, 1, 1, 1), ("e1", "e2", "e3", "e4"))
         return FrobeniusPair(a, (one, one, one, one))
     if name == "dual-numbers-pair":
         a = _block_sum_algebra(f, (2, 1, 1), ("m", "t", "p", "q"))
@@ -347,20 +357,7 @@ def catalog(name: str, field: Field = QQ):
         return FrobeniusPair(a, (zero, zero, zero, one))
     if name == "bikwad":
         # k[s,t]/(s^2, t^2) on 1, s, t, st
-        entries = {
-            (0, 0): [(0, 1)],
-            (0, 1): [(1, 1)],
-            (0, 2): [(2, 1)],
-            (0, 3): [(3, 1)],
-            (1, 2): [(3, 1)],
-            (1, 1): [],
-            (2, 2): [],
-            (1, 3): [],
-            (2, 3): [],
-            (3, 3): [],
-        }
-        tab = _table_from_pairs(f, 4, entries)
-        a = CommAlgebra(f, ("1", "s", "t", "st"), tab, unit=(one, zero, zero, zero))
+        a = _local_algebra(f, ("1", "s", "t", "st"), {(1, 2): [(3, 1)]})
         return FrobeniusPair(a, (zero, zero, zero, one))
     if name == "reject-jet2-plus-k":
         # k[s,t]/(s,t)^2 + k
@@ -374,37 +371,13 @@ def catalog(name: str, field: Field = QQ):
         return CommAlgebra(f, ("1", "s", "t", "c"), tab, unit=(one, zero, zero, one))
     if name == "reject-s2-st-t3":
         # k[s,t]/(s^2, st, t^3)
-        entries = {
-            (0, 0): [(0, 1)],
-            (0, 1): [(1, 1)],
-            (0, 2): [(2, 1)],
-            (0, 3): [(3, 1)],
-            (2, 2): [(3, 1)],
-        }
-        tab = _table_from_pairs(f, 4, entries)
-        return CommAlgebra(f, ("1", "s", "t", "t2"), tab, unit=(one, zero, zero, zero))
+        return _local_algebra(f, ("1", "s", "t", "t2"), {(2, 2): [(3, 1)]})
     if name == "reject-jet2-3vars":
         # k[s,t,w]/(s,t,w)^2
-        entries = {
-            (0, 0): [(0, 1)],
-            (0, 1): [(1, 1)],
-            (0, 2): [(2, 1)],
-            (0, 3): [(3, 1)],
-        }
-        tab = _table_from_pairs(f, 4, entries)
-        return CommAlgebra(f, ("1", "s", "t", "w"), tab, unit=(one, zero, zero, zero))
+        return _local_algebra(f, ("1", "s", "t", "w"), {})
     if name == "reject-char2-pencil":
         # k[s,t]/(s^2 + t^2, st) with q = s^2
-        entries = {
-            (0, 0): [(0, 1)],
-            (0, 1): [(1, 1)],
-            (0, 2): [(2, 1)],
-            (0, 3): [(3, 1)],
-            (1, 1): [(3, 1)],
-            (2, 2): [(3, -1)],
-        }
-        tab = _table_from_pairs(f, 4, entries)
-        return CommAlgebra(f, ("1", "s", "t", "q"), tab, unit=(one, zero, zero, zero))
+        return _local_algebra(f, ("1", "s", "t", "q"), {(1, 1): [(3, 1)], (2, 2): [(3, -1)]})
     raise KeyError(f"unknown catalog name {name!r}")
 
 
@@ -437,20 +410,7 @@ def deformation(n: int, char2: bool = False) -> DeformationFamily:
     if char2 and n != 6:
         raise ValueError("char2 variant exists only for family 6")
     if n == 1:
-        entries = {
-            (0, 0): [(0, 1)],
-            (0, 1): [(1, 1)],
-            (0, 2): [(2, 1)],
-            (0, 3): [(3, 1)],
-            (1, 1): [],
-            (1, 2): [(3, 1)],
-            (2, 2): [(1, u)],
-            (1, 3): [],
-            (2, 3): [],
-            (3, 3): [],
-        }
-        tab = _table_from_pairs(QU, 4, entries)
-        a = CommAlgebra(QU, ("1", "s", "t", "st"), tab, unit=(one, zero, zero, zero))
+        a = _local_algebra(QU, ("1", "s", "t", "st"), {(1, 2): [(3, 1)], (2, 2): [(1, u)]})
         return DeformationFamily(1, False, a, (zero, zero, zero, one), None, "bikwad", "t4")
     if n == 2:
         roots = (zero, zero, u, u)
@@ -668,19 +628,20 @@ def algebra_from_json(text: str):
     constants = _json_list(doc["constants"], "constants", list)
     if len(constants) != len(order):
         raise ValueError("constants list must have n(n+1)/2 entries")
-    tab = [[dict() for _ in range(n)] for _ in range(n)]
+    entries = {}
     for (i, j), row in zip(order, constants):
         what = f"constants of b_{i} b_{j}"
-        v = {}
-        for entry in _json_list(row, what, list):
-            if len(entry) != 2 or not isinstance(entry[0], int) or not isinstance(entry[1], str):
-                raise ValueError(f"{what} must be [index, scalar string] pairs")
-            v[entry[0]] = f.parse(entry[1])
-        if any(not 0 <= k < n for k in v):
+        row = _json_list(row, what, list)
+        # a JSON boolean is a Python int, so the index type is tested exactly
+        if any(len(e) != 2 or type(e[0]) is not int or type(e[1]) is not str for e in row):
+            raise ValueError(f"{what} must be [index, scalar string] pairs")
+        ks = [k for k, _ in row]
+        if any(not 0 <= k < n for k in ks):
             raise ValueError(f"{what} name a basis index outside 0..{n - 1}")
-        tab[i][j] = dict(v)
-        tab[j][i] = dict(v)
-    a = CommAlgebra(f, names, tab)
+        if len(set(ks)) != len(ks):
+            raise ValueError(f"{what} name a basis index twice")
+        entries[i, j] = [(k, f.parse(c)) for k, c in row]
+    a = CommAlgebra(f, names, _table_from_pairs(f, n, entries))
     lam = None
     if "lambda" in doc:
         lam_doc = _json_list(doc["lambda"], "lambda", str)

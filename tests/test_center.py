@@ -218,8 +218,25 @@ def test_zeta_dimension_match(bikwad_q):
     assert zeta_dimension_check(bikwad_q, 12)
 
 
+def test_zeta_dimension_fails_over_f2(fp_engines):
+    # over F_2 the centre of bikwad outgrows the monomials in A, B and C
+    assert not zeta_dimension_check(fp_engines["bikwad", 2], 12)
+
+
 def test_mu3(bikwad_q):
     assert mu3_check(bikwad_q)
+
+
+def test_mu3_fails_with_zero_u(monkeypatch, bikwad_q):
+    # v Pi_1 alone has at most dim Pi_1 = 8 rows, too few for Pi_3
+    real = center_module.central_words
+
+    def zero_u(g):
+        _, *rest = real(g)
+        return (g.zero(2), *rest)
+
+    monkeypatch.setattr(center_module, "central_words", zero_u)
+    assert not mu3_check(bikwad_q)
 
 
 def test_sigma_surjectivity_all_pairs(q_engines):

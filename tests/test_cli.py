@@ -194,6 +194,16 @@ def _not_an_object(doc):
     return [1, 2]
 
 
+def _bool_index(doc):
+    doc["constants"][1] = [[True, "1"]]  # b_0 b_1 = b_1, with the index spelled true
+    return doc
+
+
+def _repeated_index(doc):
+    doc["constants"][1] = [[1, "5"], [1, "1"]]  # b_0 b_1 given twice
+    return doc
+
+
 def _basis_is_a_number(doc):
     doc["basis"] = 4
     return doc
@@ -223,6 +233,8 @@ def _scalar_is_a_number(doc):
         _basis_is_a_number,
         _constants_is_a_number,
         _scalar_is_a_number,
+        _bool_index,
+        _repeated_index,
     ],
 )
 def test_bad_algebra_file_is_usage_error(capsys, tmp_path, spoil):
@@ -497,10 +509,23 @@ def test_verify_at_degree_cap_0(capsys, suite, count):
     assert all(r["suite"] == suite and r["degree"] == 0 and r["pass"] for r in records)
 
 
+def _cache_degrees(cache_dir):
+    """Build degree of each cache file, read from its header line."""
+    return {p.name: json.loads(p.read_text().split("\n", 1)[0])["degree"] for p in cache_dir.iterdir()}
+
+
 @pytest.mark.parametrize("cap", [0, 3, 16])
-def test_sigma_build_plan_stops_at_degree_7(cap):
+def test_sigma_build_plan_stops_at_degree_7(capsys, tmp_path, cap):
     # degree 7 settles every cap past 6, and a cap below 7 needs no more than itself
-    assert cli._build_plan(["sigma"], cap) == {t: max(1, min(cap, 7)) for t in cli.CENTER_FIELDS}
+    argv = ["verify", "--suite", "sigma", "--max-degree", str(cap), "--cache-dir", str(tmp_path)]
+    run(capsys, argv)
+    D = max(1, min(cap, 7))
+    want = {
+        f"{cache_key(catalog(name, field_from_descriptor(t)), D)}.json": D
+        for name in CATALOG_NAMES
+        for t in cli.CENTER_FIELDS
+    }
+    assert _cache_degrees(tmp_path) == want
 
 
 def test_build_degree_planned_per_pair(capsys, tmp_path):
@@ -508,10 +533,7 @@ def test_build_degree_planned_per_pair(capsys, tmp_path):
     argv = ["verify", "--suite", "ranks,invariants", "--field", "q", "--max-degree", "10"]
     code, out, _ = run(capsys, argv + ["--cache-dir", str(tmp_path)])
     assert (code, out) == run(capsys, argv + ["--no-cache"])[:2]
-    degrees = {}
-    for path in tmp_path.iterdir():
-        header = json.loads(path.read_text().split("\n", 1)[0])
-        degrees[path.name] = header["degree"]
+    degrees = _cache_degrees(tmp_path)
     want = {}
     for name in CATALOG_NAMES:
         D = 11 if name == "split4" else 10
@@ -755,21 +777,27 @@ def test_algebra_json_round_trip(capsys, tmp_path, name, tag):
     assert by_pair[0] == 0
 
 
+def _src_env():
+    """The environment with this checkout's src first on PYTHONPATH, for a child python."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_cli_import_leaves_out_numpy():
     # numpy serves only the tests and the benchmark; the CLI must not load it
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, frobpi.cli; print(sorted({'numpy', 'frobpi._kernels'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
 
 def test_console_script():
+    # python -m frobpi, from the checkout: the tests need no installed package
     proc = subprocess.run(
         [sys.executable, "-m", "frobpi", "quiver", "--max-degree", "2", "--format", "csv"],
         capture_output=True,
         text=True,
+        env=_src_env(),
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert "15" in proc.stdout

@@ -269,6 +269,33 @@ def test_associativity_random_triples(q_engines):
         checked += 1
 
 
+def _fold_product(g, x, y):
+    """x y as the sum over y's basis words i of y_i times x folded through word i's letters."""
+    f = g.field
+    out = {}
+    for i, c in y.vec.items():
+        row, d = g._fold(x.vec, x.d, g.word(y.d, i))
+        assert d == x.d + y.d
+        for k, v in row.items():
+            out[k] = f.add(out.get(k, f.zero), f.mul(c, v))
+    return PiElement(g, x.d + y.d, out)
+
+
+@pytest.mark.parametrize("tag", ["q", "fp:5"])
+def test_multiply_matches_word_by_word_fold(q_engines, fp_engines, tag):
+    # multiply reads x's left-multiplication rows; the reference folds x through each word of y
+    rng = random.Random(f"multiply {tag}")
+    for name in CATALOG_NAMES:
+        g = q_engines[name] if tag == "q" else fp_engines[name, 5]
+        for dx in range(9):
+            for dy in range(9 - dx):
+                x, y = (
+                    PiElement(g, d, {i: rng.randint(-3, 3) for i in range(g.dim(d)) if rng.random() < 0.4})
+                    for d in (dx, dy)
+                )
+                assert g.multiply(x, y) == _fold_product(g, x, y), (name, dx, dy)
+
+
 def test_degree_cap_raises(q_engines):
     g = q_engines["bikwad"]
     x = g.basis_element(16, 0)

@@ -192,7 +192,7 @@ def test_fiber_matches_only_its_own_catalog_algebra(n):
 
 
 # sha256 of algebra_to_json, which feeds cache.cache_key: a change here moves
-# every cache entry of these algebras
+# every cache entry of these algebras, and pins each presentation as written
 FAMILY_JSON_SHA256 = {
     (1, False): "fc15f130ea03e59a38016357796e91a90ce24f86ade75c549becf8ebe1d507ed",
     (2, False): "d7206aaffb87dd38a295653a22c9fc71035f153684730d56ba5641b7d7fde0fc",
@@ -202,10 +202,31 @@ FAMILY_JSON_SHA256 = {
     (6, False): "71d4d9f797ca1f1dbf68f4e352c351c643eb0ad45037628bc73789e336784cb2",
     (6, True): "3233f8c48db110a6e616ddf6d64abc07be228cb1e4398b2a907c367e483f0649",
 }
-T4_JSON_SHA256 = {
-    "q": "b54b70d6d94718681940acc92767b057ff478d93496339bf11a4d24b19e772a9",
-    "fp:2": "29b1c22c01882c1a0e58562a40532fb8d312deec7dda01ac5555d8ccade72980",
-    "fp:5": "0838917bf249c39b4131723cd3ba118c879b9b117074f297f3f22b30c6c45024",
+CATALOG_JSON_SHA256 = {
+    ("split4", "q"): "d076261372ae42925760215dcf52956060e60b653de6919bf129f31c7a9ac0d8",
+    ("dual-numbers-pair", "q"): "70190bd7774521f05373ad79c3dc79f513229b332d1f79c53a3214b96a7c247e",
+    ("two-dual-numbers", "q"): "1c606695e7375374c2c8a5925c76ec3038525cb8fcbc08f395ba5a6de37b5d64",
+    ("t3-plus-k", "q"): "c448594e702fe2278ccd14145a0740829dda34ca7d24a096756cc418aec057e2",
+    ("t4", "q"): "b54b70d6d94718681940acc92767b057ff478d93496339bf11a4d24b19e772a9",
+    ("bikwad", "q"): "d0178b05bd025bd6767cfae0e6cc4cd019bc13ab45f0a32799d64b30a2ea053e",
+    ("split4", "fp:2"): "8b43a237e483bfad9609e56a860d8ec078734f995eb1a7318f9ea0a73b8a3d8f",
+    ("dual-numbers-pair", "fp:2"): "c3864ecc25c61ef6f7b5410b5885c7f70543dfdc6e21257b85deae54424aacc8",
+    ("two-dual-numbers", "fp:2"): "1b9e26ed5f32d1ba41e2f09315e361b0e1efff27add7df2edb3100201a3099de",
+    ("t3-plus-k", "fp:2"): "1f5af1743315046c7b8a4a9fbccee1fb6735dcbf9eee2b2e06a3d71552b41871",
+    ("t4", "fp:2"): "29b1c22c01882c1a0e58562a40532fb8d312deec7dda01ac5555d8ccade72980",
+    ("bikwad", "fp:2"): "9e5b1b3015ec2ea66a7a968d7b4accba2a181bf1d780d6625a4d5187c765dc25",
+    ("split4", "fp:5"): "9169f345d612dfd77591b2e62a7b97441a135b8d26f7a4165a54a5f00a0dc2e7",
+    ("dual-numbers-pair", "fp:5"): "e4b92c5ca41d05c031abc30a6af309b05ebadebd3d2d00c73ec45e468403b64f",
+    ("two-dual-numbers", "fp:5"): "9605feeaad39e3ea6467a7445e6f1bd6b6612af3145601d8e40c0c1150b16c1f",
+    ("t3-plus-k", "fp:5"): "ee1ba11afa1238d71ac6d8bc7c4760f548bad261b814e7843e5559513272dbe3",
+    ("t4", "fp:5"): "0838917bf249c39b4131723cd3ba118c879b9b117074f297f3f22b30c6c45024",
+    ("bikwad", "fp:5"): "3dcbdd2c91789c2d4f186f980b1d1a1069481ab907996ed972ef3fbd65c80dd7",
+}
+REJECT_JSON_SHA256 = {
+    "reject-jet2-plus-k": "f6979485ab6a6e89c0fd31a2a3e45a51f9d59923e6d7e84eb15a6aae4b97c4c3",
+    "reject-s2-st-t3": "3f092f0e1b67e8afb0a1bc2c967f5702ee38e2ede4000e21997ce30af73cccb0",
+    "reject-jet2-3vars": "97d6e1479cfd0d0410c58a9d24c68ced0a6be1a54efc943d4634352ca9371450",
+    "reject-char2-pencil": "52b2d07a046b35a0e767799e3ec8e507f3415dfec55b621057485d53d20c818e",
 }
 
 
@@ -217,8 +238,11 @@ def test_algebra_json_bytes_pinned():
     for (n, char2), digest in FAMILY_JSON_SHA256.items():
         fam = deformation(n, char2)
         assert _sha256(algebra_to_json(make_frobenius(fam.algebra, fam.lam))) == digest, (n, char2)
-    for desc, digest in T4_JSON_SHA256.items():
-        assert _sha256(algebra_to_json(catalog("t4", field_from_descriptor(desc)))) == digest, desc
+    for (name, desc), digest in CATALOG_JSON_SHA256.items():
+        pair = catalog(name, field_from_descriptor(desc))
+        assert _sha256(algebra_to_json(pair)) == digest, (name, desc)
+    for name, digest in REJECT_JSON_SHA256.items():
+        assert _sha256(algebra_to_json(catalog(name))) == digest, name
 
 
 def test_deformation_metadata():
