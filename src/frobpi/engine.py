@@ -20,11 +20,15 @@ one-sided pieces, is kept beside it.
 
 Operator rows are stored once and shared, never copied: a B or F row that
 equals an FB row is that row, a left-multiplication row may be an E or FB
-row, and every zero row is linalg.EMPTY_ROW.  So no caller mutates a row it
-did not make.
+row, every zero row is linalg.EMPTY_ROW, and the unit row {k: 1} that a
+basis word k stores as the E or FB row of its own coordinate is one
+read-only row per k, kept for the whole build and reused in every degree.
+So no caller mutates a row it did not make.
 """
 
 from __future__ import annotations
+
+import types
 
 from .fields import Field, InputError, signed_sum
 from .frobenius import FrobeniusPair
@@ -139,6 +143,7 @@ class GradedAlgebra:
             self.B[0].append(rows)
         self._l0 = [{} for _ in range(n)]  # per slot: degree -> rows
         self._l1 = ({}, {})  # e, f
+        self._units = []  # _units[k]: the read-only row {k: 1}, grown as degrees need it
 
     # -- construction -------------------------------------------------------
 
@@ -199,17 +204,20 @@ class GradedAlgebra:
                         col = fcol[(w, m)]
                         t = c * cw
                         row[col] = row[col] + t if col in row else t
-                rel.append(f.post_reduce(row))
+                rel.append(row)
 
         pivots, rrows = rref_rows(f, rel, ncols)
         pivset = set(pivots)
         basis_at = {}
         parent = []
         red = [None] * ncols
+        units = self._units
         for col, coord in enumerate(coords):
             if col not in pivset:
-                basis_at[col] = len(parent)
-                red[col] = {len(parent): f.one}
+                basis_at[col] = k = len(parent)
+                if k == len(units):
+                    units.append(types.MappingProxyType({k: f.one}))
+                red[col] = units[k]
                 parent.append(coord)
         for pc, r in zip(pivots, rrows):
             red[pc] = {basis_at[q]: f.neg(v) for q, v in r.items() if q != pc} or EMPTY_ROW

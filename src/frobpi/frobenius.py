@@ -111,7 +111,7 @@ class CommAlgebra:
                 row = {i: self.table[i][j].get(k, f.zero) for i in range(n)}
                 if j == k:
                     row[n] = f.neg(f.one)  # the right-hand side, b_j's coordinate k
-                aug.append(f.post_reduce(row))
+                aug.append(row)
         piv, red = rref_rows(f, aug, n + 1)
         if n in piv:
             raise AlgebraStructureError("structure constants admit no unit")
@@ -205,10 +205,7 @@ class FrobeniusPair:
 def _dense_inverse(f: Field, rows):
     """Inverse of a small dense matrix over f, or None when singular."""
     n = len(rows)
-    aug = [{j: rows[i][j] for j in range(n)} for i in range(n)]
-    for i in range(n):
-        aug[i][n + i] = f.one
-        aug[i] = f.post_reduce(aug[i])
+    aug = [{**dict(enumerate(row)), n + i: f.one} for i, row in enumerate(rows)]
     piv, red = rref_rows(f, aug, 2 * n)
     if len(piv) < n or list(piv[:n]) != list(range(n)):
         return None

@@ -6,17 +6,16 @@ included, goes through one sparse lane: the relation and centre matrices
 are very sparse, and elimination that keeps them sparse beats a dense
 reduction on them.
 
-The lane is a Markowitz-style sparse elimination: a heap of pivot keys
-picks the next pivot row, a column index names the rows each pivot
-changes, rows are eliminated in place, and the finished rows are
-back-substituted in one pass at the end.  No pivot rescans every row.
+The lane reduces by leading terms, as Groebner-basis linear algebra does:
+rows are taken sparsest first, each row's leading entry is cancelled
+against the pivot rows kept so far until it leads at a new column, and the
+kept rows are back-substituted in one pass at the end.  The matrices frobpi
+reduces are nearly triangular already, so most rows are kept as they come.
 """
 
 from __future__ import annotations
 
-import heapq
 import types
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .fields import Field, InvariantError
@@ -81,87 +80,64 @@ def vec_sub(field: Field, a: dict, b: dict) -> dict:
 
 
 def _rref_generic(field: Field, rows, keep_from=0):
-    """Sparse elimination over any field.
+    """Sparse elimination over any field, by leading terms, sparsest row first.
 
-    Pivot row choice: fewest nonzeros, then lowest leading column, then
-    first entered.  The output is the canonical reduced form either way;
-    the rule only controls fill-in along the way.
+    Each row is reduced into a copy of its own, and the copies are taken in
+    order of nonzero count, fewest first; the sort is stable.  A row's
+    leading entry is cancelled against the pivot row kept for that column
+    until the row leads at a column that has none, or vanishes; it is then
+    scaled to lead with one and kept as that column's pivot row.  The kept
+    rows are back-substituted once, in descending pivot column order, each
+    by the already reduced rows whose pivots it holds.  The output is the
+    canonical reduced form whatever the order; the order only controls
+    fill-in along the way.
 
-    Forward elimination keeps a heap of (nonzeros, leading column, input
-    index) keys and an index from each column to the unfinished rows that
-    hold it.  A pivot eliminates its column in place from the rows the index
-    names, updates the index only for the entries it creates or cancels, and
-    pushes a fresh key for each row whose key moved; a popped key that no
-    longer matches its row is skipped.  The finished rows are then
-    back-substituted once, in descending pivot column order, each by the
-    already reduced rows whose pivots it holds.
+    The relation and centre matrices are nearly in echelon form already:
+    every build relation matrix of the benchmark argvs has pairwise
+    distinct leading columns (t4 over Q to D = 41: 3,680 of 3,680 rows;
+    bikwad over F_5 to D = 49: 5,280 of 5,280), the centre's augmented
+    rows have 76 distinct leading columns per 100 rows, and rows carry 2-3
+    nonzeros.  Most rows are kept as they come, and no pivot looks for the
+    other rows that hold its column, so no column index or heap is kept.
 
     Only the rows with pivot column >= keep_from are back-substituted; only
     rows with a higher pivot reduce such a row, so these come out exactly as
     in the full reduction, and the pivots are the same.
     """
-    work = [field.post_reduce(r) for r in rows]
-    lead = [min(w) if w else None for w in work]
-    heap = [(len(w), lead[i], i) for i, w in enumerate(work) if w]
-    heapq.heapify(heap)
-    cols = defaultdict(set)
-    for i, w in enumerate(work):
-        for k in w:
-            cols[k].add(i)
-    done = []
-    while heap:
-        n, c, i = heapq.heappop(heap)
-        r = work[i]
-        if r is None or len(r) != n or lead[i] != c:
-            continue
-        work[i] = None
-        for k in r:
-            cols[k].discard(i)
-        if not field.is_zero(field.sub(r[c], field.one)):
-            inv = field.inv(r[c])
-            r = {k: field.mul(v, inv) for k, v in r.items()}
-        done.append((c, r))
-        for j in cols.pop(c):
-            s = work[j]
-            new, gone = _axpy_into(field, s, s[c], r)
-            for k in new:
-                cols[k].add(j)
-            for k in gone:
-                cols[k].discard(j)
-            if s:
-                if lead[j] == c:
-                    lead[j] = min(s)
-                heapq.heappush(heap, (len(s), lead[j], j))
-    done.sort()
-    reduced = dict(done)
-    for c, r in reversed(done):
+    reduced = {}
+    for r in sorted(map(field.post_reduce, rows), key=len):
+        while r:
+            c = min(r)
+            p = reduced.get(c)
+            if p is None:
+                if not field.is_zero(field.sub(r[c], field.one)):
+                    inv = field.inv(r[c])
+                    r = {k: field.mul(v, inv) for k, v in r.items()}
+                reduced[c] = r
+                break
+            _axpy_into(field, r, r[c], p)
+    pivots = sorted(reduced)
+    for c in reversed(pivots):
         if c < keep_from:
             break
+        r = reduced[c]
         for k in [k for k in r if k != c and k in reduced]:
             _axpy_into(field, r, r[k], reduced[k])
-    return [c for c, _ in done], [r for _, r in done]
+    return pivots, [reduced[c] for c in pivots]
 
 
 def _axpy_into(field: Field, s: dict, f, r: dict):
-    """s -= f*r in place, touching only the columns of r.
-
-    Returns the columns it created and the columns it cancelled.
-    """
+    """s -= f*r in place, touching only the columns of r."""
     upd = {}
     for k, v in r.items():
         t = f * v
         upd[k] = s[k] - t if k in s else -t
     kept = field.post_reduce(upd)
-    new, gone = [], []
     for k in upd:
         if k in kept:
-            if k not in s:
-                new.append(k)
             s[k] = kept[k]
         elif k in s:
             del s[k]
-            gone.append(k)
-    return new, gone
 
 
 def rref_rows(field: Field, rows, ncols: int):

@@ -1,6 +1,7 @@
 """Sparse exact row reduction, kernels, subspaces."""
 
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -140,32 +141,38 @@ def test_rref_invariant_under_column_reindexing():
     assert back == red_wide
 
 
-def _dense_gauss_jordan(rows, ncols, p=None):
-    """Textbook reduction of a dense copy, over Q (p None) or F_p."""
-    norm = (lambda x: x) if p is None else (lambda x: x % p)
-    inv = (lambda x: 1 / Fraction(x)) if p is None else (lambda x: pow(x, -1, p))
-    a = [[norm(r.get(j, 0)) for j in range(ncols)] for r in rows]
+def _dense_gauss_jordan(field, rows, ncols):
+    """Textbook reduction of a dense copy, through the field's own operations."""
+    f = field
+    a = [[f.convert(r.get(j, 0)) for j in range(ncols)] for r in rows]
     pivots = []
     for c in range(ncols):
         top = len(pivots)
-        i = next((i for i in range(top, len(a)) if a[i][c]), None)
+        i = next((i for i in range(top, len(a)) if not f.is_zero(a[i][c])), None)
         if i is None:
             continue
         a[top], a[i] = a[i], a[top]
-        s = inv(a[top][c])
-        a[top] = [norm(x * s) for x in a[top]]
+        s = f.inv(a[top][c])
+        a[top] = [f.mul(x, s) for x in a[top]]
         for i, row in enumerate(a):
-            if i != top and row[c]:
-                a[i] = [norm(x - row[c] * y) for x, y in zip(row, a[top])]
+            if i != top and not f.is_zero(row[c]):
+                a[i] = [f.sub(x, f.mul(row[c], y)) for x, y in zip(row, a[top])]
         pivots.append(c)
-    return pivots, [{j: x for j, x in enumerate(a[i]) if x} for i in range(len(pivots))]
+    return pivots, [{j: x for j, x in enumerate(a[i]) if not f.is_zero(x)} for i in range(len(pivots))]
 
 
 @st.composite
-def _fill_in_rows(draw):
-    """Small integer matrices with duplicate, empty and dependent rows."""
+def _fill_in_rows(draw, field):
+    """Small matrices with duplicate, empty and dependent rows.
+
+    Entries are the integers -3..3, or a + b*u with a, b in -2..2 over Q(u).
+    """
     ncols = draw(st.integers(1, 7))
-    entry = st.integers(-3, 3)
+    if field is QU:
+        u = RatF.gen()
+        entry = st.builds(lambda a, b: QU.convert(a) + QU.convert(b) * u, st.integers(-2, 2), st.integers(-2, 2))
+    else:
+        entry = st.integers(-3, 3).map(field.convert)
     rows = draw(
         st.lists(
             st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols),
@@ -182,22 +189,38 @@ def _fill_in_rows(draw):
         else:
             # cancels to zero once the rows it combines are eliminated
             a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
-            x, y = draw(entry), draw(entry)
-            rows.append({j: x * a.get(j, 0) + y * b.get(j, 0) for j in a.keys() | b.keys()})
-    return ncols, draw(st.permutations(rows))
+            x, y, z = draw(entry), draw(entry), field.zero
+            rows.append({j: x * a.get(j, z) + y * b.get(j, z) for j in a.keys() | b.keys()})
+    return ncols, [field.post_reduce(r) for r in draw(st.permutations(rows))]
 
 
-@pytest.mark.parametrize("p", [None, 5])
+# p is the prime, None for Q, or "qu" for Q(u), where fill-in costs the most
+@pytest.mark.parametrize("p", [None, 5, "qu"])
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(_fill_in_rows())
-def test_generic_rref_matches_dense_oracle(p, case):
-    ncols, ints = case
-    f = QQ if p is None else FP(p)
-    rows = [{j: f.convert(v) for j, v in r.items() if not f.is_zero(f.convert(v))} for r in ints]
+@given(st.data())
+def test_generic_rref_matches_dense_oracle(p, data):
+    f = {None: QQ, 5: FP(5), "qu": QU}[p]
+    ncols, rows = data.draw(_fill_in_rows(f))
     before = [dict(r) for r in rows]
-    assert _rref_generic(f, rows) == _dense_gauss_jordan(ints, ncols, p)
+    assert _rref_generic(f, rows) == _dense_gauss_jordan(f, rows, ncols)
     # the elimination works in place on copies, never on the caller's rows
     assert rows == before
+
+
+@pytest.mark.parametrize("field", [QQ, FP(5), QU], ids=["q", "fp5", "qu"])
+def test_generic_rref_reads_shared_rows_without_writing(field):
+    # a build hands the elimination EMPTY_ROW and read-only rows it shares,
+    # unit rows among them; they reduce as plain dict copies would, and a
+    # duplicate that cancels or a row that back-substitution changes is
+    # never written back
+    one, two = field.one, field.convert(2)
+    units = [types.MappingProxyType({k: one}) for k in range(4)]
+    shared = types.MappingProxyType({1: one, 3: two})
+    rows = [units[2], EMPTY_ROW, {0: two, 2: one, 3: one}, shared, units[0], units[3], units[2]]
+    assert _rref_generic(field, rows) == _rref_generic(field, [dict(r) for r in rows])
+    assert _rref_generic(field, rows) == _dense_gauss_jordan(field, rows, 4)
+    assert [dict(r) for r in units] == [{k: one} for k in range(4)]
+    assert shared == {1: one, 3: two} and not EMPTY_ROW
 
 
 _Q_ENTRY = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6))
@@ -221,7 +244,7 @@ def test_q_rref_payloads_match_fraction_reference(case):
     ncols, rows = case
     as_fractions = [{j: Fraction(v) for j, v in r.items()} for r in rows]
     pivots, red = rref_rows(QQ, rows, ncols)
-    assert (pivots, red) == _dense_gauss_jordan(as_fractions, ncols)
+    assert (pivots, red) == _dense_gauss_jordan(QQ, as_fractions, ncols)
     for r in red:
         assert all(type(v) in (int, Fraction) for v in r.values()), r
 
