@@ -7,6 +7,10 @@ is the intersection of the per-letter commutator kernels.  The centre
 skips one slot that the unit of S covers, since that cut follows from the
 others (see center_degree), and each cut reduces only the basis rows the
 letter moves.
+
+Spanning facts go through _left_span, the span of the products x y over a
+list of elements x: the monomials in given generators against the center
+(monomials_span_center), and Z_4 Pi_3 against Pi_7 (sigma_surjectivity_check).
 """
 
 from __future__ import annotations
@@ -178,88 +182,62 @@ def explicit_center_checks(g: GradedAlgebra) -> dict:
     return out
 
 
-def zeta_dimension_check(g: GradedAlgebra, D: int) -> bool:
-    """Monomials in A, B, C span the center degreewise up to D.
-
-    A and B sit in degree 4, C in degree 6 with C^2 = 0, so degree d takes
-    the monomials A^i B^j C^eps with 4i + 4j + 6 eps = d.  Their span is
-    A and B times the span four degrees down, through the left rows of A
-    and B, with C added in degree 6.
-    """
-    _require_bikwad(g)
-    if D + 1 > g.D:
-        raise DegreeRangeError(f"degree {D} needs build degree {D + 1}")
-    f = g.field
-    _, _, a_el, b_el, c_el = central_words(g)
-    spans = []  # spans[d]: the monomials of degree d, as A spans[d - 4] + B spans[d - 4]
-    for d in range(D + 1):
-        vecs = [g.unit_element().vec] if d == 0 else [c_el.vec] if d == 6 else []
-        if d >= 4 and spans[d - 4].rows:
-            for x in (a_el, b_el):
-                rows = g.left(x, d - 4)
-                vecs += [vec_apply(f, v, rows) for v in spans[d - 4].rows]
-        span = Subspace.from_vectors(f, g.dim(d), vecs)
-        spans.append(span)
-        z = center_degree(g, d)
-        if span.dim != z.dim or not all(z.contains(r) for r in span.rows):
-            return False
-    return True
-
-
 def mu3_check(g: GradedAlgebra) -> bool:
     """u Pi_1 + v Pi_1 = Pi_3, with u and v the degree-2 normalizing elements."""
-    _require_bikwad(g)
-    u, v, _, _, _ = central_words(g)
-    span = Subspace.from_vectors(g.field, g.dim(3), [*g.left(u, 1), *g.left(v, 1)])
-    return span.dim == g.dim(3)
+    return _left_span(g, 3, central_words(g)[:2]).dim == g.dim(3)
 
 
 # ---------------------------------------------------------------------------
-# surjectivity of the multiplication map
+# spans of products
 
 
-def _word_span_dims(g: GradedAlgebra, dmax: int):
-    """Span of all canonical words per degree, walked as a tree of classes."""
+def _left_span(g: GradedAlgebra, d: int, xs, spans=None) -> Subspace:
+    """Span in degree d of the products x y, for x in xs and y of degree d - x.d.
+
+    y runs over the basis of its degree, or over the rows of spans[d - x.d]
+    when spans is given.
+    """
     f = g.field
-    level = []
-    for i in range(g.dim(0)):
-        level.append(({i: f.one}, g.is_r[0][i]))
-    spans = [Subspace.from_vectors(f, g.dim(0), [dict(v) for v, _ in level]).dim]
-    for d in range(1, dmax + 1):
-        nxt = []
-        for vec, isr in level:
-            if not isr:
-                w = vec_apply(f, vec, g.E[d])
-                if w:
-                    nxt.append((w, True))
-            else:
-                for j in range(g.n):
-                    w = vec_apply(f, vec, g.FB[d][j])
-                    if w:
-                        nxt.append((w, False))
-        level = nxt
-        spans.append(Subspace.from_vectors(f, g.dim(d), [dict(v) for v, _ in level]).dim)
-    return spans
+    vecs = []
+    for x in xs:
+        rows = g.left(x, d - x.d)
+        vecs += rows if spans is None else [vec_apply(f, y, rows) for y in spans[d - x.d].rows]
+    return Subspace.from_vectors(f, g.dim(d), vecs)
+
+
+def monomials_span_center(g: GradedAlgebra, gens, D: int) -> bool:
+    """Monomials in the elements gens span the center degreewise up to D.
+
+    Degree 0 is spanned by the unit, and degree d by x times the span of
+    degree d - deg x, for each generator x; each span must be the center
+    of its degree.  Every generator needs a positive degree.
+    """
+    if not 0 <= D < g.D:
+        raise DegreeRangeError(f"degree {D} outside 0..{g.D - 1}")
+    spans = [Subspace.from_vectors(g.field, g.dim(0), [g.unit_element().vec])]
+    for d in range(D + 1):
+        if d:
+            spans.append(_left_span(g, d, [x for x in gens if x.d <= d], spans))
+        z = center_degree(g, d)
+        if spans[d].dim != z.dim or not all(z.contains(r) for r in spans[d].rows):
+            return False
+    return True
 
 
 def sigma_surjectivity_check(g: GradedAlgebra, D: int) -> bool:
     """Multiplication from the tensor algebra hits every degree up to D.
 
-    Degrees through 6 are checked by spanning with every canonical word.
-    Beyond 6 one span settles every degree: Z_4, the degree-4 center, times
-    the degree-3 basis must span degree 7.  Every basis word is its parent
-    word times one letter, so Pi_d = Pi_{d-1} Pi_1 for every d; once
-    Pi_7 = Z_4 Pi_3, induction gives Pi_d = Z_4 Pi_{d-5} Pi_1 = Z_4 Pi_{d-4}
-    for all d >= 7.  A build of degree 7 therefore answers for any D.
+    Each basis word is its parent word times one letter, and the build
+    stores the unit row at the word's coordinate as that letter's row (E,
+    or FB for f and a slot): Pi_d = Pi_{d-1} Pi_1 by construction, so
+    degrees through 6 need no computation.  Past 6, Pi_7 = Z_4 Pi_3, with
+    Z_4 the degree-4 center, gives Pi_d = Z_4 Pi_{d-5} Pi_1 = Z_4 Pi_{d-4}
+    for all d >= 7 by induction, so one span from a degree-7 build answers
+    for any D.
     """
-    if min(D, 7) > g.D:
-        raise DegreeRangeError(f"degree {min(D, 7)} exceeds build degree {g.D}")
-    low = min(D, 6)
-    spans = _word_span_dims(g, low)
-    for d in range(low + 1):
-        if spans[d] != g.dim(d):
-            return False
+    if not 0 <= min(D, 7) <= g.D:
+        raise DegreeRangeError(f"degree {min(D, 7)} outside 0..{g.D}")
     if D <= 6:
         return True
-    vecs = [row for z in center_degree(g, 4).rows for row in g.left(PiElement(g, 4, z), 3)]
-    return Subspace.from_vectors(g.field, g.dim(7), vecs).dim == g.dim(7)
+    z4 = [PiElement(g, 4, z) for z in center_degree(g, 4).rows]
+    return _left_span(g, 7, z4).dim == g.dim(7)

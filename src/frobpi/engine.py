@@ -430,8 +430,8 @@ class GradedAlgebra:
 
     def left(self, x: PiElement, d: int):
         """Left multiplication rows for the element x, on degree d."""
-        if x.d + d > self.D:
-            raise DegreeRangeError(f"product degree {x.d + d} exceeds build degree {self.D}")
+        if not 0 <= d <= self.D - x.d:
+            raise DegreeRangeError(f"degree {d} outside 0..{self.D - x.d} for a factor of degree {x.d}")
         return self._left_rows({}, d, x.d, lambda: x.vec)
 
     def left0(self, d: int, j: int):

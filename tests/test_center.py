@@ -17,10 +17,10 @@ from frobpi.center import (
     expected_center_dim,
     explicit_center_checks,
     is_central,
+    monomials_span_center,
     mu3_check,
     normalizing_check,
     sigma_surjectivity_check,
-    zeta_dimension_check,
 )
 from frobpi.engine import DegreeRangeError, PiElement
 from frobpi.fields import field_from_descriptor
@@ -215,12 +215,49 @@ def test_u_v_normalize_not_central(bikwad_q):
 
 
 def test_zeta_dimension_match(bikwad_q):
-    assert zeta_dimension_check(bikwad_q, 12)
+    assert monomials_span_center(bikwad_q, central_words(bikwad_q)[2:], 12)
 
 
 def test_zeta_dimension_fails_over_f2(fp_engines):
     # over F_2 the centre of bikwad outgrows the monomials in A, B and C
-    assert not zeta_dimension_check(fp_engines["bikwad", 2], 12)
+    g = fp_engines["bikwad", 2]
+    assert not monomials_span_center(g, central_words(g)[2:], 12)
+
+
+def _z4_z6_basis(g):
+    """A and B spanning Z_4 and C spanning Z_6, as center_degree finds them."""
+    return [PiElement(g, d, r) for d in (4, 6) for r in center_degree(g, d).rows]
+
+
+@pytest.mark.parametrize("tag", ["q", "fp:3", "fp:5"])
+def test_monomials_span_center_all_pairs(tag):
+    f = field_from_descriptor(tag)
+    for name in CATALOG_NAMES:
+        g = build(catalog(name, f), 13)
+        assert monomials_span_center(g, _z4_z6_basis(g), 12), (name, tag)
+
+
+def test_monomials_fall_short_over_f2(fp_engines):
+    # over F_2 three pairs have central elements in degree 2 (see CHAR2_DIMS)
+    short = set()
+    for name in CATALOG_NAMES:
+        g = fp_engines[name, 2]
+        if not monomials_span_center(g, _z4_z6_basis(g), 12):
+            short.add(name)
+    assert short == {"t4", "two-dual-numbers", "bikwad"}
+
+
+def test_monomials_need_both_degree_4_generators(q_engines):
+    for name, g in q_engines.items():
+        a, b, c = _z4_z6_basis(g)
+        assert not monomials_span_center(g, [a, c], 12), name
+
+
+def test_monomials_span_center_degree_range(bikwad_q):
+    gens = central_words(bikwad_q)[2:]
+    for D in (-1, bikwad_q.D):
+        with pytest.raises(DegreeRangeError):
+            monomials_span_center(bikwad_q, gens, D)
 
 
 def test_mu3(bikwad_q):
@@ -254,6 +291,11 @@ def test_sigma_degree_7_build_answers_for_any_cap(tag):
         assert sigma_surjectivity_check(build(pair, 7), 40), name
         with pytest.raises(DegreeRangeError):
             sigma_surjectivity_check(build(pair, 6), 7)
+
+
+def test_sigma_rejects_a_negative_cap(bikwad_q):
+    with pytest.raises(DegreeRangeError):
+        sigma_surjectivity_check(bikwad_q, -1)
 
 
 @pytest.mark.parametrize("D", [7, 40])

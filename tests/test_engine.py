@@ -358,6 +358,39 @@ def test_element_expr_and_format(bikwad_q):
 
 
 # ---------------------------------------------------------------------------
+# each word is its parent times one letter
+
+
+def _assert_words_are_unit_rows(g):
+    """Each basis word is the unit row of its letter's operator at its parent."""
+    for d in range(1, g.D + 1):
+        for k, (i, kind, m) in enumerate(g.parent[d]):
+            row = g.E[d][i] if kind == "e" else g.FB[d][m][i]
+            assert row == {k: g.field.one}, (g.field.tag, d, k)
+
+
+@pytest.mark.parametrize("tag", ["q", "fp:2", "fp:5"])
+def test_each_word_is_a_unit_row_of_its_letter(q_engines, fp_engines, tag):
+    # so the words span every degree, which sigma's low degrees rely on
+    for name in CATALOG_NAMES:
+        g = q_engines[name] if tag == "q" else fp_engines[name, int(tag[3:])]
+        _assert_words_are_unit_rows(g)
+
+
+def test_each_word_is_a_unit_row_in_qu_and_loaded_builds(monkeypatch, tmp_path):
+    fam = deformation(4)
+    _assert_words_are_unit_rows(GradedAlgebra(make_frobenius(fam.algebra, list(fam.lam)), 5))
+    pair = catalog("t4")
+    build(pair, 8, cache_dir=tmp_path)
+
+    def no_build(self, d):
+        raise AssertionError("the second build must load from the cache")
+
+    monkeypatch.setattr(GradedAlgebra, "_build_degree", no_build)
+    _assert_words_are_unit_rows(build(pair, 8, cache_dir=tmp_path))
+
+
+# ---------------------------------------------------------------------------
 # left multiplication
 
 
@@ -385,6 +418,13 @@ def test_left_rows_out_of_order_match_ascending(tag):
             assert g.left0(d, j) == left0[d][j]
         assert g.left1(d) == left1[d]
         assert all(len(m) <= 2 for m in (*g._l0, *g._l1))
+
+
+def test_left_rejects_a_degree_out_of_range(bikwad_q):
+    u = bikwad_q.element_from_expr("sef + efs + fse")
+    for d in (-1, bikwad_q.D - 1):
+        with pytest.raises(DegreeRangeError):
+            bikwad_q.left(u, d)
 
 
 def _stored_rows(g, D):
