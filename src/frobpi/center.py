@@ -1,4 +1,4 @@
-"""Centers, normalizing elements, and the surjectivity of multiplication.
+"""Centers, and the spans of products that settle generation.
 
 The algebra is generated by its word letters: the degree-0 idempotent a,
 the S-basis slots b_j, and the two degree-1 letters e and f.  Commuting
@@ -10,14 +10,14 @@ letter moves.
 
 Spanning facts go through _left_span, the span of the products x y over a
 list of elements x: the monomials in given generators against the center
-(monomials_span_center), and Z_4 Pi_3 against Pi_7 (sigma_surjectivity_check).
+(monomials_span_center), and x Pi_{d - deg x} against the whole of Pi_d
+(products_span), which sigma_surjectivity_check asks of Z_4 Pi_3 and Pi_7.
 """
 
 from __future__ import annotations
 
 from .engine import DegreeRangeError, GradedAlgebra, PiElement
-from .frobenius import catalog
-from .linalg import EMPTY_ROW, Subspace, left_kernel, vec_add, vec_apply, vec_sub
+from .linalg import EMPTY_ROW, Subspace, left_kernel, vec_apply, vec_sub
 
 
 def _need_room(g: GradedAlgebra, d: int):
@@ -25,31 +25,27 @@ def _need_room(g: GradedAlgebra, d: int):
         raise DegreeRangeError(f"center at degree {d} needs build degree {d + 1}")
 
 
-def _commutator_ops(g: GradedAlgebra, d: int, signs=None, slots=None):
-    """Rows of x -> x l - sigma(l) x on degree d, with the target degree, per letter l.
+def _commutator_ops(g: GradedAlgebra, d: int, slots=None):
+    """Rows of x -> x l - l x on degree d, with the target degree, per letter l.
 
     The letters are a, then b_j for each j in slots (all n slots by
-    default), then e and f.  sigma fixes a, e and f and scales b_j by
-    signs[j]; without signs it is the identity.  A letter's rows, and the
-    left rows of a slot, are built only when the iteration reaches it.  A
-    word that both sides of a letter send to zero, as every word from a to
-    a does under each b_j, gets EMPTY_ROW without any arithmetic.
+    default), then e and f.  A letter's rows, and the left rows of a slot,
+    are built only when the iteration reaches it.  A word that both sides
+    of a letter send to zero, as every word from a to a does under each
+    b_j, gets EMPTY_ROW without any arithmetic.
     """
     _need_room(g, d)
     f = g.field
 
-    def pair(right, left, c=None):
-        return [
-            (vec_sub(f, r, l) if c is None else vec_add(f, r, l, c)) if r or l else EMPTY_ROW
-            for r, l in zip(right, left)
-        ]
+    def pair(right, left):
+        return [vec_sub(f, r, l) if r or l else EMPTY_ROW for r, l in zip(right, left)]
 
     # x a keeps the words that end on the R side, a x the words that start with a
     sign = {(True, False): f.one, (False, True): f.neg(f.one)}
     ends_starts = zip(g.is_r[d], g.starts_a[d])
     yield [{i: sign[k]} if k in sign else EMPTY_ROW for i, k in enumerate(ends_starts)], d
     for j in range(g.n) if slots is None else slots:
-        yield pair(g.B[d][j], g.left0(d, j), None if signs is None else f.neg(signs[j])), d
+        yield pair(g.B[d][j], g.left0(d, j)), d
     for right, left in zip((g.E[d + 1], g.F[d + 1]), g.left1(d)):
         yield pair(right, left), d + 1
 
@@ -113,78 +109,10 @@ def expected_center_dim(d: int) -> int:
     return 0
 
 
-def _commutes(x: PiElement, signs=None) -> bool:
-    """x l = sigma(l) x for every letter l; see _commutator_ops for sigma."""
-    g = x.graded
-    return not any(vec_apply(g.field, x.vec, op) for op, _ in _commutator_ops(g, x.d, signs))
-
-
 def is_central(x: PiElement) -> bool:
     """x commutes with every letter, hence with the whole algebra they generate."""
-    return _commutes(x)
-
-
-def _require_bikwad(g: GradedAlgebra):
-    if not g.pair.algebra.equal_constants(catalog("bikwad", g.field).algebra):
-        raise ValueError("this check is specific to the square presentation")
-
-
-def normalizing_check(x: PiElement, sign_letter: str) -> bool:
-    """x g = sigma(g) x for the sign automorphism negating one square root.
-
-    sigma fixes a, e and f and negates every slot whose name contains
-    sign_letter; checking against the letters settles the relation for the
-    whole algebra.
-    """
     g = x.graded
-    _require_bikwad(g)
-    if sign_letter not in ("s", "t"):
-        raise ValueError("sign letter must be s or t")
-    f = g.field
-    signs = [f.neg(f.one) if sign_letter in nm else f.one for nm in g.pair.algebra.names]
-    return _commutes(x, signs)
-
-
-# ---------------------------------------------------------------------------
-# explicit central elements for the square presentation
-
-
-def central_words(g: GradedAlgebra):
-    """u and v in degree 2, their squares A and B in degree 4, and C in degree 6."""
-    _require_bikwad(g)
-    ex = g.element_from_expr
-    u = ex("sef + efs + fse")
-    v = ex("tef + eft + fte")
-    a_el = ex("sefsef + efsefs + fsefse")
-    b_el = ex("teftef + efteft + ftefte")
-    c_el = ex("sefsteftef + efsefsteft + fsefstefte")
-    return u, v, a_el, b_el, c_el
-
-
-def explicit_center_checks(g: GradedAlgebra) -> dict:
-    """Identities among the named normalizing and central elements.
-
-    u and v are not central; they normalize through the sign automorphism
-    negating the other square root, and their squares A and B are central.
-    """
-    u, v, a_el, b_el, c_el = central_words(g)
-    out = {
-        "u_normalizing": normalizing_check(u, "t"),
-        "v_normalizing": normalizing_check(v, "s"),
-        "uu_is_A": g.multiply(u, u) == a_el,
-        "vv_is_B": g.multiply(v, v) == b_el,
-        "A_central": is_central(a_el),
-        "B_central": is_central(b_el),
-        "C_central": is_central(c_el),
-    }
-    if 12 <= g.D:
-        out["CC_zero"] = g.multiply(c_el, c_el).is_zero()
-    return out
-
-
-def mu3_check(g: GradedAlgebra) -> bool:
-    """u Pi_1 + v Pi_1 = Pi_3, with u and v the degree-2 normalizing elements."""
-    return _left_span(g, 3, central_words(g)[:2]).dim == g.dim(3)
+    return not any(vec_apply(g.field, x.vec, op) for op, _ in _commutator_ops(g, x.d))
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +142,8 @@ def monomials_span_center(g: GradedAlgebra, gens, D: int) -> bool:
     """
     if not 0 <= D < g.D:
         raise DegreeRangeError(f"degree {D} outside 0..{g.D - 1}")
+    if any(x.d <= 0 for x in gens):
+        raise DegreeRangeError("every generator needs a positive degree")
     spans = [Subspace.from_vectors(g.field, g.dim(0), [g.unit_element().vec])]
     for d in range(D + 1):
         if d:
@@ -222,6 +152,13 @@ def monomials_span_center(g: GradedAlgebra, gens, D: int) -> bool:
         if spans[d].dim != z.dim or not all(z.contains(r) for r in spans[d].rows):
             return False
     return True
+
+
+def products_span(g: GradedAlgebra, d: int, xs) -> bool:
+    """The products x y, for x in xs and y of degree d - deg x, span Pi_d."""
+    if not 0 <= d <= g.D:
+        raise DegreeRangeError(f"degree {d} outside 0..{g.D}")
+    return _left_span(g, d, xs).dim == g.dim(d)
 
 
 def sigma_surjectivity_check(g: GradedAlgebra, D: int) -> bool:
@@ -239,5 +176,4 @@ def sigma_surjectivity_check(g: GradedAlgebra, D: int) -> bool:
         raise DegreeRangeError(f"degree {min(D, 7)} outside 0..{g.D}")
     if D <= 6:
         return True
-    z4 = [PiElement(g, 4, z) for z in center_degree(g, 4).rows]
-    return _left_span(g, 7, z4).dim == g.dim(7)
+    return products_span(g, 7, [PiElement(g, 4, z) for z in center_degree(g, 4).rows])

@@ -293,7 +293,7 @@ def _run_suites(suites, tag, dmax, cache_dir):
 
 def _select_suites(suite_arg, tag):
     """Suites to run: each must check the field tag, when one is given."""
-    if suite_arg:
+    if suite_arg is not None:
         names = [part.strip() for part in suite_arg.split(",")]
         for name in names:
             if name not in SUITES:

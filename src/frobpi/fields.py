@@ -286,8 +286,6 @@ class RatF:
         return len(self.d) == 1
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.d == (1,) and self.n == ((other,) if other else ())
         if not isinstance(other, RatF):
             return NotImplemented
         return self.n == other.n and self.d == other.d
@@ -295,51 +293,30 @@ class RatF:
     def __hash__(self):
         return hash((self.n, self.d))
 
-    def _coerce(self, other):
-        if isinstance(other, RatF):
-            return other
-        if isinstance(other, int):
-            return RatF.const(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    def __add__(self, o):
+        if not isinstance(o, RatF):
             return NotImplemented
         if self.d == o.d:
             return RatF(_padd(self.n, o.n), self.d)
         return RatF(_padd(_pmul(self.n, o.d), _pmul(o.n, self.d)), _pmul(self.d, o.d))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return RatF._canonical(tuple([-c for c in self.n]), self.d)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    def __sub__(self, o):
+        if not isinstance(o, RatF):
             return NotImplemented
         if self.d == o.d:
             return RatF(_psub(self.n, o.n), self.d)
         return RatF(_psub(_pmul(self.n, o.d), _pmul(o.n, self.d)), _pmul(self.d, o.d))
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    def __mul__(self, o):
+        if not isinstance(o, RatF):
             return NotImplemented
         return RatF(_pmul(self.n, o.n), _pmul(self.d, o.d))
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    def __truediv__(self, o):
+        if not isinstance(o, RatF):
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")

@@ -27,3 +27,36 @@ def fp_engines():
 @pytest.fixture(scope="session")
 def bikwad_q(q_engines):
     return q_engines["bikwad"]
+
+
+def bikwad_words(g):
+    """u, v, A, B and C of the square presentation bikwad, as elements of g.
+
+    u and v live in degree 2 and normalize through the sign automorphisms
+    negating t and s; their squares A and B in degree 4, and C in degree 6,
+    are central.
+    """
+    ex = g.element_from_expr
+    return (
+        ex("sef + efs + fse"),
+        ex("tef + eft + fte"),
+        ex("sefsef + efsefs + fsefse"),
+        ex("teftef + efteft + ftefte"),
+        ex("sefsteftef + efsefsteft + fsefstefte"),
+    )
+
+
+def normalizes(x, sign_letter):
+    """x l = sigma(l) x for each letter l of bikwad, checked by multiplying.
+
+    sigma fixes a, e and f and negates the slots whose names contain
+    sign_letter.  The letters generate the algebra, so this is x y =
+    sigma(y) x for every y.
+    """
+    g = x.graded
+    for name in ("a", "1", "s", "t", "st", "e", "f"):
+        letter = g.element_from_word(name)
+        twisted = -letter if name in g.pair.algebra.names and sign_letter in name else letter
+        if g.multiply(x, letter) != g.multiply(twisted, x):
+            return False
+    return True

@@ -18,9 +18,8 @@ from fractions import Fraction
 from frobpi import CATALOG_NAMES, REJECT_NAMES, build, catalog
 from frobpi.center import (
     center_dims,
-    central_words,
     expected_center_dim,
-    explicit_center_checks,
+    is_central,
     monomials_span_center,
     sigma_surjectivity_check,
 )
@@ -37,6 +36,7 @@ from frobpi.splitcase import (
     invariant_relation_check,
     quiver_hilbert,
 )
+from conftest import bikwad_words, normalizes
 
 RANK_FIELDS = ("q", "fp:2", "fp:3", "fp:5", "fp:7")
 CENTER_FIELDS = ("q", "fp:2", "fp:5")
@@ -102,10 +102,15 @@ def test_criterion_03_center_ranks():
 
 
 def test_criterion_04_explicit_center_elements():
+    # u and v normalize, their squares A and B and the word C are central,
+    # C^2 = 0, and the monomials in A, B and C span the centre
     g = _engine("bikwad", "q", 13)
-    checks = explicit_center_checks(g)
-    assert checks == {k: True for k in checks}, checks
-    assert monomials_span_center(g, central_words(g)[2:], 12)
+    u, v, a, b, c = bikwad_words(g)
+    assert normalizes(u, "t") and normalizes(v, "s")
+    assert g.multiply(u, u) == a and g.multiply(v, v) == b
+    assert is_central(a) and is_central(b) and is_central(c)
+    assert g.multiply(c, c).is_zero()
+    assert monomials_span_center(g, [a, b, c], 12)
 
 
 def test_criterion_05_quiver_series():

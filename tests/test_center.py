@@ -13,13 +13,10 @@ from frobpi.center import (
     center_degree,
     center_dims,
     centralizer_stack_kernel,
-    central_words,
     expected_center_dim,
-    explicit_center_checks,
     is_central,
     monomials_span_center,
-    mu3_check,
-    normalizing_check,
+    products_span,
     sigma_surjectivity_check,
 )
 from frobpi.engine import DegreeRangeError, PiElement
@@ -33,6 +30,7 @@ from frobpi.frobenius import (
     make_frobenius,
     specialize_pair,
 )
+from conftest import bikwad_words, normalizes
 
 
 def test_expected_center_dim_values():
@@ -201,27 +199,38 @@ def test_center_closed_under_multiplication(q_engines):
 
 
 def test_explicit_central_words(bikwad_q):
-    checks = explicit_center_checks(bikwad_q)
-    assert checks == {k: True for k in checks}
+    g = bikwad_q
+    u, v, a, b, c = bikwad_words(g)
+    assert normalizes(u, "t") and normalizes(v, "s")
+    assert g.multiply(u, u) == a and g.multiply(v, v) == b
+    assert is_central(a) and is_central(b) and is_central(c)
+    assert g.multiply(c, c).is_zero()
 
 
 def test_u_v_normalize_not_central(bikwad_q):
-    u, v, a, b, c = central_words(bikwad_q)
+    u, v, a, b, c = bikwad_words(bikwad_q)
     assert not is_central(u)
     assert not is_central(v)
-    assert normalizing_check(u, "t")
-    assert normalizing_check(v, "s")
+    assert normalizes(u, "t")
+    assert normalizes(v, "s")
     assert is_central(a) and is_central(b) and is_central(c)
 
 
+def test_u_normalizes_through_the_wrong_sign_only_mod_2(bikwad_q, fp_engines):
+    # over Q, u does not normalize through the automorphism negating s; over
+    # F_2 every sign twist is the identity and u is central
+    assert not normalizes(bikwad_words(bikwad_q)[0], "s")
+    assert normalizes(bikwad_words(fp_engines["bikwad", 2])[0], "s")
+
+
 def test_zeta_dimension_match(bikwad_q):
-    assert monomials_span_center(bikwad_q, central_words(bikwad_q)[2:], 12)
+    assert monomials_span_center(bikwad_q, bikwad_words(bikwad_q)[2:], 12)
 
 
 def test_zeta_dimension_fails_over_f2(fp_engines):
     # over F_2 the centre of bikwad outgrows the monomials in A, B and C
     g = fp_engines["bikwad", 2]
-    assert not monomials_span_center(g, central_words(g)[2:], 12)
+    assert not monomials_span_center(g, bikwad_words(g)[2:], 12)
 
 
 def _z4_z6_basis(g):
@@ -254,26 +263,32 @@ def test_monomials_need_both_degree_4_generators(q_engines):
 
 
 def test_monomials_span_center_degree_range(bikwad_q):
-    gens = central_words(bikwad_q)[2:]
+    gens = bikwad_words(bikwad_q)[2:]
     for D in (-1, bikwad_q.D):
         with pytest.raises(DegreeRangeError):
             monomials_span_center(bikwad_q, gens, D)
 
 
+def test_monomials_span_center_needs_positive_degrees(bikwad_q):
+    with pytest.raises(DegreeRangeError):
+        monomials_span_center(bikwad_q, [bikwad_q.unit_element()], 3)
+
+
 def test_mu3(bikwad_q):
-    assert mu3_check(bikwad_q)
+    # u Pi_1 + v Pi_1 = Pi_3
+    assert products_span(bikwad_q, 3, bikwad_words(bikwad_q)[:2])
 
 
-def test_mu3_fails_with_zero_u(monkeypatch, bikwad_q):
+def test_mu3_fails_with_zero_u(bikwad_q):
     # v Pi_1 alone has at most dim Pi_1 = 8 rows, too few for Pi_3
-    real = center_module.central_words
+    v = bikwad_words(bikwad_q)[1]
+    assert not products_span(bikwad_q, 3, [bikwad_q.zero(2), v])
 
-    def zero_u(g):
-        _, *rest = real(g)
-        return (g.zero(2), *rest)
 
-    monkeypatch.setattr(center_module, "central_words", zero_u)
-    assert not mu3_check(bikwad_q)
+def test_products_span_degree_range(bikwad_q):
+    for d in (-1, bikwad_q.D + 1):
+        with pytest.raises(DegreeRangeError):
+            products_span(bikwad_q, d, [bikwad_q.unit_element()])
 
 
 def test_sigma_surjectivity_all_pairs(q_engines):
@@ -343,7 +358,7 @@ def test_char2_center_tables(fp_engines):
 
 def test_char2_u_v_become_central(fp_engines):
     g = fp_engines["bikwad", 2]
-    u, v, a, b, c = central_words(g)
+    u, v, a, b, c = bikwad_words(g)
     assert is_central(u) and is_central(v)
     # exhaustive commutation against every basis element in low degrees
     for el in (u, v):

@@ -46,6 +46,13 @@ def test_unknown_suite_is_usage_error(capsys):
     assert "frobnicate" in err
 
 
+def test_empty_suite_is_usage_error(capsys):
+    # an explicitly empty --suite names the suite '', it does not mean all suites
+    code, out, err = run(capsys, ["verify", "--suite", "", "--no-cache"])
+    assert code == 2 and out == ""
+    assert err.startswith("frobpi: unknown suite ''")
+
+
 def test_bad_field_descriptor(capsys):
     code, _, err = run(capsys, ["dims", "--pair", "t4", "--field", "fp:6", "--no-cache"])
     assert code == 2

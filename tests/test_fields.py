@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: Q, F_p, Q(u), and the integer polynomial helpers."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -78,6 +79,17 @@ def test_ratf_canonical_form():
     assert (y.n, y.d) == ((1,), (0, 2))
     assert _q_view(y)[1][-1] == Fraction(1)
     assert y * (u + u) == one
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_ratf_refuses_int_operands(op):
+    # a value from another field raises rather than coerces, either side
+    u = RatF.gen()
+    with pytest.raises(TypeError):
+        op(u, 1)
+    with pytest.raises(TypeError):
+        op(1, u)
+    assert u != 1 and RatF.const(1) != 1
 
 
 def test_ratf_pole():
