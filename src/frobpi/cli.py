@@ -363,6 +363,8 @@ def _exit_code(rows):
 
 def _cache_dir(args):
     if args.no_cache:
+        if args.cache_dir is not None:
+            raise InputError("--no-cache and --cache-dir exclude each other")
         return None
     return args.cache_dir or os.environ.get("FROBPI_CACHE")
 

@@ -23,7 +23,8 @@ equals an FB row is that row, a left-multiplication row may be an E or FB
 row, every zero row is linalg.EMPTY_ROW, and the unit row {k: 1} that a
 basis word k stores as the E or FB row of its own coordinate is one
 read-only row per k, kept for the whole build and reused in every degree.
-So no caller mutates a row it did not make.
+A build loaded from saved operators shares its rows the same way.  So no
+caller mutates a row it did not make.
 """
 
 from __future__ import annotations
@@ -112,14 +113,19 @@ class GradedAlgebra:
             self._build_degree(d)
 
     @classmethod
-    def from_operators(cls, pair: FrobeniusPair, D: int, degrees):
-        """Rebuild a saved build from its (parent, E, FB) of degrees 1..D, reducing nothing."""
-        if len(degrees) != D:
-            raise ValueError(f"{len(degrees)} saved degrees for build degree {D}")
+    def from_operators(cls, pair: FrobeniusPair, D: int, read):
+        """Rebuild a saved build, reducing nothing.
+
+        read(unit) yields the saved (parent, E, FB) of degrees 1..D, one
+        degree at a time; unit(k) is the build's shared row {k: 1}, which
+        read returns wherever it reads that row.
+        """
         g = cls.__new__(cls)
         g._start(pair, D)
-        for parent, e_rows, fb in degrees:
+        for parent, e_rows, fb in read(g._unit):
             g._add_degree(parent, e_rows, fb)
+        if len(g.parent) != D + 1:
+            raise ValueError(f"{len(g.parent) - 1} saved degrees for build degree {D}")
         return g
 
     def _start(self, pair, D):
@@ -143,9 +149,16 @@ class GradedAlgebra:
             self.B[0].append(rows)
         self._l0 = [{} for _ in range(n)]  # per slot: degree -> rows
         self._l1 = ({}, {})  # e, f
-        self._units = []  # _units[k]: the read-only row {k: 1}, grown as degrees need it
+        self._units = []  # _units[k]: the read-only row {k: 1}, grown by _unit
 
     # -- construction -------------------------------------------------------
+
+    def _unit(self, k):
+        """The build's shared read-only row {k: 1}."""
+        units = self._units
+        while len(units) <= k:
+            units.append(types.MappingProxyType({len(units): self.field.one}))
+        return units[k]
 
     def _check_names(self):
         bad = set(self.pair.algebra.names) & {"a", "e", "f"}
@@ -211,13 +224,10 @@ class GradedAlgebra:
         basis_at = {}
         parent = []
         red = [None] * ncols
-        units = self._units
         for col, coord in enumerate(coords):
             if col not in pivset:
                 basis_at[col] = k = len(parent)
-                if k == len(units):
-                    units.append(types.MappingProxyType({k: f.one}))
-                red[col] = units[k]
+                red[col] = self._unit(k)
                 parent.append(coord)
         for pc, r in zip(pivots, rrows):
             red[pc] = {basis_at[q]: f.neg(v) for q, v in r.items() if q != pc} or EMPTY_ROW

@@ -5,6 +5,7 @@ import dataclasses
 import errno
 import gc
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -280,6 +281,25 @@ def test_quiver_cache_flags_need_four_arrows(capsys, tmp_path, cache_dir):
     assert flag[0] in err
     assert not (tmp_path / "cache").exists()
     assert run(capsys, argv)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims", "--pair", "t4", "--max-degree", "3"],
+        ["verify", "--suite", "ranks", "--field", "q", "--max-degree", "3"],
+        ["deform", "--family", "4", "--max-degree", "2"],
+        ["quiver", "--arrows", "4", "--max-degree", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_no_cache_with_cache_dir_is_usage_error(capsys, tmp_path, argv):
+    # either flag alone is read; given both, one of them would be ignored
+    cache = tmp_path / "cache"
+    code, out, err = run(capsys, argv + ["--no-cache", "--cache-dir", str(cache)])
+    assert (code, out) == (2, "")
+    assert err == "frobpi: --no-cache and --cache-dir exclude each other\n"
+    assert not cache.exists()
 
 
 def test_quiver_coefficient_past_the_digit_limit_is_usage_error(capsys):
@@ -796,6 +816,26 @@ def test_cli_import_leaves_out_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(m) for m in ("_sha256", "_sha2")),
+    reason="this interpreter has no builtin sha256 module",
+)
+def test_cache_leaves_out_openssl(tmp_path):
+    # hashlib loads OpenSSL, megabytes of resident memory; the cache hashes
+    # through the builtin sha256 module, on store and on load
+    argv = ["dims", "--pair", "t4", "--max-degree", "4", "--cache-dir", str(tmp_path)]
+    code = (
+        "import contextlib, io, sys, frobpi.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [frobpi.cli.main({argv!r}) for _ in range(2)]\n"
+        "print(codes, '_hashlib' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0] False\n"
+    assert len(list(tmp_path.iterdir())) == 1
 
 
 def test_console_script():

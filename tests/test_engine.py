@@ -6,15 +6,17 @@ inversion and its own dense row reduction, then compares ranks with the
 engine.  Nothing from frobpi.linalg is used in the oracle path.
 """
 
+import hashlib
 import json
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from frobpi import CATALOG_NAMES, build, catalog, engine
-from frobpi.cache import CacheValidationError, _decode, _encode, build_cached, cache_key
+from frobpi.cache import CacheValidationError, _decode, _encode, _sha256, build_cached, cache_key
 from frobpi.center import center_dims, sigma_surjectivity_check
 from frobpi.engine import DegreeRangeError, GradedAlgebra, PiElement, WordSyntaxError
 from frobpi.fields import field_from_descriptor
@@ -506,6 +508,12 @@ def test_operator_rows_are_shared(tag):
                     assert all(id(r) in fb for r in h.F[d]), (name, d)
             for rows in _stored_rows(h, 12):
                 assert all(r is EMPTY_ROW for r in rows if not r), name
+        # a loaded row {k: 1} is the build's one unit row, as in a fresh build
+        for d in range(1, 13):
+            for r in (*loaded.E[d], *(r for op in loaded.FB[d] for r in op)):
+                if len(r) == 1:
+                    ((k, v),) = r.items()
+                    assert v != g.field.one or r is loaded._units[k], (name, d, k)
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +590,67 @@ def test_cache_tamper_detected(tmp_path):
     path.write_text(json.dumps(header) + "\n" + body)
     with pytest.raises(CacheValidationError):
         build_cached(pair, 4, str(tmp_path))
+
+
+# recorded before the body was written one degree at a time: the key and the
+# file bytes of cache format 3 must not change
+_CACHE_GOLDEN = [
+    (
+        "t4", "q", 8,
+        "148b53038ef9989d148c2efd0ad66fe2928561fdafd054f0afb24f48b966cff9",
+        "1fa985d359c151c09a2896d8de66b202d7d6c9eaa06bebaa34b54744d13805c9",
+    ),
+    (
+        "bikwad", "fp:5", 8,
+        "8110a25b8964c220fa0d2f31df8b0b90266c0209306e845b09166b5cc6c32951",
+        "80df2e298ae8289a1154d2a33f3e3ca8f8ecb6b19183b0a35e82815ffb269b74",
+    ),
+    (
+        "family-4", "qu", 4,
+        "ed86f802dc86e4e142a75b34615a1d3d679dcfbb88ee662a7f2fb78f0b624fe1",
+        "e142c285bf3ea27a05cc974b613125772cf25278a3e9aee6f3874652b28cea01",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, tag, D, key, digest", _CACHE_GOLDEN, ids=[c[0] for c in _CACHE_GOLDEN])
+def test_cache_bytes_golden(name, tag, D, key, digest):
+    if name == "family-4":
+        fam = deformation(4)
+        pair = make_frobenius(fam.algebra, list(fam.lam))
+    else:
+        pair = catalog(name, field_from_descriptor(tag))
+    assert cache_key(pair, D) == key
+    assert hashlib.sha256(_encode(build(pair, D), key)).hexdigest() == digest
+
+
+def test_cache_sha256_matches_hashlib():
+    for data in (b"", b"abc", bytes(range(256)) * 300, b"[[" + b"7," * 50_000 + b"7]]"):
+        assert _sha256(data) == hashlib.sha256(data).hexdigest()
+
+
+def _traced_peak(call):
+    """The result of call() and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cache_store_and_load_memory():
+    # the body is dumped one degree at a time and parsed lists are dropped once
+    # read; one flat copy of the build, or all of them parsed and converted at
+    # once, measured 27.7 and 27.2 times the file length
+    pair = catalog("t4")
+    g = build(pair, 30)
+    key = cache_key(pair, 30)
+    data, encode_peak = _traced_peak(lambda: _encode(g, key))
+    loaded, decode_peak = _traced_peak(lambda: _decode(pair, 30, data, key))
+    assert encode_peak <= 8 * len(data), encode_peak / len(data)
+    assert decode_peak <= 20 * len(data), decode_peak / len(data)
+    assert loaded.E == g.E and loaded.FB == g.FB
 
 
 def test_cache_key_separates(tmp_path):
