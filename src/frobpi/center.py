@@ -5,8 +5,10 @@ the S-basis slots b_j, and the two degree-1 letters e and f.  Commuting
 with those forces commuting with everything, so the center in each degree
 is the intersection of the per-letter commutator kernels.  The centre
 skips one slot that the unit of S covers, since that cut follows from the
-others (see center_degree), and each cut reduces only the basis rows the
-letter moves.
+others (see _center_degree), and each cut reduces only the basis rows the
+letter moves.  Each build keeps the centres it has computed, so each
+degree is computed at most once per build, and the disk cache stores and
+loads them with the build (see center_degree and cache).
 
 Spanning facts go through _left_span, the span of the products x y over a
 list of elements x: the monomials in given generators against the center
@@ -51,7 +53,24 @@ def _commutator_ops(g: GradedAlgebra, d: int, slots=None):
 
 
 def center_degree(g: GradedAlgebra, d: int) -> Subspace:
-    """Degree-d center as a canonical subspace of the degree-d piece.
+    """Degree-d center as a canonical subspace of the degree-d piece, computed once per build.
+
+    The build's memo g.centers keeps every degree computed, or loaded from
+    the disk cache.  The first time it holds every degree 0..D-1, the store
+    the cache set in g.on_centers_complete, if any, is called: this is the
+    one place centres are written.
+    """
+    _need_room(g, d)
+    z = g.centers.get(d)
+    if z is None:
+        z = g.centers[d] = _center_degree(g, d)
+        if len(g.centers) == g.D and g.on_centers_complete is not None:
+            g.on_centers_complete(g)
+    return z
+
+
+def _center_degree(g: GradedAlgebra, d: int) -> Subspace:
+    """The computation behind center_degree.
 
     The commutator with a is diagonal: its kernel is spanned by the words
     that start with a exactly when they end on the R side, so the cut
@@ -66,7 +85,6 @@ def center_degree(g: GradedAlgebra, d: int) -> Subspace:
     sum u_j [x, b_j] = 0.  The cut by the last slot k with u_k != 0 thus
     follows from the other slots, and it is skipped.
     """
-    _need_room(g, d)
     f = g.field
     keep = tuple(i for i, (r, a) in enumerate(zip(g.is_r[d], g.starts_a[d])) if r == a)
     z = Subspace(f, g.dim(d), keep, tuple({i: f.one} for i in keep))

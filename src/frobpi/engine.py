@@ -25,6 +25,13 @@ basis word k stores as the E or FB row of its own coordinate is one
 read-only row per k, kept for the whole build and reused in every degree.
 A build loaded from saved operators shares its rows the same way.  So no
 caller mutates a row it did not make.
+
+Each build also keeps a centre memo, centers: degree -> Subspace, which
+center.center_degree fills and reads, so each degree's centre is computed
+at most once per build.  A build made or loaded through the disk cache
+either arrives with its saved centres already in the memo, or carries in
+on_centers_complete the store that center_degree calls once, when the memo
+first holds every degree 0..D-1.
 """
 
 from __future__ import annotations
@@ -150,6 +157,8 @@ class GradedAlgebra:
         self._l0 = [{} for _ in range(n)]  # per slot: degree -> rows
         self._l1 = ({}, {})  # e, f
         self._units = []  # _units[k]: the read-only row {k: 1}, grown by _unit
+        self.centers = {}  # degree -> centre Subspace; see center.center_degree
+        self.on_centers_complete = None  # called with the build once centers holds 0..D-1
 
     # -- construction -------------------------------------------------------
 

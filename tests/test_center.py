@@ -141,10 +141,11 @@ def test_a_commutator_rows_match_products(q_engines, fp_engines):
                 assert PiElement(g, d, row) == g.multiply(x, a) - g.multiply(a, x), (g.field.tag, d)
 
 
-def test_center_degree_reduces_once_per_generator(q_engines, monkeypatch):
+def test_center_degree_reduces_once_per_generator(monkeypatch):
     # each cut reduces exactly the basis rows whose commutator is nonzero,
     # each cut shrinks the basis, and the last slot the unit covers is
-    # never asked for, so its commutator is never reduced
+    # never asked for, so its commutator is never reduced; fresh builds,
+    # since a build computes each centre once and then reads its memo
     reduced, cuts, slots = [], [], []
     rref = linalg._rref_generic
     monkeypatch.setattr(linalg, "_rref_generic", lambda *a, **k: reduced.append(len(a[1])) or rref(*a, **k))
@@ -158,7 +159,7 @@ def test_center_degree_reduces_once_per_generator(q_engines, monkeypatch):
     ops = center_module._commutator_ops
     monkeypatch.setattr(center_module, "_commutator_ops", lambda g, d, **k: slots.append(k["slots"]) or ops(g, d, **k))
     for name, skip in (("split4", 3), ("dual-numbers-pair", 3), ("t3-plus-k", 3), ("bikwad", 0)):
-        g = q_engines[name]
+        g = build(catalog(name), 9)
         for d in (4, 6, 8):
             for seen in (reduced, cuts, slots):
                 seen.clear()
@@ -169,16 +170,39 @@ def test_center_degree_reduces_once_per_generator(q_engines, monkeypatch):
             assert all(a > b for a, b in zip(dims, dims[1:])), (name, d, dims)
 
 
-def test_odd_center_reduces_nothing(q_engines, fp_engines, monkeypatch):
+def test_odd_center_reduces_nothing(monkeypatch):
     # no word of odd degree starts with a and ends on the R side, or the
-    # other way round, so the a commutator alone leaves nothing to reduce
-    calls = []
+    # other way round, so the a commutator alone leaves nothing to reduce;
+    # fresh builds, so that each degree is computed here, not read from a memo
+    cases = (("bikwad", "q"), ("bikwad", "fp:2"), ("t4", "fp:5"))
+    builds = [build(catalog(name, field_from_descriptor(tag)), 12) for name, tag in cases]
+    calls, computed = [], []
     rref = linalg._rref_generic
     monkeypatch.setattr(linalg, "_rref_generic", lambda *a, **k: calls.append(len(a[1])) or rref(*a, **k))
-    for g in [q_engines["bikwad"], fp_engines["bikwad", 2], fp_engines["t4", 5]]:
+    compute = center_module._center_degree
+    monkeypatch.setattr(center_module, "_center_degree", lambda g, d: computed.append(d) or compute(g, d))
+    for g in builds:
+        computed.clear()
         for d in (1, 3, 5, 7, 9, 11):
             z = center_degree(g, d)
             assert (z.dim, z.ambient, calls) == (0, g.dim(d), []), (g.field.tag, d)
+        assert computed == [1, 3, 5, 7, 9, 11], g.field.tag
+
+
+def test_center_degree_computes_each_degree_once(monkeypatch):
+    # the build's memo answers every later call with the same subspace
+    computed = []
+    compute = center_module._center_degree
+    monkeypatch.setattr(center_module, "_center_degree", lambda g, d: computed.append(d) or compute(g, d))
+    g = build(catalog("t4"), 9)
+    first = [center_degree(g, d) for d in range(9)]
+    assert center_dims(g, 8) == [z.dim for z in first]
+    assert all(center_degree(g, d) is first[d] for d in range(9))
+    assert computed == list(range(9))
+    assert g.centers == dict(enumerate(first))
+    with pytest.raises(DegreeRangeError):
+        center_degree(g, 9)
+    assert computed == list(range(9))
 
 
 def test_center_vectors_are_central(q_engines):

@@ -15,7 +15,7 @@ import weakref
 
 import pytest
 
-from frobpi import CATALOG_NAMES, algebra_to_json, catalog, cli, engine, field_from_descriptor
+from frobpi import CATALOG_NAMES, algebra_to_json, build, catalog, center, cli, engine, field_from_descriptor
 from frobpi.cache import cache_key
 from frobpi.cli import main
 from frobpi.fields import QQ, InvariantError
@@ -508,6 +508,181 @@ def test_unwritable_cache_file(capsys, tmp_path, monkeypatch, fail_at):
     assert list(tmp_path.iterdir()) == []
 
 
+# a centre entry: quiver --arrows 4 checks the centres of split4 in degrees
+# 0..6 on a build of degree 7, so the run stores them all
+_CENTRE_ARGV = ["quiver", "--max-degree", "6"]
+
+
+def _centre_row(body):
+    # body is a list of [degree, pivots, rows]; the degree-4 centre of split4 has two rows
+    return body[4][1], body[4][2][0]
+
+
+def _centre_flip_byte(path):
+    data = bytearray(path.read_bytes())
+    data[data.index(b"\n") + 10] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def _centre_pivot_not_least(path):
+    header, body = _read_cache(path)
+    pivots, row = _centre_row(body)
+    pivots[0] = max(row[0::2])
+    _write_cache(path, header, body, rehash=True)
+
+
+def _centre_lead_not_one(path):
+    header, body = _read_cache(path)
+    pivots, row = _centre_row(body)
+    row[row.index(pivots[0]) + 1] = 2
+    _write_cache(path, header, body, rehash=True)
+
+
+def _centre_holds_other_pivot(path):
+    header, body = _read_cache(path)
+    pivots, row = _centre_row(body)
+    assert pivots[1] not in row[0::2]
+    row += [pivots[1], 1]
+    _write_cache(path, header, body, rehash=True)
+
+
+def _centre_index_past_dim(path):
+    header, body = _read_cache(path)
+    _, row = _centre_row(body)
+    row[-2] = build(catalog("split4"), 7).dim(4)
+    _write_cache(path, header, body, rehash=True)
+
+
+def _centre_missing_degree(path):
+    header, body = _read_cache(path)
+    _write_cache(path, header, body[:-1], rehash=True)
+
+
+def _centre_repeated_degree(path):
+    header, body = _read_cache(path)
+    body[5] = body[4]
+    _write_cache(path, header, body, rehash=True)
+
+
+def _centre_header(**edit):
+    def spoil(path):
+        header, body = _read_cache(path)
+        _write_cache(path, {**header, **edit}, body)
+
+    return spoil
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        _centre_flip_byte,
+        _centre_pivot_not_least,
+        _centre_lead_not_one,
+        _centre_holds_other_pivot,
+        _centre_index_past_dim,
+        _centre_missing_degree,
+        _centre_repeated_degree,
+        _centre_header(key="0" * 64),
+        _centre_header(field="fp:5"),
+        _centre_header(degree=8),
+    ],
+    ids=[
+        "flipped-byte",
+        "pivot-not-least",
+        "lead-not-one",
+        "holds-other-pivot",
+        "index-past-dim",
+        "missing-degree",
+        "repeated-degree",
+        "other-key",
+        "other-field",
+        "other-degree",
+    ],
+)
+def test_unreadable_centre_entry(capsys, tmp_path, spoil):
+    # a centre entry is validated as a build entry is, and its rows must be
+    # the canonical reduced form of every degree 0..D-1
+    argv = _CENTRE_ARGV + ["--cache-dir", str(tmp_path)]
+    assert run(capsys, argv)[0] == 0
+    path = tmp_path / f"{cache_key(catalog('split4'), 7)}.center.json"
+    spoil(path)
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.startswith(f"frobpi: cannot load cache file {path}: ")
+
+
+def _computed_centres(monkeypatch):
+    """(id of the build, degree) for each centre computed from here on, and not read from a memo."""
+    seen = []
+    compute = center._center_degree
+
+    def noted(g, d):
+        seen.append((id(g), d))
+        return compute(g, d)
+
+    monkeypatch.setattr(center, "_center_degree", noted)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "center,sigma,invariants", "--field", "q", "--max-degree", "8"],
+        ["verify", "--suite", "deformations", "--max-degree", "3"],
+        ["quiver", "--arrows", "4"],
+    ],
+    ids=["center-sigma-invariants", "deformations", "quiver"],
+)
+def test_warm_run_reads_its_centres(capsys, tmp_path, monkeypatch, argv):
+    # stdout is the same without a cache, cold and warm; the cold run stores
+    # every build's centres, and the warm run computes none of them
+    _, none, _ = run(capsys, argv + ["--no-cache"])
+    cached = argv + ["--cache-dir", str(tmp_path)]
+    _, cold, _ = run(capsys, cached)
+    centres = sorted(tmp_path.glob("*.center.json"))
+    assert centres and len(centres) == len(list(tmp_path.glob("*.json"))) // 2
+    computed = _computed_centres(monkeypatch)
+    _, warm, _ = run(capsys, cached)
+    assert cold == warm == none
+    assert computed == []
+
+
+def test_complete_centre_entry_is_never_rewritten(capsys, tmp_path):
+    argv = _CENTRE_ARGV + ["--cache-dir", str(tmp_path)]
+    run(capsys, argv)
+    before = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in tmp_path.iterdir()}
+    assert len(before) == 2
+    run(capsys, argv)
+    assert {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in tmp_path.iterdir()} == before
+
+
+def test_sigma_then_center_on_one_build(capsys, tmp_path, monkeypatch):
+    # sigma computes only Z_4 of its degree-7 build and stores no centres; a
+    # centre run at cap 6 loads the same build, computes every degree once,
+    # and stores them
+    flags = ["--field", "q", "--cache-dir", str(tmp_path)]
+    assert run(capsys, ["verify", "--suite", "sigma", "--max-degree", "7"] + flags)[0] == 0
+    assert not list(tmp_path.glob("*.center.json"))
+    centre = ["verify", "--suite", "center", "--field", "q", "--max-degree", "6"]
+    _, none, _ = run(capsys, centre + ["--no-cache"])
+    computed = _computed_centres(monkeypatch)
+    code, out, _ = run(capsys, centre + flags[2:])
+    assert (code, out) == (0, none)
+    assert len(computed) == len(set(computed)) == len(CATALOG_NAMES) * 7
+    want = {f"{cache_key(catalog(name), 7)}.center.json" for name in CATALOG_NAMES}
+    assert {p.name for p in tmp_path.glob("*.center.json")} == want
+
+
+def test_verify_computes_each_centre_once(capsys, monkeypatch):
+    # every suite that asks a build for a centre it has computed reads the memo
+    computed = _computed_centres(monkeypatch)
+    keep = []  # the builds stay alive, so no id is reused
+    start = engine.GradedAlgebra._start
+    monkeypatch.setattr(engine.GradedAlgebra, "_start", lambda g, *a: keep.append(g) or start(g, *a))
+    assert run(capsys, ["verify", "--no-cache"])[0] == 1
+    assert computed and len(computed) == len(set(computed))
+
+
 def test_per_degree_record_keys(capsys):
     argv = ["verify", "--suite", "ranks,split,center,resolution", "--field", "q"]
     code, out, _ = run(capsys, argv + ["--max-degree", "2", "--no-cache"])
@@ -537,13 +712,16 @@ def test_verify_at_degree_cap_0(capsys, suite, count):
 
 
 def _cache_degrees(cache_dir):
-    """Build degree of each cache file, read from its header line."""
-    return {p.name: json.loads(p.read_text().split("\n", 1)[0])["degree"] for p in cache_dir.iterdir()}
+    """Build degree of each cache file, read from its header line: (build entries, centre entries)."""
+    degrees = {p.name: json.loads(p.read_text().split("\n", 1)[0])["degree"] for p in cache_dir.iterdir()}
+    centres = {name: D for name, D in degrees.items() if name.endswith(".center.json")}
+    return {name: D for name, D in degrees.items() if name not in centres}, centres
 
 
 @pytest.mark.parametrize("cap", [0, 3, 16])
 def test_sigma_build_plan_stops_at_degree_7(capsys, tmp_path, cap):
-    # degree 7 settles every cap past 6, and a cap below 7 needs no more than itself
+    # degree 7 settles every cap past 6, and a cap below 7 needs no more than
+    # itself; sigma computes at most Z_4, so no build's centres are complete
     argv = ["verify", "--suite", "sigma", "--max-degree", str(cap), "--cache-dir", str(tmp_path)]
     run(capsys, argv)
     D = max(1, min(cap, 7))
@@ -552,20 +730,22 @@ def test_sigma_build_plan_stops_at_degree_7(capsys, tmp_path, cap):
         for name in CATALOG_NAMES
         for t in cli.CENTER_FIELDS
     }
-    assert _cache_degrees(tmp_path) == want
+    assert _cache_degrees(tmp_path) == (want, {})
 
 
 def test_build_degree_planned_per_pair(capsys, tmp_path):
-    # invariants reads only split4, so only split4 is built one degree past the cap
+    # invariants reads only split4, so only split4 is built one degree past the
+    # cap, and its centres, the only ones computed, fill every degree it allows
     argv = ["verify", "--suite", "ranks,invariants", "--field", "q", "--max-degree", "10"]
     code, out, _ = run(capsys, argv + ["--cache-dir", str(tmp_path)])
     assert (code, out) == run(capsys, argv + ["--no-cache"])[:2]
-    degrees = _cache_degrees(tmp_path)
+    builds, centres = _cache_degrees(tmp_path)
     want = {}
     for name in CATALOG_NAMES:
         D = 11 if name == "split4" else 10
         want[f"{cache_key(catalog(name), D)}.json"] = D
-    assert degrees == want
+    assert builds == want
+    assert centres == {f"{cache_key(catalog('split4'), 11)}.center.json": 11}
 
 
 def test_sigma_suite_passes(capsys):

@@ -15,11 +15,11 @@ from fractions import Fraction
 
 import pytest
 
-from frobpi import CATALOG_NAMES, build, catalog, engine
+from frobpi import CATALOG_NAMES, build, cache, catalog, engine
 from frobpi.cache import CacheValidationError, _decode, _encode, _sha256, build_cached, cache_key
 from frobpi.center import center_dims, sigma_surjectivity_check
 from frobpi.engine import DegreeRangeError, GradedAlgebra, PiElement, WordSyntaxError
-from frobpi.fields import field_from_descriptor
+from frobpi.fields import InputError, field_from_descriptor
 from frobpi.frobenius import deformation, make_frobenius, specialize_pair
 from frobpi.linalg import EMPTY_ROW, Subspace, rref_rows
 
@@ -566,6 +566,41 @@ def test_cache_write_once(tmp_path):
     first = path.read_bytes()
     build_cached(pair, 4, str(tmp_path))
     assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize("tag", ["q", "fp:5", "qu"])
+def test_centre_entry_round_trip(tmp_path, tag):
+    # the centres come back in the memo of the loaded build, as computed
+    if tag == "qu":
+        fam = deformation(4)
+        pair, D = make_frobenius(fam.algebra, list(fam.lam)), 5
+    else:
+        pair, D = catalog("t4", field_from_descriptor(tag)), 9
+    cold = build_cached(pair, D, str(tmp_path))
+    assert cold.centers == {} and cold.on_centers_complete is not None
+    path = tmp_path / f"{cache_key(pair, D)}.center.json"
+    center_dims(cold, D - 2)
+    assert not path.exists()  # degree D - 1 is still missing
+    center_dims(cold, D - 1)
+    assert path.exists()
+    warm = build_cached(pair, D, str(tmp_path))
+    assert warm.on_centers_complete is None
+    assert warm.centers == cold.centers
+    assert [z.ambient for z in warm.centers.values()] == [warm.dim(d) for d in range(D)]
+
+
+def test_centre_entry_cannot_be_written(tmp_path, monkeypatch):
+    # as for a build entry, a centre entry that cannot be written is an InputError
+    pair = catalog("t4")
+    g = build_cached(pair, 3, str(tmp_path))
+
+    def full(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cache, "_write_exclusive", full)
+    center_dims(g, 1)
+    with pytest.raises(InputError, match="cannot write cache file"):
+        center_dims(g, 2)
 
 
 def test_cache_stale_temp_file(tmp_path):
