@@ -192,18 +192,10 @@ def _load_centers(g: GradedAlgebra, data: bytes, key: str):
         if type(deg) is not int or deg != d:
             raise CacheValidationError(f"centre degree {deg!r} where degree {d} belongs")
         rows = _dec_rows(f, flat, g.dim(d), g._unit)
-        if type(pivots) is not list or len(pivots) != len(rows):
-            raise CacheValidationError(f"degree {d}: centre pivots do not match its rows")
-        held = set(pivots)
-        last = -1
-        for c, row in zip(pivots, rows):
-            # the pivot is the row's least index, with coefficient one, and pivots increase
-            if type(c) is not int or c <= last or not row or min(row) != c or row[c] != f.one:
-                raise CacheValidationError(f"degree {d}: centre row at pivot {c!r} is not reduced")
-            if any(k != c and k in held for k in row):
-                raise CacheValidationError(f"degree {d}: centre row at pivot {c} holds another pivot")
-            last = c
-        centers[d] = Subspace(f, g.dim(d), tuple(pivots), tuple(rows))
+        z = Subspace.from_vectors(f, g.dim(d), rows)
+        if list(z.pivots) != pivots or list(z.rows) != rows:
+            raise CacheValidationError(f"degree {d}: centre rows are not in canonical reduced form")
+        centers[d] = z
     g.centers.update(centers)
 
 

@@ -90,7 +90,7 @@ def _center_degree(g: GradedAlgebra, d: int) -> Subspace:
     z = Subspace(f, g.dim(d), keep, tuple({i: f.one} for i in keep))
     if not keep:
         return z
-    skip = max(j for j, c in enumerate(g.pair.algebra.unit) if not f.is_zero(c))
+    skip = max(g.pair.algebra.unit_vec())
     ops = _commutator_ops(g, d, slots=[j for j in range(g.n) if j != skip])
     next(ops)  # a, whose kernel z already is
     for op, tdeg in ops:

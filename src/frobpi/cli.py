@@ -22,7 +22,7 @@ from typing import Callable, Optional
 from .cache import CacheValidationError
 from .center import center_degree, expected_center_dim, sigma_surjectivity_check
 from .engine import build
-from .fields import InputError, InvariantError, field_from_descriptor
+from .fields import InputError, InvariantError, field_from_descriptor, int_digit_limit
 from .frobenius import (
     CATALOG_NAMES,
     REJECT_NAMES,
@@ -212,7 +212,7 @@ class _Suite:
     pairs: tuple = CATALOG_NAMES  # the catalog pairs that per_build checks
     cap: Optional[int] = None  # default degree cap; None if the suite reads no cap, builds nothing
     fp_cap: Optional[int] = None  # default degree cap over a prime field, where it differs
-    build: Optional[Callable] = None  # degree cap -> build degree of the catalog pairs
+    build: Callable = lambda cap: cap  # degree cap -> build degree of the catalog pairs
 
     def cap_for(self, tag, dmax):
         if dmax is not None:
@@ -223,12 +223,8 @@ class _Suite:
 
 
 SUITES = {
-    "ranks": _Suite(
-        RANK_FIELDS, _per_degree("ranks", _rank_record), cap=12, build=lambda c: max(c, 1)
-    ),
-    "split": _Suite(
-        RANK_FIELDS, _per_degree("split", _split_record), cap=12, build=lambda c: max(c, 1)
-    ),
+    "ranks": _Suite(RANK_FIELDS, _per_degree("ranks", _rank_record), cap=12),
+    "split": _Suite(RANK_FIELDS, _per_degree("split", _split_record), cap=12),
     "center": _Suite(
         CENTER_FIELDS,
         _per_degree("center", _center_record),
@@ -236,12 +232,8 @@ SUITES = {
         fp_cap=16,
         build=lambda c: c + 1,
     ),
-    "resolution": _Suite(
-        ("q",), _per_degree("resolution", _resolution_record), cap=16, build=lambda c: max(c, 1)
-    ),
-    "sigma": _Suite(
-        CENTER_FIELDS, _sigma_rows, cap=12, fp_cap=16, build=lambda c: max(1, min(c, 7))
-    ),
+    "resolution": _Suite(("q",), _per_degree("resolution", _resolution_record), cap=16),
+    "sigma": _Suite(CENTER_FIELDS, _sigma_rows, cap=12, fp_cap=16, build=lambda c: min(c, 7)),
     "invariants": _Suite(
         ("q",),
         _invariant_rows,
@@ -354,11 +346,12 @@ def _emit(rows, fmt, default):
 
 
 def _exit_code(rows):
+    """1 when a row fails its check; rows without a "pass" field check nothing."""
     return 0 if all(r.get("pass", True) for r in rows) else 1
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its rows and its default output format
 
 
 def _cache_dir(args):
@@ -398,15 +391,13 @@ def _resolve_pair(args):
 
 def cmd_dims(args):
     pair, _ = _resolve_pair(args)
-    cap = args.max_degree if args.max_degree is not None else 12
-    g = build(pair, max(cap, 1), cache_dir=_cache_dir(args))
+    g = build(pair, args.max_degree, cache_dir=_cache_dir(args))
     rows = []
-    for d in range(cap + 1):
+    for d in range(g.D + 1):
         rank, split = _rank_record(g, d), _split_record(g, d)
         ok = rank.pop("pass") and split["pass"]
         rows.append({"degree": d, **rank, **split, "pass": ok})
-    _emit(rows, args.format, "md")
-    return _exit_code(rows)
+    return rows, "md"
 
 
 def cmd_verify(args):
@@ -416,9 +407,7 @@ def cmd_verify(args):
         if value is not None and all(SUITES[name].cap is None for name in suites):
             unread = f"{', '.join(suites)} reads no degree cap and builds nothing"
             raise InputError(f"{flag} applies to no selected suite: {unread}")
-    rows = _run_suites(suites, tag, args.max_degree, _cache_dir(args))
-    _emit(rows, args.format, "json")
-    return _exit_code(rows)
+    return _run_suites(suites, tag, args.max_degree, _cache_dir(args)), "json"
 
 
 def cmd_catalog(args):
@@ -443,8 +432,7 @@ def cmd_catalog(args):
                 "functional": "",
             }
         )
-    _emit(rows, args.format, "md")
-    return 0
+    return rows, "md"
 
 
 def cmd_deform(args):
@@ -454,10 +442,9 @@ def cmd_deform(args):
         raise InputError("family number must be 1..6")
     if args.char2 and args.family != 6:
         raise InputError("char2 variant exists only for family 6")
-    cap = args.max_degree if args.max_degree is not None else SUITES["deformations"].cap
-    fam, g_u, g_0 = _fibres(args.family, args.char2, max(cap, 1), _cache_dir(args))
+    fam, g_u, g_0 = _fibres(args.family, args.char2, args.max_degree, _cache_dir(args))
     rows = []
-    for d in range(cap + 1):
+    for d in range(g_u.D + 1):
         du, d0 = g_u.dim(d), g_0.dim(d)
         rows.append(
             {
@@ -469,29 +456,26 @@ def cmd_deform(args):
                 "pass": du == d0,
             }
         )
-    _emit(rows, args.format, "md")
-    return _exit_code(rows)
+    return rows, "md"
 
 
 def cmd_quiver(args):
     n = args.arrows
     if n < 1:
         raise InputError("--arrows must be at least 1")
-    cap = args.max_degree if args.max_degree is not None else 12
+    cap = args.max_degree
     if n != 4:
         if args.cache_dir is not None or args.no_cache:
             raise InputError("--cache-dir and --no-cache apply only to --arrows 4")
-        col0, totals = splitcase.quiver_hilbert(n, cap)
-        # Python refuses to print an int longer than this (0: no limit; absent before 3.10.7)
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and max(map(abs, col0 + totals)) >= 10**limit:
-            raise InputError(f"--max-degree {cap}: a series coefficient has more than {limit} digits")
-        rows = [
-            {"degree": d, "quiver_total": totals[d], "column0_sum": col0[d]}
-            for d in range(cap + 1)
-        ]
-        _emit(rows, args.format, "md")
-        return 0
+        # Python refuses to print an int with more digits than this (0: no limit)
+        limit = int_digit_limit()
+        too_long = 10**limit
+        rows = []
+        for d, (c0, total) in zip(range(cap + 1), splitcase.quiver_series(n)):
+            if limit and max(abs(c0), abs(total)) >= too_long:
+                raise InputError(f"--max-degree {cap}: a series coefficient has more than {limit} digits")
+            rows.append({"degree": d, "quiver_total": total, "column0_sum": c0})
+        return rows, "md"
     g = build(catalog("split4"), cap + 1, cache_dir=_cache_dir(args))
     rows = [
         {
@@ -504,21 +488,15 @@ def cmd_quiver(args):
         }
         for d, qt, ed, iv, zc in splitcase.split_table(g, cap)
     ]
-    _emit(rows, args.format, "md")
-    return _exit_code(rows)
+    return rows, "md"
 
 
 def cmd_invariants(args):
-    cap = args.max_degree if args.max_degree is not None else 12
-    dims = splitcase.invariant_dims(cap)
     rows = []
-    for d in range(cap + 1):
+    for d, dim in enumerate(splitcase.invariant_dims(args.max_degree)):
         exp = expected_center_dim(d)
-        rows.append(
-            {"degree": d, "dim": dims[d], "expected": exp, "pass": dims[d] == exp}
-        )
-    _emit(rows, args.format, "md")
-    return _exit_code(rows)
+        rows.append({"degree": d, "dim": dim, "expected": exp, "pass": dim == exp})
+    return rows, "md"
 
 
 # ---------------------------------------------------------------------------
@@ -543,15 +521,15 @@ def _parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, pair=False, field=False, degree=True, cache=True):
-        """Add the shared flags that the subcommand reads, and only those."""
+    def common(sp, pair=False, field=False, degree=True, cache=True, cap=12):
+        """Add the shared flags that the subcommand reads, and only those; cap is the default degree cap."""
         if pair:
             sp.add_argument("--pair", help="catalog algebra name")
             sp.add_argument("--algebra", help="path to an algebra JSON file")
         if pair or field:
             sp.add_argument("--field", help="q, fp:<p>, or qu (default q)")
         if degree:
-            sp.add_argument("--max-degree", type=_degree_cap, dest="max_degree")
+            sp.add_argument("--max-degree", type=_degree_cap, dest="max_degree", default=cap)
         sp.add_argument("--format", choices=("json", "csv", "md"))
         if cache:
             sp.add_argument("--cache-dir", dest="cache_dir")
@@ -563,7 +541,7 @@ def _parser():
 
     sp = sub.add_parser("verify", help="run verification suites")
     sp.add_argument("--suite", help="comma-separated: " + ",".join(SUITES))
-    common(sp, field=True)
+    common(sp, field=True, cap=None)  # None: each suite's own cap
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("catalog", help="list the classified algebras")
@@ -573,7 +551,7 @@ def _parser():
     sp = sub.add_parser("deform", help="fiber dimensions along a family")
     sp.add_argument("--family", type=int)
     sp.add_argument("--char2", action="store_true")
-    common(sp)
+    common(sp, cap=SUITES["deformations"].cap)
     sp.set_defaults(fn=cmd_deform)
 
     sp = sub.add_parser("quiver", help="star-quiver Hilbert series table")
@@ -590,7 +568,9 @@ def _parser():
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        rows, default_format = args.fn(args)
+        _emit(rows, args.format, default_format)
+        return _exit_code(rows)
     except InputError as e:
         print(f"frobpi: {e}", file=sys.stderr)
         return 2

@@ -97,9 +97,7 @@ class PiElement:
     def __eq__(self, other):
         if not isinstance(other, PiElement):
             return NotImplemented
-        if self.graded is not other.graded or self.d != other.d:
-            return False
-        return not vec_sub(self.graded.field, self.vec, other.vec)
+        return self.graded is other.graded and self.d == other.d and self.vec == other.vec
 
     def __hash__(self):
         return hash((self.d, tuple(sorted(self.vec))))
@@ -112,8 +110,8 @@ class GradedAlgebra:
     """All graded pieces of the preprojective algebra up to degree D."""
 
     def __init__(self, pair: FrobeniusPair, D: int):
-        if D < 1:
-            raise ValueError("build degree must be at least 1")
+        if D < 0:
+            raise ValueError("build degree must be at least 0")
         self._start(pair, D)
         self._r2_terms = self._relation_terms()
         for d in range(1, D + 1):
@@ -176,9 +174,8 @@ class GradedAlgebra:
 
     def _relation_terms(self):
         """The dual-basis relation r: (q, m) -> coefficient of (b_q e)(f b_m) in r."""
-        f = self.field
         dual = self.pair.dual_right
-        return {(q, m): c for q, row in enumerate(dual) for m, c in enumerate(row) if not f.is_zero(c)}
+        return {(q, m): c for q, row in enumerate(dual) for m, c in enumerate(row) if c}
 
     def dims(self):
         return [len(r) for r in self.is_r]
@@ -283,12 +280,8 @@ class GradedAlgebra:
         return PiElement(self, d, {i: self.field.one})
 
     def unit_element(self) -> PiElement:
-        f = self.field
-        vec = {0: f.one}
-        for j, c in enumerate(self.pair.algebra.unit):
-            if not f.is_zero(c):
-                vec[1 + j] = c
-        return PiElement(self, 0, vec)
+        unit = self.pair.algebra.unit_vec()
+        return PiElement(self, 0, {0: self.field.one, **{1 + j: c for j, c in unit.items()}})
 
     def _fold(self, vec, d, letters):
         f = self.field
@@ -386,13 +379,12 @@ class GradedAlgebra:
         return out
 
     def word_str(self, word) -> str:
-        f = self.field
         names = self.pair.algebra.names
         unit_slot = None
         uv = self.pair.algebra.unit_vec()
         if len(uv) == 1:
             (j, c), = uv.items()
-            if f.is_zero(f.sub(c, f.one)):
+            if c == self.field.one:
                 unit_slot = j
         parts = []
         for idx, L in enumerate(word):

@@ -9,6 +9,9 @@ operators in hot loops; int and Fraction agree on ==, hash, str and
 truthiness, and a sum or product of ints stays an int, so integer rows over
 Q never pay for Fraction arithmetic.
 
+Every stored payload is canonical: it is falsy exactly at zero, and two
+payloads of one field are equal exactly when they compare equal with ==.
+
 Two polynomial types serve these fields: tuples of ints in u, the numerator
 and denominator of a RatF, and MultiPoly, the generic Gram determinant over
 any field.  Polynomials in the algebra variable t never become objects: a
@@ -17,6 +20,8 @@ k[t]/(g) algebra is built from the roots of g (see frobenius.py).
 
 from __future__ import annotations
 
+import operator
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -50,6 +55,11 @@ def is_prime(p: int) -> bool:
     if p < 3:
         return p == 2
     return p % 2 == 1 and all(p % q for q in range(3, isqrt(p) + 1, 2))
+
+
+def int_digit_limit() -> int:
+    """The most decimal digits Python prints an int with; 0 for no limit, as before Python 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def signed_sum(terms) -> str:
@@ -282,6 +292,9 @@ class RatF:
     def is_zero(self):
         return not self.n
 
+    def __bool__(self):
+        return bool(self.n)
+
     def is_poly(self):
         return len(self.d) == 1
 
@@ -318,7 +331,7 @@ class RatF:
     def __truediv__(self, o):
         if not isinstance(o, RatF):
             return NotImplemented
-        if o.is_zero():
+        if not o:
             raise ZeroDivisionError("division by zero rational function")
         return RatF(_pmul(self.n, o.d), _pmul(self.d, o.n))
 
@@ -420,17 +433,35 @@ class MultiPoly:
 
 
 class Field:
+    """The payload arithmetic: Python's operators, which keep Q and Q(u) payloads canonical.
+
+    A canonical payload is falsy exactly at zero, and canonical payloads
+    compare with ==.  PrimeField overrides the arithmetic to reduce mod p.
+    """
+
     tag = "?"
 
     def convert(self, c):
         raise NotImplementedError
 
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
     def is_zero(self, a):
-        raise NotImplementedError
+        return not a
 
     def post_reduce(self, d: dict) -> dict:
         """Normalize a sparse vector accumulated with raw payload ops, into a new dict."""
-        return {k: v for k, v in d.items() if not self.is_zero(v)}
+        return {k: v for k, v in d.items() if v}
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.tag == other.tag
@@ -454,29 +485,10 @@ class RationalField(Field):
             return c.numerator if c.denominator == 1 else c
         raise FieldMismatchError(f"cannot interpret {c!r} as a rational")
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in Q")
         return self.convert(Fraction(1, a))
-
-    def is_zero(self, a):
-        return a == 0
-
-    def post_reduce(self, d: dict) -> dict:
-        # Fraction and int are falsy exactly at zero
-        return {k: v for k, v in d.items() if v}
 
     def parse(self, s: str):
         t = s.strip()
@@ -484,6 +496,11 @@ class RationalField(Field):
         if digits.isascii() and digits.isdigit():  # cached integers skip Fraction's regex
             return int(t)
         try:
+            # Fraction builds 10**exponent first, which can take hours; refuse a value too long to print
+            _, is_exp, exponent = t.lower().partition("e")
+            limit = int_digit_limit()
+            if is_exp and limit and abs(int(exponent)) + len(t) > limit:
+                raise ValueError(f"more than {limit} digits")
             return self.convert(Fraction(t))
         except (ValueError, ZeroDivisionError) as e:
             raise ScalarSyntaxError(f"bad rational {s!r}") from e
@@ -582,27 +599,12 @@ class RationalFunctionField(Field):
             return RatF.const(Fraction(c))
         raise FieldMismatchError(f"cannot interpret {c!r} in Q(u)")
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
-        if a.is_zero():
+        if not a:
             raise ZeroDivisionError("inverse of zero in Q(u)")
         if a.n[-1] < 0:
             return RatF._canonical(tuple(-c for c in a.d), tuple(-c for c in a.n))
         return RatF._canonical(a.d, a.n)
-
-    def is_zero(self, a):
-        return a.is_zero()
 
     def parse(self, s: str):
         return _parse_qu(s)
@@ -671,10 +673,36 @@ class _Tok:
         return t
 
 
-# The power loop multiplies k times at a cost that grows with the degree, so
-# u^8000 already takes seconds and u^1000000 would never finish; cached Q(u)
-# constants reach u-degree 8, and u^1000 parses in tens of milliseconds.
+# A parsed Q(u) scalar keeps u-degree MAX_EXPONENT and coefficients Python can
+# print: each power, product, quotient and sum is checked before it is
+# multiplied out, since arithmetic past them takes seconds to hours.  Cached
+# Q(u) constants reach u-degree 8, and u^1000 parses in tens of milliseconds.
 MAX_EXPONENT = 1000
+
+
+def _qu_size(v):
+    """(u-degree, bit length of the larger coefficient sum) of v's numerator and denominator."""
+    return max(len(v.n), len(v.d)) - 1, max(sum(map(abs, p)).bit_length() for p in (v.n, v.d))
+
+
+def _qu_check(deg, bits):
+    """Refuse a value whose polynomials may reach u-degree deg and coefficient sums 2^bits.
+
+    Cancelling a factor grows a coefficient at most 2^deg times (Mignotte's bound).
+    """
+    if deg > MAX_EXPONENT:
+        raise ScalarSyntaxError(f"u-degree above {MAX_EXPONENT} in scalar string")
+    limit = int_digit_limit()
+    if limit and deg + bits > 3.32 * limit:  # 2^(3.32 limit) < 10^limit
+        raise ScalarSyntaxError(f"a coefficient may pass {limit} digits in scalar string")
+
+
+def _qu_op(op, a, b):
+    """op(a, b) for op one of + - * /, refused before it is computed if it may pass the bounds."""
+    (da, ba), (db, bb) = _qu_size(a), _qu_size(b)
+    shared = op in (operator.add, operator.sub) and a.d == b.d  # the numerators' sum over a.d
+    _qu_check(max(da, db) if shared else da + db, (max(ba, bb) if shared else ba + bb) + 1)
+    return op(a, b)
 
 
 def _parse_qu(s: str) -> RatF:
@@ -698,10 +726,10 @@ def _qu_expr(tk) -> RatF:
         t = tk.peek()
         if t == "+":
             tk.take()
-            v = v + _qu_term(tk)
+            v = _qu_op(operator.add, v, _qu_term(tk))
         elif t == "-":
             tk.take()
-            v = v - _qu_term(tk)
+            v = _qu_op(operator.sub, v, _qu_term(tk))
         else:
             return v
 
@@ -712,13 +740,13 @@ def _qu_term(tk) -> RatF:
         t = tk.peek()
         if t == "*":
             tk.take()
-            v = v * _qu_factor(tk)
+            v = _qu_op(operator.mul, v, _qu_factor(tk))
         elif t == "/":
             tk.take()
             d = _qu_factor(tk)
-            if d.is_zero():
+            if not d:
                 raise ScalarSyntaxError("division by zero in scalar string")
-            v = v / d
+            v = _qu_op(operator.truediv, v, d)
         else:
             return v
 
@@ -737,11 +765,13 @@ def _qu_factor(tk) -> RatF:
         k = int(t)
         if k > MAX_EXPONENT:
             raise ScalarSyntaxError(f"exponent {k} is above {MAX_EXPONENT}")
+        deg, bits = _qu_size(v)
+        _qu_check(k * deg, k * bits)
         out = RatF.const(1)
         for _ in range(k):
             out = out * v
         if neg:
-            if out.is_zero():
+            if not out:
                 raise ScalarSyntaxError("zero to a negative power")
             out = QU.inv(out)
         return out

@@ -10,8 +10,9 @@ multiplying out g, and a fiber at u = c splits into local blocks read off
 the roots at c, so no polynomial in t is ever factored.
 
 Every sparse sum in this layer, from a product of algebra elements to a
-change of basis, is computed through linalg's vec_apply and vec_sub, on
-the same reduced {index: coefficient} vectors as the engine's operators.
+change of basis, is computed through linalg's vec_apply, on the same
+reduced {index: coefficient} vectors as the engine's operators, and such
+vectors are compared with ==.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .fields import (
     RatF,
     field_from_descriptor,
 )
-from .linalg import rref_rows, vec_apply, vec_sub
+from .linalg import rref_rows, vec_apply
 
 CATALOG_NAMES = (
     "split4",
@@ -121,22 +122,21 @@ class CommAlgebra:
         return sol
 
     def check(self):
-        f = self.field
         n = self.n
         for i in range(n):
             for j in range(i + 1, n):
-                if vec_sub(f, self.table[i][j], self.table[j][i]):
+                if self.table[i][j] != self.table[j][i]:
                     raise AlgebraStructureError(f"not commutative at ({i},{j})")
         e = self.unit_vec()
         for j in range(n):
-            if vec_sub(f, self.mul_vec(e, self.basis_vec(j)), self.basis_vec(j)):
+            if self.mul_vec(e, self.basis_vec(j)) != self.basis_vec(j):
                 raise AlgebraStructureError(f"unit fails on basis element {j}")
         for i in range(n):
             for j in range(n):
                 for k in range(n):
                     lhs = self.mul_vec(self.table[i][j], self.basis_vec(k))
                     rhs = self.mul_vec(self.basis_vec(i), self.table[j][k])
-                    if vec_sub(f, lhs, rhs):
+                    if lhs != rhs:
                         raise AlgebraStructureError(f"not associative at ({i},{j},{k})")
         return True
 
@@ -149,11 +149,7 @@ class CommAlgebra:
         return CommAlgebra(field, self.names, tab, unit=unit)
 
     def equal_constants(self, other: "CommAlgebra") -> bool:
-        if self.field.tag != other.field.tag or self.n != other.n:
-            return False
-        return not any(
-            vec_sub(self.field, a, b) for ra, rb in zip(self.table, other.table) for a, b in zip(ra, rb)
-        )
+        return self.field == other.field and self.table == other.table
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +178,7 @@ class FrobeniusPair:
         for i in range(n):
             for j in range(n):
                 v = self.lam_apply(algebra.mul_vec(algebra.basis_vec(i), f.post_reduce(dict(enumerate(self.dual_right[j])))))
-                want = f.one if i == j else f.zero
-                if not f.is_zero(f.sub(v, want)):
+                if v != (f.one if i == j else f.zero):
                     raise SingularGramError("dual basis normalization failed")
 
     @property

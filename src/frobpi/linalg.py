@@ -110,7 +110,7 @@ def _rref_generic(field: Field, rows, keep_from=0):
             c = min(r)
             p = reduced.get(c)
             if p is None:
-                if not field.is_zero(field.sub(r[c], field.one)):
+                if r[c] != field.one:
                     inv = field.inv(r[c])
                     r = {k: field.mul(v, inv) for k, v in r.items()}
                 reduced[c] = r

@@ -14,11 +14,19 @@ fourth root of unity is ever constructed): the rotation eigenvalue forces
 m + 3n = 0 mod 4, and the swap forces c_{n,m} = (-1)^m c_{m,n}.
 """
 
+from itertools import islice
+
 from .fields import QQ, MultiPoly
 from .center import center_degree
 
 
 def quiver_hilbert(n: int, D: int):
+    """Column-0 sums and entry totals of degrees 0..D of quiver_series(n), as two lists."""
+    terms = list(islice(quiver_series(n), D + 1))
+    return [c0 for c0, _ in terms], [total for _, total in terms]
+
+
+def quiver_series(n: int):
     """Column-0 sums and entry totals of the coefficients of 1/(1 - tC + t^2).
 
     C is the adjacency matrix of the doubled star: vertex 0 joined to each
@@ -28,22 +36,20 @@ def quiver_hilbert(n: int, D: int):
     distinct entries: a at (0, 0), b at (0, i) and (i, 0), c at (i, i),
     and e at (i, j) for outer i != j; the recurrence runs on those four.
 
-    Returns (column0_sums, totals) for degrees 0..D.  For n >= 4 the star
-    is not Dynkin, totals[d] is the dimension of the degree-d component of
-    the star preprojective algebra, and column0_sums[d] that of its paths
-    ending at the central vertex.  For n = 1, 2, 3 the star is the Dynkin
-    diagram A_2, A_3 or D_4, the preprojective algebra is finite-dimensional,
-    the series is not its Hilbert series, and coefficients can be negative.
+    Yields (column0_sum, total) for degrees 0, 1, 2, ... without end.  For
+    n >= 4 the star is not Dynkin, the total of degree d is the dimension
+    of the degree-d component of the star preprojective algebra, and the
+    column-0 sum that of its paths ending at the central vertex.  For
+    n = 1, 2, 3 the star is the Dynkin diagram A_2, A_3 or D_4, the
+    preprojective algebra is finite-dimensional, the series is not its
+    Hilbert series, and coefficients can be negative.
     """
-    col0, totals = [], []
     prev, cur = (0, 0, 0, 0), (1, 0, 1, 0)
-    for _ in range(D + 1):
+    while True:
         a, b, c, e = cur
-        col0.append(a + n * b)
-        totals.append(a + 2 * n * b + n * c + n * (n - 1) * e)
+        yield a + n * b, a + 2 * n * b + n * c + n * (n - 1) * e
         pa, pb, pc, pe = prev
         prev, cur = cur, (n * b - pa, c + (n - 1) * e - pb, b - pc, b - pe)
-    return col0, totals
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import importlib.util
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import weakref
@@ -254,6 +255,54 @@ def test_bad_algebra_file_is_usage_error(capsys, tmp_path, spoil):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert "bad algebra file" in err
+
+
+def _child(argv, preexec_fn=None):
+    """(exit code, stdout, stderr) of frobpi in a child python, which fails the test if it runs 20 s."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "frobpi", *argv],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        timeout=20,
+        preexec_fn=preexec_fn,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "field,scalar,cache",
+    [
+        ("q", "1e100000000", False),  # Fraction would compute 10**100000000 first
+        ("q", "1e5000", True),  # the cache key could not print the value
+        ("qu", "((u+1)^1000)^1000", False),  # each exponent is in bounds, the u-degree is not
+        ("qu", "(10^1000)^5", True),  # a 5,001-digit coefficient, which the cache key could not print
+    ],
+)
+def test_scalar_past_the_bounds_is_usage_error(tmp_path, field, scalar, cache):
+    # run in a child: each used to run for hours or exit 3
+    doc = json.loads(algebra_to_json(catalog("t4")))
+    doc["field"] = field
+    doc["lambda"][0] = scalar
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    flag = ["--cache-dir", str(tmp_path / "cache")] if cache else ["--no-cache"]
+    code, out, err = _child(["dims", "--algebra", str(path), "--max-degree", "2", *flag])
+    assert (code, out) == (2, ""), err
+    assert "bad algebra file" in err
+
+
+def test_quiver_stops_at_the_first_coefficient_past_the_digit_limit():
+    # every coefficient up to the cap used to be computed before the digit
+    # check, and at this cap they fill the machine's memory; the child is held
+    # to 512 MiB of address space, so that fails the test instead
+    def hold_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    argv = ["quiver", "--arrows", "5", "--max-degree", "1000000"]
+    code, out, err = _child(argv, preexec_fn=hold_memory)
+    assert (code, out) == (2, ""), err
+    assert "a series coefficient has more than" in err
 
 
 @pytest.mark.parametrize(
@@ -666,6 +715,9 @@ def test_sigma_then_center_on_one_build(capsys, tmp_path, monkeypatch):
     centre = ["verify", "--suite", "center", "--field", "q", "--max-degree", "6"]
     _, none, _ = run(capsys, centre + ["--no-cache"])
     computed = _computed_centres(monkeypatch)
+    keep = []  # the builds stay alive, so no id is reused
+    start = engine.GradedAlgebra._start
+    monkeypatch.setattr(engine.GradedAlgebra, "_start", lambda g, *a: keep.append(g) or start(g, *a))
     code, out, _ = run(capsys, centre + flags[2:])
     assert (code, out) == (0, none)
     assert len(computed) == len(set(computed)) == len(CATALOG_NAMES) * 7
@@ -721,14 +773,28 @@ def _cache_degrees(cache_dir):
 @pytest.mark.parametrize("cap", [0, 3, 16])
 def test_sigma_build_plan_stops_at_degree_7(capsys, tmp_path, cap):
     # degree 7 settles every cap past 6, and a cap below 7 needs no more than
-    # itself; sigma computes at most Z_4, so no build's centres are complete
+    # itself, degree 0 included; sigma computes at most Z_4, so no build's
+    # centres are complete
     argv = ["verify", "--suite", "sigma", "--max-degree", str(cap), "--cache-dir", str(tmp_path)]
     run(capsys, argv)
-    D = max(1, min(cap, 7))
+    D = min(cap, 7)
     want = {
         f"{cache_key(catalog(name, field_from_descriptor(t)), D)}.json": D
         for name in CATALOG_NAMES
         for t in cli.CENTER_FIELDS
+    }
+    assert _cache_degrees(tmp_path) == (want, {})
+
+
+def test_degree_zero_cap_builds_degree_zero(capsys, tmp_path):
+    # Pi_0 is a whole build, so cap 0 builds and caches degree 0 and no more
+    argv = ["verify", "--suite", "ranks", "--max-degree", "0"]
+    code, out, _ = run(capsys, argv + ["--cache-dir", str(tmp_path)])
+    assert (code, out) == run(capsys, argv + ["--no-cache"])[:2]
+    want = {
+        f"{cache_key(catalog(name, field_from_descriptor(t)), 0)}.json": 0
+        for name in CATALOG_NAMES
+        for t in cli.RANK_FIELDS
     }
     assert _cache_degrees(tmp_path) == (want, {})
 

@@ -589,6 +589,29 @@ def test_centre_entry_round_trip(tmp_path, tag):
     assert [z.ambient for z in warm.centers.values()] == [warm.dim(d) for d in range(D)]
 
 
+def _t4_or_family_4(tag):
+    if tag == "qu":
+        fam = deformation(4)
+        return make_frobenius(fam.algebra, list(fam.lam))
+    return catalog("t4", field_from_descriptor(tag))
+
+
+@pytest.mark.parametrize("tag", ["q", "fp:5", "qu"])
+def test_degree_zero_build(tmp_path, tag):
+    # Pi_0 = R x S is a whole build: the word a and the n slots of S
+    pair = _t4_or_family_4(tag)
+    n = pair.n
+    for g in (GradedAlgebra(pair, 0), build_cached(pair, 0, str(tmp_path))):
+        assert g.dims() == [1 + n]
+        assert g.split_dims(0) == (1, n)
+        assert g.resolution_sum(0) == (0, 0)
+    # the second build_cached reads the entry the first wrote, through from_operators
+    loaded = build_cached(pair, 0, str(tmp_path))
+    assert (loaded.D, loaded.dims(), loaded.B) == (0, [1 + n], GradedAlgebra(pair, 0).B)
+    with pytest.raises(ValueError, match="build degree"):
+        GradedAlgebra(pair, -1)
+
+
 def test_centre_entry_cannot_be_written(tmp_path, monkeypatch):
     # as for a build entry, a centre entry that cannot be written is an InputError
     pair = catalog("t4")
