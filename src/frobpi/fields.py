@@ -1,12 +1,14 @@
 """Exact scalars: rationals, prime fields F_p, and rational functions in u.
 
-Scalars are raw payloads with no field tag: over Q an int when the value
-is an integer and a Fraction otherwise (never a float), over F_p a reduced
-int, over Q(u) a RatF.  Every interface passes the Field object next to
-them, and converting a value from another field raises instead of
-coercing.  Raw payloads let the linear algebra layer use native arithmetic
-operators in hot loops; int and Fraction agree on ==, hash, str and
-truthiness, and a sum or product of ints stays an int, so integer rows over
+Scalars are raw payloads with no field tag: over Q an int or a Fraction
+(never a float), over F_p a reduced int, over Q(u) a RatF.  Parsing and
+QQ.convert give an int for an integer value, but Fraction arithmetic can
+leave a Fraction with denominator 1 (reduced centre rows over Q hold some);
+int and Fraction agree on ==, hash, str and truthiness, so either form is
+canonical.  Every interface passes the Field object next to them, and
+converting a value from another field raises instead of coercing.  Raw
+payloads let the linear algebra layer use native arithmetic operators in
+hot loops, and a sum or product of ints stays an int, so integer rows over
 Q never pay for Fraction arithmetic.
 
 Every stored payload is canonical: it is falsy exactly at zero, and two
@@ -23,6 +25,7 @@ from __future__ import annotations
 import operator
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 
@@ -249,6 +252,10 @@ class RatF:
     with gcd(n, d) = 1 in Z[u], joint content one and lc(d) > 0; zero is
     ((), (1,)).  The form is unique, so equality and hashing compare the
     tuples.
+
+    A RatF is immutable: nothing assigns to n or d after construction.
+    Arithmetic relies on it, as + - * return shared objects: a memoised
+    result, or one of the operands when a factor is 0 or +-1.
     """
 
     __slots__ = ("n", "d")
@@ -309,9 +316,7 @@ class RatF:
     def __add__(self, o):
         if not isinstance(o, RatF):
             return NotImplemented
-        if self.d == o.d:
-            return RatF(_padd(self.n, o.n), self.d)
-        return RatF(_padd(_pmul(self.n, o.d), _pmul(o.n, self.d)), _pmul(self.d, o.d))
+        return _ratf_add(self.n, self.d, o.n, o.d)
 
     def __neg__(self):
         return RatF._canonical(tuple([-c for c in self.n]), self.d)
@@ -319,14 +324,17 @@ class RatF:
     def __sub__(self, o):
         if not isinstance(o, RatF):
             return NotImplemented
-        if self.d == o.d:
-            return RatF(_psub(self.n, o.n), self.d)
-        return RatF(_psub(_pmul(self.n, o.d), _pmul(o.n, self.d)), _pmul(self.d, o.d))
+        return _ratf_sub(self.n, self.d, o.n, o.d)
 
     def __mul__(self, o):
         if not isinstance(o, RatF):
             return NotImplemented
-        return RatF(_pmul(self.n, o.n), _pmul(self.d, o.d))
+        # a factor 0 or +-1 gives zero or the other factor up to sign: nothing to normalise or memoise
+        if o.d == (1,) and o.n in _TRIVIAL:
+            return o if not o.n else self if o.n[0] == 1 else -self
+        if self.d == (1,) and self.n in _TRIVIAL:
+            return self if not self.n else o if self.n[0] == 1 else -o
+        return _ratf_mul(self.n, self.d, o.n, o.d)
 
     def __truediv__(self, o):
         if not isinstance(o, RatF):
@@ -344,6 +352,35 @@ class RatF:
 
     def __repr__(self):
         return f"RatF({QU.fmt(self)})"
+
+
+# The same Q(u) sums and products recur within a build's relation rows and a
+# centre's commutators.  Each distinct one is normalised once while it stays in
+# a small LRU memo per operation, keyed on the canonical tuples; the results
+# are shared, which RatF's immutability allows.  The repeats are close
+# together: 256 entries were as fast as an unbounded memo on the deformation
+# suite at degree 5, and larger memos mostly add resident memory.
+MEMO_SIZE = 256
+_TRIVIAL = ((), (1,), (-1,))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _ratf_add(n1, d1, n2, d2):
+    if d1 == d2:
+        return RatF(_padd(n1, n2), d1)
+    return RatF(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _ratf_sub(n1, d1, n2, d2):
+    if d1 == d2:
+        return RatF(_psub(n1, n2), d1)
+    return RatF(_psub(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _ratf_mul(n1, d1, n2, d2):
+    return RatF(_pmul(n1, n2), _pmul(d1, d2))
 
 
 def _horner(a, c):

@@ -1,11 +1,13 @@
 """Exact scalar arithmetic: Q, F_p, Q(u), and the integer polynomial helpers."""
 
+import ast
 import operator
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from frobpi import fields
 from frobpi.fields import (
@@ -169,8 +171,32 @@ def _value(num, den, c):
     return None if d == 0 else _horner(num, c) / d
 
 
+def _case(num, den=(1,)):
+    return RatF(num, den), num, den
+
+
+# operands the memo and the 0 / +-1 shortcut treat apart: 0, +-1, integer
+# constants, and constant and nonconstant denominators
+_SPECIAL = [
+    _case(()),
+    _case((1,)),
+    _case((-1,)),
+    _case((6,)),
+    _case((-3,), (6,)),
+    _case((2, 0, -1), (4,)),
+    _case((0, 1), (1, 1)),
+    _case((-2, 2), (6, 4)),
+]
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_ratf_case(), _ratf_case())
+@example(_SPECIAL[0], _SPECIAL[6])
+@example(_SPECIAL[6], _SPECIAL[0])
+@example(_SPECIAL[1], _SPECIAL[7])
+@example(_SPECIAL[7], _SPECIAL[2])
+@example(_SPECIAL[3], _SPECIAL[4])
+@example(_SPECIAL[5], _SPECIAL[6])
 def test_ratf_ops_match_fraction_reference(xc, yc):
     (x, xn, xd), (y, yn, yd) = xc, yc
     ops = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b, "mul": lambda a, b: a * b}
@@ -194,6 +220,88 @@ def test_ratf_ops_match_fraction_reference(xc, yc):
         w = RatF(_mul(z.n, (3, -6)), _mul(z.d, (3, -6)))
         assert (w.n, w.d) == (z.n, z.d)
         assert w == z and hash(w) == hash(z)
+
+
+def _raw(name, x, y):
+    """The unreduced numerator and denominator of x op y."""
+    if name == "mul":
+        return _mul(x.n, y.n), _mul(x.d, y.d)
+    sign = 1 if name == "add" else -1
+    left, right = _mul(x.n, y.d), _mul(y.n, x.d)
+    width = max(len(left), len(right))
+    left, right = (tuple(p) + (0,) * (width - len(p)) for p in (left, right))
+    return _strip(a + sign * b for a, b in zip(left, right)), _mul(x.d, y.d)
+
+
+_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+_MEMOS = {"add": fields._ratf_add, "sub": fields._ratf_sub, "mul": fields._ratf_mul}
+
+
+def test_ratf_ops_match_direct_normalisation_after_eviction():
+    values = [x for x, _, _ in _SPECIAL]
+    pairs = [(name, x, y) for name in _OPS for x in values for y in values]
+    first = {}
+    for name, x, y in pairs:
+        z = _OPS[name](x, y)
+        want = RatF(*_raw(name, x, y))
+        assert (z.n, z.d) == (want.n, want.d), (name, x, y)
+        first[name, x, y] = z
+    # a hit returns the memoised object itself
+    u, v = values[6], values[7]
+    for name, op in _OPS.items():
+        assert op(u, v) is op(u, v)
+    # more than MEMO_SIZE other operations evict every entry above
+    gen = RatF.gen()
+    for k in range(fields.MEMO_SIZE + 1):
+        shifted = RatF((k, 2), (k + 1, 0, 1))
+        for op in _OPS.values():
+            op(shifted, gen)
+    for name, memo in _MEMOS.items():
+        assert memo.cache_info().currsize == fields.MEMO_SIZE
+        assert _OPS[name](u, v) is not first[name, u, v]
+    for (name, x, y), z in first.items():
+        again = _OPS[name](x, y)
+        assert (again.n, again.d) == (z.n, z.d), (name, x, y)
+
+
+def test_ratf_mul_by_zero_or_unit_skips_the_memo():
+    x = RatF((-2, 2), (6, 4))
+    zero, one, minus_one = RatF(()), RatF((1,)), RatF((-1,))
+    before = fields._ratf_mul.cache_info()
+    assert x * one is x and one * x is x
+    assert x * zero is zero and zero * x is zero
+    assert (x * minus_one).n == (minus_one * x).n == (1, -1) and (x * minus_one).d == x.d
+    assert fields._ratf_mul.cache_info() == before
+
+
+def test_ratf_memo_is_bounded():
+    for memo in _MEMOS.values():
+        size = memo.cache_info().maxsize
+        assert size is not None and 0 < size == fields.MEMO_SIZE
+
+
+def test_nothing_outside_fields_assigns_ratf_parts():
+    # memoised RatF results are shared, so .n and .d must never be written
+    # outside fields.py; a class may still set its own self.n or self.d
+    root = Path(__file__).resolve().parents[1]
+    files = [*root.glob("src/frobpi/*.py"), *root.glob("tests/*.py"), *root.glob("perfbench/*.py")]
+    assert any(f.name == "engine.py" for f in files)
+    found = []
+    for path in files:
+        if path.name == "fields.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(ast.unparse(b).endswith("RatF") for b in node.bases):
+                found.append((path.name, node.lineno, "subclasses RatF"))
+            elif isinstance(node, ast.Attribute) and node.attr in ("n", "d"):
+                own = isinstance(node.value, ast.Name) and node.value.id == "self"
+                if not isinstance(node.ctx, ast.Load) and not own:
+                    found.append((path.name, node.lineno, ast.unparse(node)))
+            elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith("setattr"):
+                names = [a.value for a in node.args if isinstance(a, ast.Constant)]
+                if {"n", "d"} & set(names):
+                    found.append((path.name, node.lineno, ast.unparse(node)))
+    assert not found
 
 
 def test_heuristic_gcd_agrees_with_prs():
