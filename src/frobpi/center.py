@@ -3,12 +3,13 @@
 The algebra is generated by its word letters: the degree-0 idempotent a,
 the S-basis slots b_j, and the two degree-1 letters e and f.  Commuting
 with those forces commuting with everything, so the center in each degree
-is the intersection of the per-letter commutator kernels.  The centre
-skips one slot that the unit of S covers, since that cut follows from the
-others (see _center_degree), and each cut reduces only the basis rows the
-letter moves.  Each build keeps the centres it has computed, so each
-degree is computed at most once per build, and the disk cache stores and
-loads them with the build (see center_degree and cache).
+is the intersection of the per-letter commutator kernels.  Of the slots,
+the centre cuts only by those of the fewest b_j that generate S with its
+unit, since the cuts by the other slots follow from those (see
+_center_degree), and each cut reduces only the basis rows the letter
+moves.  Each build keeps the centres it has computed, so each degree is
+computed at most once per build, and the disk cache stores and loads them
+with the build (see center_degree and cache).
 
 Spanning facts go through _left_span, the span of the products x y over a
 list of elements x: the monomials in given generators against the center
@@ -80,18 +81,22 @@ def _center_degree(g: GradedAlgebra, d: int) -> Subspace:
     commutes with; left_kernel passes the basis rows it does not move
     through unreduced.
 
-    What commutes with a commutes with 1_S = 1 - a = sum u_j b_j, so on
-    the subspace the a-cut leaves, the commutators with the b_j satisfy
-    sum u_j [x, b_j] = 0.  The cut by the last slot k with u_k != 0 thus
-    follows from the other slots, and it is skipped.
+    What commutes with a commutes with 1_S = 1 - a.  What also commutes
+    with some b_j commutes with every product of 1_S and those b_j, and
+    when they generate S, as an algebra with unit 1_S, that is all of S,
+    hence all of Pi_0 = k a + S.  So only the slots of
+    S.generating_slots(), the first smallest generating set, are cut by:
+    one slot for k[t]/(g), t4 among them, two for bikwad and t3-plus-k,
+    and never more than n - 1, since the unit and the other slots give any
+    slot the unit covers.  The set comes from the structure constants,
+    once per algebra.
     """
     f = g.field
     keep = tuple(i for i, (r, a) in enumerate(zip(g.is_r[d], g.starts_a[d])) if r == a)
     z = Subspace(f, g.dim(d), keep, tuple({i: f.one} for i in keep))
     if not keep:
         return z
-    skip = max(g.pair.algebra.unit_vec())
-    ops = _commutator_ops(g, d, slots=[j for j in range(g.n) if j != skip])
+    ops = _commutator_ops(g, d, slots=g.pair.algebra.generating_slots())
     next(ops)  # a, whose kernel z already is
     for op, tdeg in ops:
         m_rows = [vec_apply(f, v, op) for v in z.rows]

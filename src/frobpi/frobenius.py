@@ -21,7 +21,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from .fields import (
     QQ,
@@ -34,7 +34,7 @@ from .fields import (
     RatF,
     field_from_descriptor,
 )
-from .linalg import rref_rows, vec_apply
+from .linalg import Subspace, rref_rows, vec_apply
 
 CATALOG_NAMES = (
     "split4",
@@ -69,7 +69,7 @@ class CommAlgebra:
     bases) rarely contain the identity as a basis element.
     """
 
-    __slots__ = ("field", "names", "table", "unit")
+    __slots__ = ("field", "names", "table", "unit", "_generating_slots")
 
     def __init__(self, field: Field, names, table, unit=None):
         n = len(names)
@@ -79,6 +79,7 @@ class CommAlgebra:
         self.names = tuple(names)
         self.table = tuple(tuple(field.post_reduce(table[i][j]) for j in range(n)) for i in range(n))
         self.unit = tuple(self._find_unit()) if unit is None else tuple(unit)
+        self._generating_slots = None
         self.check()
 
     @property
@@ -101,6 +102,40 @@ class CommAlgebra:
 
     def unit_vec(self) -> dict:
         return self.field.post_reduce(dict(enumerate(self.unit)))
+
+    def generating_slots(self) -> tuple:
+        """The fewest slots j whose b_j, with the unit, generate the algebra; computed once.
+
+        A set of slots generates when the span of the unit, closed under
+        multiplication by their b_j, is the whole algebra: that span is the
+        span of the monomials in those b_j.  Sets are tried by size and, in
+        each size, in slot order, so the first smallest set is returned.
+        The set of all slots always generates.
+        """
+        if self._generating_slots is None:
+            n = self.n
+            unit = Subspace.from_vectors(self.field, n, [self.unit_vec()])
+            self._generating_slots = next(
+                slots
+                for k in range(n + 1)
+                for slots in combinations(range(n), k)
+                if self._closure(unit, slots).dim == n
+            )
+        return self._generating_slots
+
+    def _closure(self, span: Subspace, slots) -> Subspace:
+        """span closed under multiplication by the b_j of slots.
+
+        Only the products that left the span in the last step are
+        multiplied again: the products of the rest lie in the span already.
+        """
+        f, table = self.field, self.table
+        new = span.rows
+        while True:
+            new = [p for v in new for j in slots if not span.contains(p := vec_apply(f, v, table[j]))]
+            if not new:
+                return span
+            span = Subspace.from_vectors(f, self.n, [*span.rows, *new])
 
     def _find_unit(self):
         # solve e * b_j = b_j for all j

@@ -4,9 +4,18 @@ import pytest
 
 from frobpi import CATALOG_NAMES, build, catalog
 from frobpi.fields import field_from_descriptor
+from frobpi.frobenius import deformation, make_frobenius
 
 Q_DEGREE = 16
 FP_DEGREE = {2: 13, 3: 12, 5: 13, 7: 12}
+FAMILIES = {f"family {n}": (n, False) for n in range(1, 7)} | {"family 6c": (6, True)}
+"""The seven deformation families over Q(u), by name: family 6c is the char-2 variant of family 6."""
+
+
+def family_pair(name):
+    """The named deformation family over Q(u), with its functional."""
+    fam = deformation(*FAMILIES[name])
+    return make_frobenius(fam.algebra, list(fam.lam))
 
 
 @pytest.fixture(scope="session")

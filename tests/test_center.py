@@ -30,7 +30,7 @@ from frobpi.frobenius import (
     make_frobenius,
     specialize_pair,
 )
-from conftest import bikwad_words, normalizes
+from conftest import FAMILIES, bikwad_words, family_pair, normalizes
 
 
 def test_expected_center_dim_values():
@@ -50,30 +50,33 @@ def test_center_formula_over_fp5(fp_engines):
         assert center_dims(g, 12) == [expected_center_dim(d) for d in range(13)], name
 
 
-def _assert_incremental_matches_stacked(g, degrees):
+def _assert_incremental_matches_stacked(g, degrees, name=None):
     for d in degrees:
         inc = center_degree(g, d)
         stk = centralizer_stack_kernel(g, d)
-        assert inc.pivots == stk.pivots, (g.field.tag, d)
-        assert inc.rows == stk.rows, (g.field.tag, d)
+        assert inc.pivots == stk.pivots, (name, g.field.tag, d)
+        assert inc.rows == stk.rows, (name, g.field.tag, d)
 
 
 def test_incremental_matches_stacked(q_engines, fp_engines):
-    # one reduction per letter, with one slot skipped, lands on the same
-    # canonical subspace as one reduction of all the commutators stacked,
-    # over Q, both F_p lanes and Q(u); bikwad's f-cut is live at degree 10
-    fam = deformation(4)
-    generic = build(make_frobenius(fam.algebra, list(fam.lam)), 4)
-    cases = [(q_engines[name], range(9)) for name in CATALOG_NAMES]
-    cases += [(fp_engines[name, 5], range(9)) for name in CATALOG_NAMES]
-    cases += [(fp_engines["bikwad", 2], (0, 2, 4, 6, 8)), (generic, range(4))]
-    cases += [(q_engines["bikwad"], (10,))]
-    for g, degrees in cases:
-        _assert_incremental_matches_stacked(g, degrees)
+    # one reduction per letter, cutting only by the slots that generate S,
+    # lands on the same canonical subspace as one reduction of all the
+    # commutators stacked, over Q, F_2, F_3, F_5 and Q(u), for the catalog,
+    # the seven families and their fibres at u = 0; bikwad's f-cut is live
+    # at degree 10
+    cases = [(name, q_engines[name], range(9)) for name in CATALOG_NAMES]
+    cases += [(name, fp_engines[name, p], range(9)) for p in (2, 3, 5) for name in CATALOG_NAMES]
+    cases += [("bikwad", q_engines["bikwad"], (10,))]
+    for name in FAMILIES:
+        pair = family_pair(name)
+        cases += [(name, build(pair, 6), range(6)), (f"{name} at 0", build(specialize_pair(pair, "q", 0), 6), range(6))]
+    for name, g, degrees in cases:
+        _assert_incremental_matches_stacked(g, degrees, name)
 
 
-# sha256 of center_degree(g, d) for d <= 20, pivots and rows, per (pair, field):
-# the stdout goldens pin only dimensions, these pin the canonical rows
+# sha256 of center_degree(g, d), pivots and rows, per (pair, field), for
+# d <= 20 over Q and F_p and d <= 8 for the families over Q(u): the stdout
+# goldens pin only dimensions, these pin the canonical rows
 CENTER_ROWS_SHA256 = {
     ("split4", "q"): "a2832a16351dcae1f04729a181cc933a2cdd534de6a19d62b57ddce1c05bf739",
     ("dual-numbers-pair", "q"): "7e3e193bef6baa9799d8bb04fe7e7c5c3a2ca60196ef144fb0bef8f597dc0e61",
@@ -93,14 +96,24 @@ CENTER_ROWS_SHA256 = {
     ("t3-plus-k", "fp:5"): "662432e62f7abb285c541fda16d84ba78758bd4a7334edd722d2e34ba4822efa",
     ("t4", "fp:5"): "9efd1c3999ab54d0cc9dc5c80099b3d5dd4b7c13c15c960866fe8189634ffa32",
     ("bikwad", "fp:5"): "dc9415937a002dcda131c1a78855d59c53e4bcc7a68647bf57d669e9bde049ab",
+    ("family 1", "qu"): "f345dfec0e3264f089a5a3341f30b60e49dd91778d90379453cbf89b46673af9",
+    ("family 2", "qu"): "355e14607afd9f6b4b520768b95847f18a59f0b7d96511faf01dddcf98ae6be8",
+    ("family 3", "qu"): "09fc6321cc45567260b98ce309f89743f3a071255f22d2ab52da45c5ce1242a2",
+    ("family 4", "qu"): "774f0222fcab42f5be1d0d1bc0c2eec82a71bcf87bba59d895c0b8cea3f90bc1",
+    ("family 5", "qu"): "3a29a346a2e31ad131c9ab5ce83231ce36276f608e5f6350d0335216d195b362",
+    ("family 6", "qu"): "999d73db506cf1b7e2fe0e7181325d895df7a1e6241bd9b72b57d5cd8635042c",
+    ("family 6c", "qu"): "98f72a966394f55999b3c5f06c0279ebf0e17485752e157aaaed190bd885a2e7",
 }
 
 
 def test_center_rows_pinned():
     for (name, desc), digest in CENTER_ROWS_SHA256.items():
-        g = build(catalog(name, field_from_descriptor(desc)), 21)
+        if desc == "qu":
+            g = build(family_pair(name), 9)
+        else:
+            g = build(catalog(name, field_from_descriptor(desc)), 21)
         f, lines = g.field, []
-        for d in range(21):
+        for d in range(g.D):
             z = center_degree(g, d)
             rows = ";".join(",".join(f"{j}:{f.fmt(v)}" for j, v in sorted(r.items())) for r in z.rows)
             lines.append(f"{d} {list(z.pivots)} {rows}")
@@ -143,9 +156,10 @@ def test_a_commutator_rows_match_products(q_engines, fp_engines):
 
 def test_center_degree_reduces_once_per_generator(monkeypatch):
     # each cut reduces exactly the basis rows whose commutator is nonzero,
-    # each cut shrinks the basis, and the last slot the unit covers is
-    # never asked for, so its commutator is never reduced; fresh builds,
-    # since a build computes each centre once and then reads its memo
+    # each cut shrinks the basis, and only the slots of the first smallest
+    # set that generates S are asked for, so no other slot's commutator is
+    # reduced; fresh builds, since a build computes each centre once and
+    # then reads its memo
     reduced, cuts, slots = [], [], []
     rref = linalg._rref_generic
     monkeypatch.setattr(linalg, "_rref_generic", lambda *a, **k: reduced.append(len(a[1])) or rref(*a, **k))
@@ -158,13 +172,15 @@ def test_center_degree_reduces_once_per_generator(monkeypatch):
     monkeypatch.setattr(center_module, "left_kernel", cut)
     ops = center_module._commutator_ops
     monkeypatch.setattr(center_module, "_commutator_ops", lambda g, d, **k: slots.append(k["slots"]) or ops(g, d, **k))
-    for name, skip in (("split4", 3), ("dual-numbers-pair", 3), ("t3-plus-k", 3), ("bikwad", 0)):
+    for name, gens in (("split4", (0, 1, 2)), ("dual-numbers-pair", (0, 1, 2)), ("t3-plus-k", (0, 1)), ("bikwad", (1, 2))):
         g = build(catalog(name), 9)
+        # the search for the set reduces tiny matrices of its own, once per algebra
+        assert g.pair.algebra.generating_slots() == gens, name
         for d in (4, 6, 8):
             for seen in (reduced, cuts, slots):
                 seen.clear()
             z = center_degree(g, d)
-            assert slots == [[j for j in range(g.n) if j != skip]], (name, d)
+            assert slots == [gens], (name, d)
             assert reduced == [live for live, _ in cuts] and all(reduced), (name, d, cuts)
             dims = [dim for _, dim in cuts] + [z.dim]
             assert all(a > b for a, b in zip(dims, dims[1:])), (name, d, dims)
@@ -488,7 +504,7 @@ def test_base_change_invariance(q_engines, fp_engines, name, tag):
     assert h.dims() == [g.dim(d) for d in range(10)]
     assert [h.split_dims(d) for d in range(9)] == [g.split_dims(d) for d in range(9)]
     assert center_dims(h, 8) == center_dims(g, 8)
-    # the centre skips one of the slots the unit spreads over
+    # the centre cuts by the slots that generate S in the new basis
     _assert_incremental_matches_stacked(h, range(9))
 
 

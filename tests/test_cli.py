@@ -20,7 +20,7 @@ from frobpi import CATALOG_NAMES, algebra_to_json, build, catalog, center, cli, 
 from frobpi.cache import cache_key
 from frobpi.cli import main
 from frobpi.fields import QQ, InvariantError
-from frobpi.frobenius import _block_sum_algebra
+from frobpi.frobenius import _block_sum_algebra, deformation, make_frobenius
 
 
 def run(capsys, argv):
@@ -694,6 +694,30 @@ def test_warm_run_reads_its_centres(capsys, tmp_path, monkeypatch, argv):
     _, warm, _ = run(capsys, cached)
     assert cold == warm == none
     assert computed == []
+
+
+def test_centre_entry_with_row_keys_in_another_order_loads(tmp_path, monkeypatch):
+    # a row's canonical form is its set of (index, payload) pairs, and the
+    # order of the keys inside it follows the cuts that computed it; so an
+    # entry written by other cuts, as cutting family 1 by every slot but one
+    # writes, loads to the same centres and computes none
+    fam = deformation(1)
+    pair = make_frobenius(fam.algebra, list(fam.lam))
+    fresh = build(pair, 6)
+    want = [center.center_degree(fresh, d) for d in range(6)]
+    center.center_dims(build(pair, 6, str(tmp_path)), 5)
+    path = tmp_path / f"{cache_key(pair, 6)}.center.json"
+    header, body = _read_cache(path)
+    reordered = [
+        [d, pivots, [[x for i in reversed(range(0, len(r), 2)) for x in r[i : i + 2]] for r in rows]]
+        for d, pivots, rows in body
+    ]
+    assert reordered != body
+    _write_cache(path, header, reordered, rehash=True)
+    computed = _computed_centres(monkeypatch)
+    g = build(pair, 6, str(tmp_path))
+    assert [g.centers[d] for d in range(6)] == want
+    assert center.center_dims(g, 5) == [z.dim for z in want] and computed == []
 
 
 def test_complete_centre_entry_is_never_rewritten(capsys, tmp_path):

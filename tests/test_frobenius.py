@@ -3,6 +3,7 @@
 import copy
 import hashlib
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -30,6 +31,7 @@ from frobpi.frobenius import (
     specialize_algebra,
     specialize_pair,
 )
+from conftest import FAMILIES, family_pair
 
 
 def test_catalog_names_fixed():
@@ -361,3 +363,86 @@ def test_no_table_row_is_mutated_through_sharing(monkeypatch):
     assert len(built) > 30
     for alg, snapshot in built:
         assert alg.table == snapshot, alg.names
+
+
+# ---------------------------------------------------------------------------
+# the slots whose b_j generate S with the unit
+
+
+# the first smallest generating set, the same over every field the catalog is tested over
+CATALOG_GENERATING_SLOTS = {
+    "split4": (0, 1, 2),
+    "dual-numbers-pair": (0, 1, 2),
+    "two-dual-numbers": (0, 1, 3),
+    "t3-plus-k": (0, 1),
+    "t4": (1,),
+    "bikwad": (1, 2),
+}
+# per family: over Q(u), and at u = 0; t generates every k[t]/(g), and over
+# Q(u) also family 1, where t^2 = u s, but not its fibre bikwad
+FAMILY_GENERATING_SLOTS = {
+    "family 1": ((2,), (1, 2)),
+    **{f"family {n}": ((1,), (1,)) for n in range(2, 7)},
+    "family 6c": ((0, 1, 2), (0, 1, 2)),
+}
+
+
+def _dense_rank(f, vecs, n):
+    """Rank of sparse vectors of length n, by dense Gaussian elimination."""
+    rows = [[v.get(k, f.zero) for k in range(n)] for v in vecs]
+    rank = 0
+    for col in range(n):
+        piv = next((r for r in range(rank, len(rows)) if not f.is_zero(rows[r][col])), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = f.inv(rows[rank][col])
+        for r in range(len(rows)):
+            if r != rank and not f.is_zero(rows[r][col]):
+                c = f.mul(rows[r][col], inv)
+                rows[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _monomials_span(alg, slots):
+    """The monomials of degree below n in the b_j of slots, with the unit, span the algebra.
+
+    The spans of the monomials of degree at most k grow strictly from
+    dimension 1 until they stop, so they stop by degree n - 1.
+    """
+    vecs = []
+    for k in range(alg.n):
+        for word in combinations_with_replacement(slots, k):
+            x = alg.unit_vec()
+            for j in word:
+                x = alg.mul_vec(x, alg.basis_vec(j))
+            vecs.append(x)
+    return _dense_rank(alg.field, vecs, alg.n) == alg.n
+
+
+def _generating_slot_cases():
+    for desc in ("q", "fp:2", "fp:3", "fp:5"):
+        for name, slots in CATALOG_GENERATING_SLOTS.items():
+            yield f"{name} {desc}", catalog(name, field_from_descriptor(desc)).algebra, slots
+    for name in FAMILIES:
+        generic, special = FAMILY_GENERATING_SLOTS[name]
+        alg = family_pair(name).algebra
+        yield f"{name} qu", alg, generic
+        yield f"{name} at 0", specialize_algebra(alg, "q", 0), special
+
+
+@pytest.mark.parametrize("case", list(_generating_slot_cases()), ids=lambda c: c[0])
+def test_generating_slots_are_the_first_smallest_generating_set(case):
+    # checked by the monomials themselves: the chosen b_j span S with the
+    # unit, no set of fewer slots does, and no set of as many that comes
+    # first in slot order does
+    _, alg, slots = case
+    assert alg.generating_slots() == slots
+    assert alg.generating_slots() is alg.generating_slots()
+    assert _monomials_span(alg, slots)
+    for k in range(len(slots) + 1):
+        for other in combinations(range(alg.n), k):
+            if other == slots:
+                break
+            assert not _monomials_span(alg, other), other
