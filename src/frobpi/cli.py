@@ -29,17 +29,15 @@ from .frobenius import (
     algebra_from_json,
     catalog,
     deformation,
-    generic_fiber_matches_catalog,
+    fiber_matches_catalog,
     is_frobenius,
     make_frobenius,
-    special_fiber_matches_catalog,
     specialize_pair,
 )
 from . import splitcase
 
 RANK_FIELDS = ("q", "fp:2", "fp:3", "fp:5", "fp:7")
 CENTER_FIELDS = ("q", "fp:2", "fp:5")
-GENERIC_SAMPLE = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3}
 
 
 @functools.cache
@@ -141,38 +139,28 @@ def _invariant_rows(name, g, cap):
     ]
 
 
-def _fibres(n, char2, D, cache_dir):
-    """Family n over Q(u) and its u = 0 fibre over Q, both built to degree D."""
-    fam = deformation(n, char2)
+def _fibres(fam, D, cache_dir):
+    """The u = 0 fibre of family fam over Q, and builds to degree D of fam over Q(u) and of that fibre."""
     p_u = make_frobenius(fam.algebra, fam.lam)
     p_0 = specialize_pair(p_u, "q", 0)
-    return fam, build(p_u, D, cache_dir=cache_dir), build(p_0, D, cache_dir=cache_dir)
+    return p_0, build(p_u, D, cache_dir=cache_dir), build(p_0, D, cache_dir=cache_dir)
 
 
 def _deformation_records(n, char2, cap, cache_dir):
-    label = f"{n}c" if char2 else str(n)
-    yield {
-        "suite": "deformations",
-        "family": label,
-        "check": "special-fiber-constants",
-        "pass": special_fiber_matches_catalog(n, char2),
-    }
-    if not char2 and n in GENERIC_SAMPLE:
-        at = GENERIC_SAMPLE[n]
-        yield {
-            "suite": "deformations",
-            "family": label,
-            "check": f"generic-fiber-at-{at}",
-            "pass": generic_fiber_matches_catalog(n, at, char2),
-        }
-    _, g_u, g_0 = _fibres(n, char2, cap + 1, cache_dir)
+    fam = deformation(n, char2)
+    p_0, g_u, g_0 = _fibres(fam, cap + 1, cache_dir)
+    rec = {"suite": "deformations", "family": f"{n}c" if char2 else str(n)}
+    special = fiber_matches_catalog(fam, 0, fam.special, p_0.algebra)
+    yield {**rec, "check": "special-fiber-constants", "pass": special}
+    if fam.generic_at is not None:
+        generic = fiber_matches_catalog(fam, fam.generic_at, fam.generic)
+        yield {**rec, "check": f"generic-fiber-at-{fam.generic_at}", "pass": generic}
     for d in range(cap + 1):
         du, d0 = g_u.dim(d), g_0.dim(d)
         zu = center_degree(g_u, d).dim
         z0 = center_degree(g_0, d).dim
         yield {
-            "suite": "deformations",
-            "family": label,
+            **rec,
             "check": "fiber-dims",
             "degree": d,
             "dim_generic": du,
@@ -342,7 +330,21 @@ def _cell(key, v):
 
 
 def _emit(rows, fmt, default):
-    sys.stdout.write(_format_rows(rows, fmt or default))
+    """Write the rows to stdout and flush it.
+
+    Output that cannot be written is an InputError, as an unwritable cache
+    file is.  stdout is then closed, dropping what it still holds, so that
+    the flush at interpreter exit has nothing left to fail on.
+    """
+    try:
+        sys.stdout.write(_format_rows(rows, fmt or default))
+        sys.stdout.flush()
+    except OSError as e:
+        try:
+            sys.stdout.close()  # flushes once more, fails again, and closes all the same
+        except OSError:
+            pass
+        raise InputError(f"cannot write output: {e}") from e
 
 
 def _exit_code(rows):
@@ -438,11 +440,8 @@ def cmd_catalog(args):
 def cmd_deform(args):
     if args.family is None:
         raise InputError("deform needs --family <1..6>")
-    if not 1 <= args.family <= 6:
-        raise InputError("family number must be 1..6")
-    if args.char2 and args.family != 6:
-        raise InputError("char2 variant exists only for family 6")
-    fam, g_u, g_0 = _fibres(args.family, args.char2, args.max_degree, _cache_dir(args))
+    fam = deformation(args.family, args.char2)
+    _, g_u, g_0 = _fibres(fam, args.max_degree, _cache_dir(args))
     rows = []
     for d in range(g_u.D + 1):
         du, d0 = g_u.dim(d), g_0.dim(d)

@@ -4,10 +4,13 @@ Covers the rank-4 catalog over exact fields, the non-self-injective
 rejects, the six one-parameter deformation families over Q(u), fiber
 specialization, and a JSON interchange format.
 
-Families 2-6 are R[t]/(g) with R = Q[u] and a quartic g, and each is kept
-as the tuple of g's roots in Q(u): the structure constants come from
-multiplying out g, and a fiber at u = c splits into local blocks read off
-the roots at c, so no polynomial in t is ever factored.
+The catalog is one table, and every algebra in it or among the families
+that is a product of k[t]/(g) blocks is built by one builder from the
+roots of each block's g: the split catalog types from blocks of zero roots,
+families 2-6 (R[t]/(g) with R = Q[u] and a quartic g) from one block each,
+and family 6c from the blocks (0, u), (0), (0).  The structure constants
+come from multiplying out each g, and a fiber at u = c splits into local
+factors read off the roots at c, so no polynomial in t is ever factored.
 
 Every sparse sum in this layer, from a product of algebra elements to a
 change of basis, is computed through linalg's vec_apply, on the same
@@ -28,6 +31,7 @@ from .fields import (
     QU,
     Field,
     FieldMismatchError,
+    InputError,
     InvariantError,
     MultiPoly,
     PrimeField,
@@ -35,23 +39,6 @@ from .fields import (
     field_from_descriptor,
 )
 from .linalg import Subspace, rref_rows, vec_apply
-
-CATALOG_NAMES = (
-    "split4",
-    "dual-numbers-pair",
-    "two-dual-numbers",
-    "t3-plus-k",
-    "t4",
-    "bikwad",
-)
-
-REJECT_NAMES = (
-    "reject-jet2-plus-k",
-    "reject-s2-st-t3",
-    "reject-jet2-3vars",
-    "reject-char2-pencil",
-)
-
 
 class SingularGramError(ValueError):
     """The chosen functional has a degenerate Gram matrix."""
@@ -252,13 +239,17 @@ def is_frobenius(a: CommAlgebra):
     """Decide whether any functional on a has invertible Gram matrix.
 
     Works with a generic functional: det of the Gram matrix in indeterminate
-    coefficients is a polynomial, nonzero iff some functional works.  The
-    witness is the first functional on which it does not vanish, among
-    all of F_p^n when p <= 2n, else among the integer points with
-    coordinates taken in the order 0, 1, -1, ..., n, -n, the first
-    coordinate varying fastest.  That grid of side 2n + 1 holds a non-root of the
-    degree-n determinant whenever it is nonzero over Q or a large F_p;
-    over a small F_p the witness is None when every functional fails.
+    coefficients is a polynomial, nonzero iff some functional over the
+    algebraic closure works.  The witness is the first functional on which
+    it does not vanish, among all of F_p^n when p <= 2n, else among the
+    integer points with coordinates taken in the order 0, 1, -1, ..., n, -n,
+    the first coordinate varying fastest.  That grid of side 2n + 1 holds a
+    non-root of the degree-n determinant whenever it is nonzero.  Over a
+    small F_p one exists too: the Frobenius property descends from the
+    algebraic closure to the field, and on each local factor, now Gorenstein,
+    any functional nonzero on the socle works.  So a nonzero determinant
+    always has a witness, and the result is (False, None) or (True, witness);
+    a search that finds none is an InvariantError.
     """
     f = a.field
     n = a.n
@@ -286,7 +277,7 @@ def is_frobenius(a: CommAlgebra):
         lam = lam[::-1]
         if not f.is_zero(det.eval([f.convert(c) for c in lam])):
             return True, lam
-    return True, None
+    raise InvariantError("the Gram determinant is nonzero but vanishes on every candidate functional")
 
 
 def _poly_det(m, zero):
@@ -328,84 +319,78 @@ def _local_algebra(field, names, products) -> CommAlgebra:
     return CommAlgebra(field, names, _table_from_pairs(field, n, entries), unit=unit)
 
 
-def _poly_quotient_algebra(field, roots, names) -> CommAlgebra:
-    """k[t]/(g) for g = prod (t - a) over roots, on the basis 1, t, ..., t^(n-1)."""
-    f, n = field, len(roots)
-    g = [f.one]  # ascending coefficients of the monic g
-    for a in roots:
-        g = [f.sub(lo, f.mul(a, hi)) for lo, hi in zip([f.zero] + g, g + [f.zero])]
-    # t^k mod g for k <= 2n - 2, by t^(k+1) = t * t^k with t^n replaced by t^n - g
-    powers = [[f.one] + [f.zero] * (n - 1)]
-    for _ in range(2 * n - 2):
-        p = powers[-1]
-        powers.append([f.sub(lo, f.mul(p[-1], c)) for lo, c in zip([f.zero] + p[:-1], g)])
-    tab = [
-        [{k: c for k, c in enumerate(powers[i + j]) if not f.is_zero(c)} for j in range(n)]
-        for i in range(n)
-    ]
-    unit = [f.one] + [f.zero] * (n - 1)
+def _blocks_algebra(field, blocks, names) -> CommAlgebra:
+    """The product of the k[t]/(g), g = prod (t - a) over the roots of each of blocks.
+
+    It is written on the blocks' monomial bases 1, t, t^2, ..., concatenated,
+    and each root is converted with field.convert.
+    """
+    f = field
+    n = sum(map(len, blocks))
+    tab = [[{} for _ in range(n)] for _ in range(n)]
+    unit = [f.zero] * n
+    off = 0
+    for roots in blocks:
+        m = len(roots)
+        g = [f.one]  # ascending coefficients of the monic g
+        for a in map(f.convert, roots):
+            g = [f.sub(lo, f.mul(a, hi)) for lo, hi in zip([f.zero] + g, g + [f.zero])]
+        # t^k mod g for k <= 2m - 2, by t^(k+1) = t * t^k with t^m replaced by t^m - g
+        powers = [[f.one] + [f.zero] * (m - 1)]
+        for _ in range(2 * m - 2):
+            p = powers[-1]
+            powers.append([f.sub(lo, f.mul(p[-1], c)) for lo, c in zip([f.zero] + p[:-1], g)])
+        for i in range(m):
+            for j in range(m):
+                tab[off + i][off + j] = {off + k: c for k, c in enumerate(powers[i + j]) if not f.is_zero(c)}
+        unit[off] = f.one
+        off += m
     return CommAlgebra(f, names, tab, unit=unit)
 
 
-def _block_sum_algebra(field, blocks, names) -> CommAlgebra:
-    """Direct sum of k[t]/(t^m) blocks on concatenated monomial bases."""
-    n = sum(blocks)
-    tab = [[dict() for _ in range(n)] for _ in range(n)]
-    unit = [field.zero] * n
-    off = 0
-    for m in blocks:
-        unit[off] = field.one
-        for i in range(m):
-            for j in range(m):
-                if i + j < m:
-                    tab[off + i][off + j] = {off + i + j: field.one}
-        off += m
-    return CommAlgebra(field, names, tab, unit=unit)
+def _truncated(names, *sizes):
+    """The builder of the product of the k[t]/(t^m), m in sizes: blocks whose roots are all 0."""
+    return lambda f: _blocks_algebra(f, [(0,) * m for m in sizes], names)
+
+
+def _jet2_plus_k(f):
+    """k[s,t]/(s,t)^2 + k on 1, s, t, c."""
+    tab = _table_from_pairs(f, 4, {(0, 0): [(0, 1)], (0, 1): [(1, 1)], (0, 2): [(2, 1)], (3, 3): [(3, 1)]})
+    return CommAlgebra(f, ("1", "s", "t", "c"), tab, unit=(f.one, f.zero, f.zero, f.one))
+
+
+_TOP = (0, 0, 0, 1)  # the functional dual to the last basis element
+# name -> (builder of the algebra over a field, its functional, or None for a non-self-injective reject)
+_CATALOG = {
+    "split4": (_truncated(("e1", "e2", "e3", "e4"), 1, 1, 1, 1), (1, 1, 1, 1)),
+    "dual-numbers-pair": (_truncated(("m", "t", "p", "q"), 2, 1, 1), (0, 1, 1, 1)),
+    "two-dual-numbers": (_truncated(("m", "s", "n", "t"), 2, 2), (0, 1, 0, 1)),
+    "t3-plus-k": (_truncated(("m", "t", "t2", "p"), 3, 1), (0, 0, 1, 1)),
+    "t4": (_truncated(("1", "t", "t2", "t3"), 4), _TOP),
+    # k[s,t]/(s^2, t^2)
+    "bikwad": (lambda f: _local_algebra(f, ("1", "s", "t", "st"), {(1, 2): [(3, 1)]}), _TOP),
+    "reject-jet2-plus-k": (_jet2_plus_k, None),
+    # k[s,t]/(s^2, st, t^3)
+    "reject-s2-st-t3": (lambda f: _local_algebra(f, ("1", "s", "t", "t2"), {(2, 2): [(3, 1)]}), None),
+    # k[s,t,w]/(s,t,w)^2
+    "reject-jet2-3vars": (lambda f: _local_algebra(f, ("1", "s", "t", "w"), {}), None),
+    # k[s,t]/(s^2 + t^2, st) with q = s^2
+    "reject-char2-pencil": (
+        lambda f: _local_algebra(f, ("1", "s", "t", "q"), {(1, 1): [(3, 1)], (2, 2): [(3, -1)]}),
+        None,
+    ),
+}
+CATALOG_NAMES = tuple(name for name, (_, lam) in _CATALOG.items() if lam is not None)
+REJECT_NAMES = tuple(name for name, (_, lam) in _CATALOG.items() if lam is None)
 
 
 def catalog(name: str, field: Field = QQ):
     """Catalog entries return FrobeniusPair; reject names return CommAlgebra."""
-    f = field
-    one, zero = f.one, f.zero
-    if name == "split4":
-        a = _block_sum_algebra(f, (1, 1, 1, 1), ("e1", "e2", "e3", "e4"))
-        return FrobeniusPair(a, (one, one, one, one))
-    if name == "dual-numbers-pair":
-        a = _block_sum_algebra(f, (2, 1, 1), ("m", "t", "p", "q"))
-        return FrobeniusPair(a, (zero, one, one, one))
-    if name == "two-dual-numbers":
-        a = _block_sum_algebra(f, (2, 2), ("m", "s", "n", "t"))
-        return FrobeniusPair(a, (zero, one, zero, one))
-    if name == "t3-plus-k":
-        a = _block_sum_algebra(f, (3, 1), ("m", "t", "t2", "p"))
-        return FrobeniusPair(a, (zero, zero, one, one))
-    if name == "t4":
-        a = _block_sum_algebra(f, (4,), ("1", "t", "t2", "t3"))
-        return FrobeniusPair(a, (zero, zero, zero, one))
-    if name == "bikwad":
-        # k[s,t]/(s^2, t^2) on 1, s, t, st
-        a = _local_algebra(f, ("1", "s", "t", "st"), {(1, 2): [(3, 1)]})
-        return FrobeniusPair(a, (zero, zero, zero, one))
-    if name == "reject-jet2-plus-k":
-        # k[s,t]/(s,t)^2 + k
-        entries = {
-            (0, 0): [(0, 1)],
-            (0, 1): [(1, 1)],
-            (0, 2): [(2, 1)],
-            (3, 3): [(3, 1)],
-        }
-        tab = _table_from_pairs(f, 4, entries)
-        return CommAlgebra(f, ("1", "s", "t", "c"), tab, unit=(one, zero, zero, one))
-    if name == "reject-s2-st-t3":
-        # k[s,t]/(s^2, st, t^3)
-        return _local_algebra(f, ("1", "s", "t", "t2"), {(2, 2): [(3, 1)]})
-    if name == "reject-jet2-3vars":
-        # k[s,t,w]/(s,t,w)^2
-        return _local_algebra(f, ("1", "s", "t", "w"), {})
-    if name == "reject-char2-pencil":
-        # k[s,t]/(s^2 + t^2, st) with q = s^2
-        return _local_algebra(f, ("1", "s", "t", "q"), {(1, 1): [(3, 1)], (2, 2): [(3, -1)]})
-    raise KeyError(f"unknown catalog name {name!r}")
+    if name not in _CATALOG:
+        raise KeyError(f"unknown catalog name {name!r}")
+    make, lam = _CATALOG[name]
+    a = make(field)
+    return a if lam is None else FrobeniusPair(a, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +403,25 @@ class DeformationFamily:
     char2: bool
     algebra: CommAlgebra
     lam: tuple
-    roots: tuple | None  # the roots of g in Q(u) for the k[t]/(g) families
+    blocks: tuple | None  # per k[t]/(g) block, the roots of its g in Q(u); None for family 1
     special: str  # catalog name of the u = 0 fiber
     generic: str  # catalog name of the generic fiber
+    generic_at: int | None  # the value of u at which the generic fiber is checked, if any
+
+
+_U = RatF.gen()
+_T4 = ("1", "t", "t2", "t3")
+# (n, char2) -> (basis names, blocks of roots or None, functional, special fiber, generic fiber, generic_at)
+_FAMILIES = {
+    (1, False): (("1", "s", "t", "st"), None, _TOP, "bikwad", "t4", None),
+    (2, False): (_T4, ((0, 0, _U, _U),), _TOP, "t4", "two-dual-numbers", 1),
+    (3, False): (_T4, ((0, 0, 0, _U),), _TOP, "t4", "t3-plus-k", 1),
+    (4, False): (_T4, ((1, 1, 0, _U),), _TOP, "two-dual-numbers", "dual-numbers-pair", 2),
+    (5, False): (_T4, ((0, 0, 1, _U),), _TOP, "t3-plus-k", "dual-numbers-pair", 2),
+    (6, False): (_T4, ((_U, -_U, 1, -1),), _TOP, "dual-numbers-pair", "split4", 3),
+    # R[t]/(t(t-u)) + R + R
+    (6, True): (("m", "t", "p", "q"), ((0, _U), (0,), (0,)), (0, 1, 1, 1), "dual-numbers-pair", "split4", None),
+}
 
 
 def deformation(n: int, char2: bool = False) -> DeformationFamily:
@@ -428,48 +429,21 @@ def deformation(n: int, char2: bool = False) -> DeformationFamily:
 
     Family 1 degenerates the square presentation (t^2 = u s); families 2
     through 6 are R[t]/(g) for a quartic g with the listed roots, some of
-    which move together at u = 0; the char2 flag replaces
-    family 6 by a block presentation avoiding the char-2 coincidence of
-    the +-1 roots.
+    which move together at u = 0; the char2 flag replaces family 6 by
+    R[t]/(t(t-u)) + R + R, which avoids the char-2 coincidence of the +-1
+    roots.  An n outside 1..6, or char2 with another n, is an InputError.
     """
-    u = RatF.gen()
-    one, zero = QU.one, QU.zero
+    if not 1 <= n <= 6:
+        raise InputError("family number must be 1..6")
     if char2 and n != 6:
-        raise ValueError("char2 variant exists only for family 6")
-    if n == 1:
-        a = _local_algebra(QU, ("1", "s", "t", "st"), {(1, 2): [(3, 1)], (2, 2): [(1, u)]})
-        return DeformationFamily(1, False, a, (zero, zero, zero, one), None, "bikwad", "t4")
-    if n == 2:
-        roots = (zero, zero, u, u)
-        special, generic = "t4", "two-dual-numbers"
-    elif n == 3:
-        roots = (zero, zero, zero, u)
-        special, generic = "t4", "t3-plus-k"
-    elif n == 4:
-        roots = (one, one, zero, u)
-        special, generic = "two-dual-numbers", "dual-numbers-pair"
-    elif n == 5:
-        roots = (zero, zero, one, u)
-        special, generic = "t3-plus-k", "dual-numbers-pair"
-    elif n == 6 and not char2:
-        roots = (u, -u, one, -one)
-        special, generic = "dual-numbers-pair", "split4"
-    elif n == 6 and char2:
-        # R[t]/(t(t-u)) + R + R, block basis
-        entries = {
-            (0, 0): [(0, 1)],
-            (0, 1): [(1, 1)],
-            (1, 1): [(1, u)],
-            (2, 2): [(2, 1)],
-            (3, 3): [(3, 1)],
-        }
-        tab = _table_from_pairs(QU, 4, entries)
-        a = CommAlgebra(QU, ("m", "t", "p", "q"), tab, unit=(one, zero, one, one))
-        return DeformationFamily(6, True, a, (zero, one, one, one), None, "dual-numbers-pair", "split4")
+        raise InputError("char2 variant exists only for family 6")
+    names, blocks, lam, special, generic, at = _FAMILIES[n, bool(char2)]
+    if blocks is None:
+        a = _local_algebra(QU, names, {(1, 2): [(3, 1)], (2, 2): [(1, _U)]})
     else:
-        raise ValueError(f"no deformation family {n}")
-    a = _poly_quotient_algebra(QU, roots, ("1", "t", "t2", "t3"))
-    return DeformationFamily(n, False, a, (zero, zero, zero, one), roots, special, generic)
+        blocks = tuple(tuple(map(QU.convert, roots)) for roots in blocks)
+        a = _blocks_algebra(QU, blocks, names)
+    return DeformationFamily(n, bool(char2), a, tuple(map(QU.convert, lam)), blocks, special, generic, at)
 
 
 def _specializer(src: Field, target: str, at):
@@ -503,42 +477,51 @@ def specialize_pair(p: FrobeniusPair, target: str, at=None) -> FrobeniusPair:
 # identification of special fibers with catalog presentations
 
 
-def block_presentation(fiber: CommAlgebra, roots) -> CommAlgebra:
-    """Rewrite k[t]/(g), g = prod (t - a) over roots, on the block basis of its local factors.
+def block_presentation(fiber: CommAlgebra, blocks) -> CommAlgebra:
+    """Rewrite a product of k[t]/(g) blocks on the block basis of its local factors.
 
-    fiber is k[t]/(g) on the monomial basis 1, t, t^2, ...  For a root a of
-    multiplicity m, the vectors h_a (t-a)^r for r < m span the a-block, where
+    fiber is the product of the k[t]/(g), g = prod (t - a) over each of
+    blocks' roots, on the blocks' concatenated monomial bases 1, t, t^2, ...,
+    as _blocks_algebra builds it.  In a block, a root a of multiplicity m
+    gives the local factor spanned by h_a (t-a)^r for r < m, where
     h_a = prod_{b != a} (t-b)^(m_b).  The unit's coordinates in the basis of
-    all these vectors give the idempotent ehat_a of each block, and the block
-    basis is ehat_a, ehat_a (t-a), ..., ehat_a (t-a)^(m-1).  On it the
+    all these vectors give the idempotent ehat_a of each local factor, and
+    its basis is ehat_a, ehat_a (t-a), ..., ehat_a (t-a)^(m-1).  On it the
     structure constants are exactly those of a sum of k[t]/(t^m) blocks,
-    which is what the comparison with the catalog verifies.  Blocks come in
-    order of falling multiplicity, then rising root.
+    which is what the comparison with the catalog verifies.  The local
+    factors come in order of falling multiplicity, then block by block,
+    then rising root.
     """
     f = fiber.field
-    blocks = sorted(Counter(roots).items(), key=lambda kv: (-kv[1], kv[0]))
-    one = fiber.unit_vec()
 
-    def times_lin(x, a, r=1):
-        """x (t-a)^r."""
+    def times_lin(x, off, a, r=1):
+        """x (t-a)^r, where t is the monomial t of the block at offset off."""
         for _ in range(r):
-            x = fiber.mul_vec(x, f.post_reduce({0: f.neg(a), 1: f.one}))
+            x = fiber.mul_vec(x, f.post_reduce({off: f.neg(a), off + 1: f.one}))
         return x
 
-    flat = []  # the spanning vectors of every block, block after block
-    for a, m in blocks:
-        h = one
-        for b, mb in blocks:
-            if b != a:
-                h = times_lin(h, b, mb)
-        flat += [times_lin(h, a, r) for r in range(m)]
-    (coords,) = _in_basis(f, flat, [one])
+    factors = []  # (m, off, a, h_a) for each local factor
+    off = 0
+    for roots in blocks:
+        mult = sorted(Counter(roots).items(), key=lambda kv: (-kv[1], kv[0]))
+        for a, m in mult:
+            h = {off: f.one}  # the unit of the block
+            for b, mb in mult:
+                if b != a:
+                    h = times_lin(h, off, b, mb)
+            factors.append((m, off, a, h))
+        off += len(roots)
+    factors.sort(key=lambda fac: -fac[0])
+    # spanning vectors of every local factor, factor after factor; a block with
+    # one root has no t, and needs none: its only vector is its unit
+    flat = [times_lin(h, off, a, r) for m, off, a, h in factors for r in range(m)]
+    (coords,) = _in_basis(f, flat, [fiber.unit_vec()])
     basis, names, start = [], [], 0
-    for bi, (a, m) in enumerate(blocks):
+    for bi, (m, off, a, _) in enumerate(factors):
         ehat = vec_apply(f, {k: c for k, c in coords.items() if start <= k < start + m}, flat)
         start += m
         for r in range(m):
-            basis.append(times_lin(ehat, a, r))
+            basis.append(times_lin(ehat, off, a, r))
             names.append(f"x{bi}_{r}")
     return _rebase(fiber, basis, names)
 
@@ -562,42 +545,31 @@ def _in_basis(f: Field, basis, vecs):
     return [vec_apply(f, v, rows) for v in vecs]
 
 
-def _fiber_matches_catalog(fam, at, target: str) -> bool:
+def fiber_matches_catalog(fam, at, target: str, fiber=None) -> bool:
     """Check the fiber of fam at u = at equals the catalog algebra target.
 
-    Direct basis match where the family already uses the catalog basis or
-    the fiber stays local; block rewriting via idempotents for the
-    k[t]/(g) families whose fiber splits.  At u = c != 0, family 1
-    (t^2 = u s) is the chain k[t]/t^4 on the basis 1, t, c s, c s t, and
-    family 6c (t^2 = u t in its first block) splits on the idempotents
-    m - t/c, t/c, p, q.
+    fiber is that fiber over Q, specialize_algebra(fam.algebra, "q", at),
+    when the caller has it already.  A family of k[t]/(g) blocks is
+    compared on the block basis of its fiber's local factors.  Family 1
+    (t^2 = u s) stays local: at u = 0 it is bikwad on its own basis, and at
+    u = c != 0 the chain k[t]/t^4 on the basis 1, t, c s, c s t.
     """
     want = catalog(target).algebra
-    fiber = specialize_algebra(fam.algebra, "q", at)
-    if fam.roots is None and at:
+    if fiber is None:
+        fiber = specialize_algebra(fam.algebra, "q", at)
+    if fam.blocks is not None:
+        c = Fraction(at)
+        fiber = block_presentation(fiber, [[a.eval(c) for a in roots] for roots in fam.blocks])
+    elif at:
         f, c = fiber.field, fiber.field.convert(at)
-        if fam.n == 1:
-            basis = [{0: f.one}, {2: f.one}, {1: c}, {3: c}]
-        else:
-            basis = [{0: f.one, 1: f.neg(f.inv(c))}, {1: f.inv(c)}, {2: f.one}, {3: f.one}]
-        return _rebase(fiber, basis, want.names).equal_constants(want)
-    if fam.roots is not None:
-        roots = [a.eval(Fraction(at)) for a in fam.roots]
-        if len(set(roots)) > 1:
-            return block_presentation(fiber, roots).equal_constants(want)
+        fiber = _rebase(fiber, [{0: f.one}, {2: f.one}, {1: c}, {3: c}], want.names)
     return fiber.equal_constants(want)
 
 
 def special_fiber_matches_catalog(n: int, char2: bool = False) -> bool:
     """Check the u = 0 fiber of a family equals its catalog presentation."""
     fam = deformation(n, char2)
-    return _fiber_matches_catalog(fam, 0, fam.special)
-
-
-def generic_fiber_matches_catalog(n: int, at, char2: bool = False) -> bool:
-    """Check a fiber at a generic parameter value equals its catalog target."""
-    fam = deformation(n, char2)
-    return _fiber_matches_catalog(fam, at, fam.generic)
+    return fiber_matches_catalog(fam, 0, fam.special)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,11 @@ import weakref
 
 import pytest
 
-from frobpi import CATALOG_NAMES, algebra_to_json, build, catalog, center, cli, engine, field_from_descriptor
+from frobpi import CATALOG_NAMES, algebra_to_json, build, catalog, center, cli, engine, field_from_descriptor, frobenius
 from frobpi.cache import cache_key
 from frobpi.cli import main
 from frobpi.fields import QQ, InvariantError
-from frobpi.frobenius import _block_sum_algebra, deformation, make_frobenius
+from frobpi.frobenius import _blocks_algebra, deformation, make_frobenius
 
 
 def run(capsys, argv):
@@ -71,6 +71,12 @@ def test_char2_needs_family_6(capsys):
     code, out, err = run(capsys, ["deform", "--family", "3", "--char2", "--max-degree", "2"])
     assert code == 2 and out == ""
     assert err == "frobpi: char2 variant exists only for family 6\n"
+
+
+def test_family_range_is_checked_before_char2(capsys):
+    code, out, err = run(capsys, ["deform", "--family", "7", "--char2", "--max-degree", "2"])
+    assert code == 2 and out == ""
+    assert err == "frobpi: family number must be 1..6\n"
 
 
 def test_field_outside_suite_is_usage_error(capsys):
@@ -557,6 +563,39 @@ def test_unwritable_cache_file(capsys, tmp_path, monkeypatch, fail_at):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_unwritable_output_is_usage_error(unbuffered):
+    # a full disk under stdout is an invalid invocation, as it is under the
+    # cache: one line on stderr and exit 2, whether the write or the flush
+    # fails, and the flush at interpreter exit does not change the code
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "frobpi", "catalog"], stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=20
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == f"frobpi: cannot write output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, s):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+def test_broken_pipe_is_usage_error(capsys, monkeypatch):
+    pipe = _ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", pipe)
+    code = main(["catalog"])
+    monkeypatch.undo()
+    assert code == 2
+    assert capsys.readouterr().err == f"frobpi: cannot write output: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+    assert pipe.closed
+
+
 # a centre entry: quiver --arrows 4 checks the centres of split4 in degrees
 # 0..6 on a build of degree 7, so the run stores them all
 _CENTRE_ARGV = ["quiver", "--max-degree", "6"]
@@ -1011,6 +1050,50 @@ def test_deform_needs_family(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "family, digest",
+    [
+        ("1", "16467b3a40c112e809d5b73c0f0ba05ced2ddcddec26e5b9e43a5d3fd44e8fd8"),
+        ("2", "440ba9e79667b334a09fb38ce87d630707648cac4ffbf31d70e7a7db61caee34"),
+        ("3", "e1bbbfa042aff16e9efaf15745f9442c3b57c269382a6c9e8906767e4c91a538"),
+        ("4", "16ce2bc28b716958817b294fc48d3669ab37938e829036bf4f719b292ad7bc23"),
+        ("5", "0a5461931641ddf620d9a95f9583f79c1ba93ab4044b464b72a334477f7dff84"),
+        ("6", "2c2b475e0c02621ba13eda01505590c50f895cd3685b9981f7b17478bac5d365"),
+        ("6 --char2", "2c2b475e0c02621ba13eda01505590c50f895cd3685b9981f7b17478bac5d365"),
+    ],
+)
+def test_deform_stdout_golden(capsys, family, digest):
+    code, out, _ = run(capsys, ["deform", "--family", *family.split(), "--max-degree", "8", "--no-cache"])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_deformations_run_makes_each_family_once(capsys, monkeypatch):
+    # each family is constructed once, wherever it is asked for, and
+    # specialised at u = 0 once: the special-fibre check reads the fibre
+    # that is built
+    calls, at_zero = [], collections.Counter()
+    make, specializer = frobenius.deformation, frobenius._specializer
+
+    def counted(n, char2=False):
+        calls.append((n, char2))
+        return make(n, char2)
+
+    def spy(src, target, at):
+        if src.tag == "qu" and not at:
+            at_zero[calls[-1]] += 1
+        return specializer(src, target, at)
+
+    monkeypatch.setattr(cli, "deformation", counted)
+    monkeypatch.setattr(frobenius, "deformation", counted)
+    monkeypatch.setattr(frobenius, "_specializer", spy)
+    code, _, _ = run(capsys, ["verify", "--suite", "deformations", "--max-degree", "1", "--no-cache"])
+    assert code == 0
+    families = [(n, False) for n in range(1, 7)] + [(6, True)]
+    assert calls == families
+    assert at_zero == {fam: 1 for fam in families}
+
+
 def test_catalog_listing(capsys):
     code, out, _ = run(capsys, ["catalog"])
     assert code == 0
@@ -1031,9 +1114,9 @@ def test_algebra_json_input(capsys, tmp_path):
 
 def _rank_n_file(tmp_path, n, kind):
     """k^n (split) or k[t]/t^n (local) over Q, written as an algebra file."""
-    blocks = [1] * n if kind == "split" else [n]
+    blocks = [(0,)] * n if kind == "split" else [(0,) * n]
     path = tmp_path / f"{kind}{n}.json"
-    path.write_text(algebra_to_json(_block_sum_algebra(QQ, blocks, [f"x{i}" for i in range(n)])))
+    path.write_text(algebra_to_json(_blocks_algebra(QQ, blocks, [f"x{i}" for i in range(n)])))
     return path
 
 

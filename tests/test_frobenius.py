@@ -7,7 +7,6 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from frobpi.cli import GENERIC_SAMPLE
 from frobpi.fields import QQ, PrimeField, field_from_descriptor
 from frobpi.frobenius import (
     CATALOG_NAMES,
@@ -16,15 +15,13 @@ from frobpi.frobenius import (
     CommAlgebra,
     FrobeniusPair,
     SingularGramError,
-    _block_sum_algebra,
-    _fiber_matches_catalog,
-    _poly_quotient_algebra,
+    _blocks_algebra,
     algebra_from_json,
     algebra_to_json,
     block_presentation,
     catalog,
     deformation,
-    generic_fiber_matches_catalog,
+    fiber_matches_catalog,
     is_frobenius,
     make_frobenius,
     special_fiber_matches_catalog,
@@ -147,19 +144,19 @@ def test_json_is_stable_bytes():
 
 def test_crt_block_presentation_idempotents():
     # g = t^2 (t - 1)(t + 1): the t^2 block first, then the simple roots in order
-    fiber = _poly_quotient_algebra(QQ, (0, 0, 1, -1), ("1", "t", "t2", "t3"))
-    alg = block_presentation(fiber, (0, 0, 1, -1))
+    fiber = _blocks_algebra(QQ, [(0, 0, 1, -1)], ("1", "t", "t2", "t3"))
+    alg = block_presentation(fiber, [(0, 0, 1, -1)])
     assert alg.n == 4
     assert alg.names == ("x0_0", "x0_1", "x1_0", "x2_0")
     unit = alg.unit_vec()
     assert alg.mul_vec(unit, unit) == unit
-    assert alg.equal_constants(_block_sum_algebra(QQ, (2, 1, 1), alg.names))
+    assert alg.equal_constants(_blocks_algebra(QQ, [(0, 0), (0,), (0,)], alg.names))
     # fractional roots, listed in any order: (t - 1/2)^2 (t + 3)
     half = Fraction(1, 2)
-    fiber = _poly_quotient_algebra(QQ, (-3, half, half), ("1", "t", "t2"))
-    alg = block_presentation(fiber, (half, -3, half))
+    fiber = _blocks_algebra(QQ, [(-3, half, half)], ("1", "t", "t2"))
+    alg = block_presentation(fiber, [(half, -3, half)])
     assert alg.names == ("x0_0", "x0_1", "x1_0")
-    assert alg.equal_constants(_block_sum_algebra(QQ, (2, 1), alg.names))
+    assert alg.equal_constants(_blocks_algebra(QQ, [(0, 0), (0,)], alg.names))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -173,24 +170,27 @@ def test_char2_family_special_fiber():
 
 @pytest.mark.parametrize("n,at", [(2, 1), (3, 1), (4, 2), (5, 2), (6, 3)])
 def test_generic_fibers_match_catalog(n, at):
-    assert generic_fiber_matches_catalog(n, at)
+    fam = deformation(n)
+    assert fiber_matches_catalog(fam, at, fam.generic)
 
 
 @pytest.mark.parametrize("at", [1, 2, Fraction(-1, 2)])
 def test_rebased_generic_fibers_match_catalog(at):
-    # families 1 and 6c are not k[t]/(g) presentations; their generic fibres
-    # are identified on an explicit basis
-    assert generic_fiber_matches_catalog(1, at)
-    assert not _fiber_matches_catalog(deformation(1), at, "bikwad")
-    assert generic_fiber_matches_catalog(6, at, char2=True)
-    assert not _fiber_matches_catalog(deformation(6, char2=True), at, "dual-numbers-pair")
+    # family 1 is not a k[t]/(g) presentation, and its generic fibre is
+    # identified on an explicit basis; family 6c's splits into three blocks
+    fam = deformation(1)
+    assert fiber_matches_catalog(fam, at, fam.generic)
+    assert not fiber_matches_catalog(fam, at, "bikwad")
+    fam = deformation(6, char2=True)
+    assert fiber_matches_catalog(fam, at, fam.generic)
+    assert not fiber_matches_catalog(fam, at, "dual-numbers-pair")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_fiber_matches_only_its_own_catalog_algebra(n):
     fam = deformation(n)
-    for at, name in ((0, fam.special), (GENERIC_SAMPLE[n], fam.generic)):
-        assert [c for c in CATALOG_NAMES if _fiber_matches_catalog(fam, at, c)] == [name]
+    for at, name in ((0, fam.special), (fam.generic_at, fam.generic)):
+        assert [c for c in CATALOG_NAMES if fiber_matches_catalog(fam, at, c)] == [name]
 
 
 # sha256 of algebra_to_json, which feeds cache.cache_key: a change here moves
@@ -223,12 +223,34 @@ CATALOG_JSON_SHA256 = {
     ("t3-plus-k", "fp:5"): "ee1ba11afa1238d71ac6d8bc7c4760f548bad261b814e7843e5559513272dbe3",
     ("t4", "fp:5"): "0838917bf249c39b4131723cd3ba118c879b9b117074f297f3f22b30c6c45024",
     ("bikwad", "fp:5"): "3dcbdd2c91789c2d4f186f980b1d1a1069481ab907996ed972ef3fbd65c80dd7",
+    ("split4", "fp:3"): "654a5ed5dfe32f3ef3a5ea9e89540b484add8ebe5c0593aa7fd7833581adb7cc",
+    ("dual-numbers-pair", "fp:3"): "cd4bb60dd75f4cb421c3ad31a7016ece89fdf917710a86cf61fff074080208ae",
+    ("two-dual-numbers", "fp:3"): "4a4f61f0ee1c55ff125511ede30edba444484fcb0e82a78f30fed04ebd970b7f",
+    ("t3-plus-k", "fp:3"): "80087647c4de3b8d5e050f9487bfcdc385fea797600d19298af4107b5f0be01d",
+    ("t4", "fp:3"): "6c7571072a2ba0a8df6b42a67c1d790546e0d7f7eda94b9b7dbd94b03eb9aad2",
+    ("bikwad", "fp:3"): "b9c0fc9bed0cad3968e3c525d6686ceb42a690ecf6a7bf424378d18ceed7a37d",
+    ("split4", "fp:7"): "abdabf121c4ae818be136ee2937905b11108770f52532df87a7ee4ccf87c8025",
+    ("dual-numbers-pair", "fp:7"): "c2a505d59fb6a54e68f300386bf7f1c1a1f0ca53346b78fe0b7c8194099651d5",
+    ("two-dual-numbers", "fp:7"): "4f46ffc3d1fd451400f5297bf1a7c855c1da8bcd291ea80e6c8bc0c30dc05cce",
+    ("t3-plus-k", "fp:7"): "4bec55b1a522c8b7f369e5a316bb618a2b9baecc26d0b8e02d92fbc2c3cc7ad5",
+    ("t4", "fp:7"): "bc1811bdeef6d1aa32ebf8a7f13094d1dc71231a64f52152996cfc5b3035d45a",
+    ("bikwad", "fp:7"): "4b7f0ed9705dbb3b8560e73321944eb46c6f0605410c2417bbc3fda858afe1ee",
+    ("split4", "qu"): "9af5c4e12bb0d52e32ab0cc564d8bb8f71756ebdaf65e3b7b6889da695b6cf2f",
+    ("dual-numbers-pair", "qu"): "f14cb398531d94db30a2cef73e8089b8de17fbb878f24fdd1f207f2fca78ac6e",
+    ("two-dual-numbers", "qu"): "357684e79360b19bf998bd25918e61c015041ded2fc8078b1524ee6246eddf6b",
+    ("t3-plus-k", "qu"): "71f0705caa52aba8c930aa2b22abb5933afb4db4a648f0471eb63791b8d762a6",
+    ("t4", "qu"): "25781e4278ccd2f265ece62847a1ad8d992c3455e5ceb91dcadf0b4dfe5267b2",
+    ("bikwad", "qu"): "f044270f2af069ada1640a0267e2f16247605d1b0c7da54cf59414369e6892d6",
 }
 REJECT_JSON_SHA256 = {
-    "reject-jet2-plus-k": "f6979485ab6a6e89c0fd31a2a3e45a51f9d59923e6d7e84eb15a6aae4b97c4c3",
-    "reject-s2-st-t3": "3f092f0e1b67e8afb0a1bc2c967f5702ee38e2ede4000e21997ce30af73cccb0",
-    "reject-jet2-3vars": "97d6e1479cfd0d0410c58a9d24c68ced0a6be1a54efc943d4634352ca9371450",
-    "reject-char2-pencil": "52b2d07a046b35a0e767799e3ec8e507f3415dfec55b621057485d53d20c818e",
+    ("reject-jet2-plus-k", "q"): "f6979485ab6a6e89c0fd31a2a3e45a51f9d59923e6d7e84eb15a6aae4b97c4c3",
+    ("reject-s2-st-t3", "q"): "3f092f0e1b67e8afb0a1bc2c967f5702ee38e2ede4000e21997ce30af73cccb0",
+    ("reject-jet2-3vars", "q"): "97d6e1479cfd0d0410c58a9d24c68ced0a6be1a54efc943d4634352ca9371450",
+    ("reject-char2-pencil", "q"): "52b2d07a046b35a0e767799e3ec8e507f3415dfec55b621057485d53d20c818e",
+    ("reject-jet2-plus-k", "fp:2"): "18014ff706c19d8ad38e2de692d0b0108903eccf8e63b8d70a4cb59ac80dbe37",
+    ("reject-s2-st-t3", "fp:2"): "e2a12c56e7c3c3d7b7563719e756a31713d0e78b5670a0ec92c161a2666069f4",
+    ("reject-jet2-3vars", "fp:2"): "f5129dfb866e85db73f81deb96cf9c10ffe80d43b346d4e15877ef925528ad9c",
+    ("reject-char2-pencil", "fp:2"): "1fdd74ecd860b453acd5c4697d25b92ae93cb7eddc4b8d4bd68e8d3c980b4dc0",
 }
 
 
@@ -240,11 +262,9 @@ def test_algebra_json_bytes_pinned():
     for (n, char2), digest in FAMILY_JSON_SHA256.items():
         fam = deformation(n, char2)
         assert _sha256(algebra_to_json(make_frobenius(fam.algebra, fam.lam))) == digest, (n, char2)
-    for (name, desc), digest in CATALOG_JSON_SHA256.items():
-        pair = catalog(name, field_from_descriptor(desc))
-        assert _sha256(algebra_to_json(pair)) == digest, (name, desc)
-    for name, digest in REJECT_JSON_SHA256.items():
-        assert _sha256(algebra_to_json(catalog(name))) == digest, name
+    for (name, desc), digest in (CATALOG_JSON_SHA256 | REJECT_JSON_SHA256).items():
+        entry = catalog(name, field_from_descriptor(desc))
+        assert _sha256(algebra_to_json(entry)) == digest, (name, desc)
 
 
 def test_deformation_metadata():
@@ -323,7 +343,7 @@ def test_is_frobenius_witness_is_first_working_functional(name, desc):
     ok, witness = is_frobenius(alg)
     candidates = _functionals_in_order(alg.field, alg.n)
     assert witness == next((lam for lam in candidates if _gram_is_invertible(alg, lam)), None)
-    assert ok or witness is None
+    assert ok == (witness is not None)
 
 
 @pytest.mark.parametrize("desc", ["q", "fp:3", "fp:5"])
@@ -355,11 +375,11 @@ def test_no_table_row_is_mutated_through_sharing(monkeypatch):
         fam = deformation(n, char2)
         fam.algebra.check()
         FrobeniusPair(fam.algebra, fam.lam)
-        assert _fiber_matches_catalog(fam, 0, fam.special)
-        assert _fiber_matches_catalog(fam, 2, fam.generic)
-        if fam.roots is not None:
+        assert fiber_matches_catalog(fam, 0, fam.special)
+        assert fiber_matches_catalog(fam, 2, fam.generic)
+        if fam.blocks is not None:
             fiber = specialize_algebra(fam.algebra, "q", 2)
-            block_presentation(fiber, [a.eval(Fraction(2)) for a in fam.roots]).check()
+            block_presentation(fiber, [[a.eval(Fraction(2)) for a in roots] for roots in fam.blocks]).check()
     assert len(built) > 30
     for alg, snapshot in built:
         assert alg.table == snapshot, alg.names
