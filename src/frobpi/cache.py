@@ -4,8 +4,10 @@ A cache entry is keyed by sha256 over the canonical JSON of the algebra
 presentation and functional, the field tag, the build degree, and the
 format version.  A build entry, <key>.json, holds, per degree 1..D, what
 the build decided: the parent of each basis word and the E and FB
-reduction operators.  The words' first letters, sides, B and F follow from
-those and are derived by the engine on load.  A centre entry,
+reduction operators.  The words' first letters and sides follow from
+those and are derived by the engine on load; B and F are derived by the
+engine on first read, and a warm run that reads only dimensions and the
+centres saved here never reads them.  A centre entry,
 <key>.center.json, holds the centre of every degree 0..D-1, as
 center.center_degree computed it.
 

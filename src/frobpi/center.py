@@ -6,10 +6,12 @@ with those forces commuting with everything, so the center in each degree
 is the intersection of the per-letter commutator kernels.  Of the slots,
 the centre cuts only by those of the fewest b_j that generate S with its
 unit, since the cuts by the other slots follow from those (see
-_center_degree), and each cut reduces only the basis rows the letter
-moves.  Each build keeps the centres it has computed, so each degree is
-computed at most once per build, and the disk cache stores and loads them
-with the build (see center_degree and cache).
+_center_degree).  Each cut applies the letter's right and left
+operators to the rows z of the subspace cut so far, as z l - l z, never
+to every word, and reduces only the rows the letter moves.  Each build
+keeps the centres it has computed, so each degree is computed at most
+once per build, and the disk cache stores and loads them with the build
+(see center_degree and cache).
 
 Spanning facts go through _left_span, the span of the products x y over a
 list of elements x: the monomials in given generators against the center
@@ -29,28 +31,27 @@ def _need_room(g: GradedAlgebra, d: int):
 
 
 def _commutator_ops(g: GradedAlgebra, d: int, slots=None):
-    """Rows of x -> x l - l x on degree d, with the target degree, per letter l.
+    """Per letter l, the rows of x -> x l and of x -> l x on degree d, with the target degree.
 
     The letters are a, then b_j for each j in slots (all n slots by
     default), then e and f.  A letter's rows, and the left rows of a slot,
-    are built only when the iteration reaches it.  A word that both sides
-    of a letter send to zero, as every word from a to a does under each
-    b_j, gets EMPTY_ROW without any arithmetic.
+    are built only when the iteration reaches it.  x a keeps the words that
+    end on the R side, and a x the words that start with a.
     """
     _need_room(g, d)
-    f = g.field
-
-    def pair(right, left):
-        return [vec_sub(f, r, l) if r or l else EMPTY_ROW for r, l in zip(right, left)]
-
-    # x a keeps the words that end on the R side, a x the words that start with a
-    sign = {(True, False): f.one, (False, True): f.neg(f.one)}
-    ends_starts = zip(g.is_r[d], g.starts_a[d])
-    yield [{i: sign[k]} if k in sign else EMPTY_ROW for i, k in enumerate(ends_starts)], d
+    yield (
+        [g._unit(i) if r else EMPTY_ROW for i, r in enumerate(g.is_r[d])],
+        [g._unit(i) if a else EMPTY_ROW for i, a in enumerate(g.starts_a[d])],
+        d,
+    )
     for j in range(g.n) if slots is None else slots:
-        yield pair(g.B[d][j], g.left0(d, j)), d
-    for right, left in zip((g.E[d + 1], g.F[d + 1]), g.left1(d)):
-        yield pair(right, left), d + 1
+        yield g.B[d][j], g.left0(d, j), d
+    yield from zip((g.E[d + 1], g.F[d + 1]), g.left1(d), (d + 1, d + 1))
+
+
+def _commutators(f, vecs, right, left):
+    """x l - l x for each x in vecs, given the rows of x -> x l and x -> l x."""
+    return [vec_sub(f, vec_apply(f, x, right), vec_apply(f, x, left)) for x in vecs]
 
 
 def center_degree(g: GradedAlgebra, d: int) -> Subspace:
@@ -76,9 +77,11 @@ def _center_degree(g: GradedAlgebra, d: int) -> Subspace:
     The commutator with a is diagonal: its kernel is spanned by the words
     that start with a exactly when they end on the R side, so the cut
     starts from those coordinates and reduces nothing.  In odd degrees no
-    word does, and the center is zero.  Then each other letter whose
-    commutator does not vanish cuts the subspace down to the part it
-    commutes with; left_kernel passes the basis rows it does not move
+    word does, and the center is zero.  Then each other letter l is applied
+    to the subspace's rows z alone, as z l - l z through l's right and left
+    operators, so the commutator of a word outside the subspace is never
+    formed; where that does not vanish, it cuts the subspace down to the
+    part l commutes with, and left_kernel passes the rows l does not move
     through unreduced.
 
     What commutes with a commutes with 1_S = 1 - a.  What also commutes
@@ -98,8 +101,8 @@ def _center_degree(g: GradedAlgebra, d: int) -> Subspace:
         return z
     ops = _commutator_ops(g, d, slots=g.pair.algebra.generating_slots())
     next(ops)  # a, whose kernel z already is
-    for op, tdeg in ops:
-        m_rows = [vec_apply(f, v, op) for v in z.rows]
+    for right, left, tdeg in ops:
+        m_rows = _commutators(f, z.rows, right, left)
         if any(m_rows):
             z = left_kernel(f, m_rows, g.dim(tdeg), basis=z)
             if not z.rows:
@@ -108,14 +111,16 @@ def _center_degree(g: GradedAlgebra, d: int) -> Subspace:
 
 
 def centralizer_stack_kernel(g: GradedAlgebra, d: int) -> Subspace:
-    """Same subspace as center_degree, via one stacked commutator matrix."""
-    rows = [{} for _ in range(g.dim(d))]
+    """Same subspace as center_degree, via one stacked commutator matrix over every word and letter."""
+    f = g.field
+    units = [{i: f.one} for i in range(g.dim(d))]
+    rows = [{} for _ in units]
     total = 0
-    for op, tdeg in _commutator_ops(g, d):
-        for row, r in zip(rows, op):
+    for right, left, tdeg in _commutator_ops(g, d):
+        for row, r in zip(rows, _commutators(f, units, right, left)):
             row.update((total + j, v) for j, v in r.items())
         total += g.dim(tdeg)
-    return left_kernel(g.field, rows, total)
+    return left_kernel(f, rows, total)
 
 
 def center_dims(g: GradedAlgebra, D: int):
@@ -135,7 +140,7 @@ def expected_center_dim(d: int) -> int:
 def is_central(x: PiElement) -> bool:
     """x commutes with every letter, hence with the whole algebra they generate."""
     g = x.graded
-    return not any(vec_apply(g.field, x.vec, op) for op, _ in _commutator_ops(g, x.d))
+    return not any(_commutators(g.field, [x.vec], right, left)[0] for right, left, _ in _commutator_ops(g, x.d))
 
 
 # ---------------------------------------------------------------------------

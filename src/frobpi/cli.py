@@ -28,6 +28,7 @@ from .frobenius import (
     REJECT_NAMES,
     algebra_from_json,
     catalog,
+    catalog_algebra,
     deformation,
     fiber_matches_catalog,
     is_frobenius,
@@ -149,7 +150,7 @@ def _fibres(fam, D, cache_dir):
 def _deformation_records(n, char2, cap, cache_dir):
     fam = deformation(n, char2)
     p_0, g_u, g_0 = _fibres(fam, cap + 1, cache_dir)
-    rec = {"suite": "deformations", "family": f"{n}c" if char2 else str(n)}
+    rec = {"suite": "deformations", "family": fam.label}
     special = fiber_matches_catalog(fam, 0, fam.special, p_0.algebra)
     yield {**rec, "check": "special-fiber-constants", "pass": special}
     if fam.generic_at is not None:
@@ -180,7 +181,7 @@ def _suite_deformations(cap, cache_dir):
 def _suite_classification(cap, cache_dir):
     for name in CATALOG_NAMES + REJECT_NAMES:
         expected = name in CATALOG_NAMES
-        alg = catalog(name).algebra if expected else catalog(name)
+        alg = catalog_algebra(name)
         ok, witness = is_frobenius(alg)
         yield {
             "suite": "classification",
@@ -447,6 +448,7 @@ def cmd_deform(args):
         du, d0 = g_u.dim(d), g_0.dim(d)
         rows.append(
             {
+                "family": fam.label,
                 "degree": d,
                 "dim_special": d0,
                 "dim_generic": du,

@@ -18,6 +18,12 @@ printed, a left-multiplication row extends its parent word's row, and the
 first letter of each word, which gives the projections onto the two
 one-sided pieces, is kept beside it.
 
+A degree is stored as what its reduction decided: the parents of its
+words and the operators E and FB.  B and F follow from FB, and they are
+derived on first read, for every degree not derived yet, in built and
+loaded builds alike: a build reads them for its next relations, while a
+build loaded from the disk cache with its centres may never read them.
+
 Operator rows are stored once and shared, never copied: a B or F row that
 equals an FB row is that row, a left-multiplication row may be an E or FB
 row, every zero row is linalg.EMPTY_ROW, and the unit row {k: 1} that a
@@ -145,13 +151,13 @@ class GradedAlgebra:
         self.parent = [None]  # (i, 'e', None) or (i, 'f', m) for degree >= 1
         self.E = [None]  # E[d]: right append e, degree d-1 -> d
         self.FB = [None]  # FB[d][j]: right append f b_j
-        self.F = [None]  # unit-weighted FB
-        self.B = [[]]  # B[d][j]: right multiply by b_j, square
+        self._F = [None]  # see the F property
+        self._B = [[]]  # see the B property
         for j in range(n):
             rows = [EMPTY_ROW]
             for i in range(n):
                 rows.append({1 + k: v for k, v in pair.algebra.table[i][j].items()} or EMPTY_ROW)
-            self.B[0].append(rows)
+            self._B[0].append(rows)
         self._l0 = [{} for _ in range(n)]  # per slot: degree -> rows
         self._l1 = ({}, {})  # e, f
         self._units = []  # _units[k]: the read-only row {k: 1}, grown by _unit
@@ -190,8 +196,9 @@ class GradedAlgebra:
         n = self.n
         prev_isr = self.is_r[d - 1]
         prev_dim = len(prev_isr)
-        ecol = {}
-        fcol = {}
+        # column of x e, and of x f b_0 (x f b_m is m columns on), per word x of degree d-1
+        ecol = [None] * prev_dim
+        fcol = [None] * prev_dim
         coords = []
         for i in range(prev_dim):
             if not prev_isr[i]:
@@ -199,9 +206,8 @@ class GradedAlgebra:
                 coords.append((i, "e", None))
         for i in range(prev_dim):
             if prev_isr[i]:
-                for m in range(n):
-                    fcol[(i, m)] = len(coords)
-                    coords.append((i, "f", m))
+                fcol[i] = len(coords)
+                coords += ((i, "f", m) for m in range(n))
         ncols = len(coords)
 
         # one row per basis word x of degree d-2; see the module docstring
@@ -220,7 +226,7 @@ class GradedAlgebra:
                 row = {}
                 for (q, m), c in self._r2_terms.items():
                     for w, cw in xe[q].items():
-                        col = fcol[(w, m)]
+                        col = fcol[w] + m
                         t = c * cw
                         row[col] = row[col] + t if col in row else t
                 rel.append(row)
@@ -238,38 +244,54 @@ class GradedAlgebra:
         for pc, r in zip(pivots, rrows):
             red[pc] = {basis_at[q]: f.neg(v) for q, v in r.items() if q != pc} or EMPTY_ROW
 
-        e_rows = [red[ecol[i]] if i in ecol else EMPTY_ROW for i in range(prev_dim)]
-        fb = [
-            [red[fcol[(i, j)]] if (i, j) in fcol else EMPTY_ROW for i in range(prev_dim)]
-            for j in range(n)
-        ]
+        e_rows = [EMPTY_ROW if c is None else red[c] for c in ecol]
+        fb = [[EMPTY_ROW if c is None else red[c + j] for c in fcol] for j in range(n)]
         self._add_degree(parent, e_rows, fb)
 
     def _add_degree(self, parent, e_rows, fb):
         """Append the next degree, given its basis parents and its E and FB operators.
 
-        A basis word is its parent word followed by e, or by f and an S slot;
-        B, the right multiplication by each slot, follows from FB because
-        (x f b_m) b_j = sum_q c^q_{m j} x f b_q, and F, the letter f, is FB
-        weighted by the unit.  Where b_m b_j, or the unit, is one slot with
-        coefficient 1, the row is that FB row itself (see vec_apply).
+        A basis word is its parent word followed by e, or by f and an S slot.
         """
-        f = self.field
-        algebra = self.pair.algebra
-        fb_cols = [[op[i] for op in fb] for i in range(len(e_rows))]  # x -> x f b_q, per q
-        b_rows = [
-            [EMPTY_ROW if kind == "e" else vec_apply(f, algebra.table[m][j], fb_cols[i]) for i, kind, m in parent]
-            for j in range(self.n)
-        ]
         prev_a = self.starts_a[-1]
         self.is_r.append([kind == "e" for _, kind, _ in parent])
         self.starts_a.append([prev_a[i] for i, _, _ in parent])
         self.parent.append(parent)
         self.E.append(e_rows)
         self.FB.append(fb)
-        unit = algebra.unit_vec()
-        self.F.append([vec_apply(f, unit, cols) for cols in fb_cols])
-        self.B.append(b_rows)
+
+    @property
+    def B(self):
+        """B[d][j]: right multiplication by b_j on degree d, square; derived on first read."""
+        self._derive()
+        return self._B
+
+    @property
+    def F(self):
+        """F[d]: right append f, degree d-1 -> d, the unit-weighted FB; derived on first read."""
+        self._derive()
+        return self._F
+
+    def _derive(self):
+        """Derive B and F for every stored degree not derived yet."""
+        for d in range(len(self._F), len(self.FB)):
+            self._derive_degree(d)
+
+    def _derive_degree(self, d):
+        """B and F of degree d, from its FB.
+
+        (x f b_m) b_j = sum_q c^q_{m j} x f b_q, and f is FB weighted by the
+        unit.  Where b_m b_j, or the unit, is one slot with coefficient 1, the
+        row is that FB row itself (see vec_apply).
+        """
+        f = self.field
+        table, parent = self.pair.algebra.table, self.parent[d]
+        fb_cols = list(zip(*self.FB[d]))  # x -> x f b_q, per q
+        self._B.append(
+            [[EMPTY_ROW if kind == "e" else vec_apply(f, table[m][j], fb_cols[i]) for i, kind, m in parent] for j in range(self.n)]
+        )
+        unit = self.pair.algebra.unit_vec()
+        self._F.append([vec_apply(f, unit, cols) for cols in fb_cols])
 
     # -- elements and multiplication ---------------------------------------
 

@@ -477,6 +477,7 @@ class Field:
     """
 
     tag = "?"
+    p = None  # the prime of F_p; Q and Q(u) payloads need no reduction
 
     def convert(self, c):
         raise NotImplementedError

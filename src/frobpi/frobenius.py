@@ -384,12 +384,17 @@ CATALOG_NAMES = tuple(name for name, (_, lam) in _CATALOG.items() if lam is not 
 REJECT_NAMES = tuple(name for name, (_, lam) in _CATALOG.items() if lam is None)
 
 
-def catalog(name: str, field: Field = QQ):
-    """Catalog entries return FrobeniusPair; reject names return CommAlgebra."""
+def catalog_algebra(name: str, field: Field = QQ) -> CommAlgebra:
+    """The algebra of a catalog or reject name, with no functional and no Gram matrix."""
     if name not in _CATALOG:
         raise KeyError(f"unknown catalog name {name!r}")
-    make, lam = _CATALOG[name]
-    a = make(field)
+    return _CATALOG[name][0](field)
+
+
+def catalog(name: str, field: Field = QQ):
+    """Catalog entries return FrobeniusPair; reject names return CommAlgebra."""
+    a = catalog_algebra(name, field)
+    lam = _CATALOG[name][1]
     return a if lam is None else FrobeniusPair(a, lam)
 
 
@@ -407,6 +412,11 @@ class DeformationFamily:
     special: str  # catalog name of the u = 0 fiber
     generic: str  # catalog name of the generic fiber
     generic_at: int | None  # the value of u at which the generic fiber is checked, if any
+
+    @property
+    def label(self) -> str:
+        """The family's name in output: its number, with a c for the char-2 variant."""
+        return f"{self.n}c" if self.char2 else str(self.n)
 
 
 _U = RatF.gen()
@@ -554,7 +564,7 @@ def fiber_matches_catalog(fam, at, target: str, fiber=None) -> bool:
     (t^2 = u s) stays local: at u = 0 it is bikwad on its own basis, and at
     u = c != 0 the chain k[t]/t^4 on the basis 1, t, c s, c s t.
     """
-    want = catalog(target).algebra
+    want = catalog_algebra(target)
     if fiber is None:
         fiber = specialize_algebra(fam.algebra, "q", at)
     if fam.blocks is not None:

@@ -28,11 +28,16 @@ EMPTY_ROW = types.MappingProxyType({})
 def vec_apply(field: Field, vec: dict, rows) -> dict:
     """Row vector times matrix: sum of vec[i] * rows[i].
 
-    Every row must already be reduced (field.post_reduce(row) == row), as
-    every stored operator row is.  The result may be shared: an empty vector
-    gives EMPTY_ROW, a single entry 1 * rows[i] gives rows[i] itself, and a
-    zero sum gives EMPTY_ROW; only a nonzero sum is a new dict.  So no caller
-    mutates a row it did not make.
+    vec and every row must already be reduced (field.post_reduce(row) ==
+    row), as every stored operator row is.  The result may be shared: an
+    empty vector gives EMPTY_ROW, a single entry 1 * rows[i] gives rows[i]
+    itself, and a zero sum gives EMPTY_ROW; only a nonzero sum is a new
+    dict.  So no caller mutates a row it did not make.
+
+    The sum is built in one dict, reduced mod p as it goes over F_p.  A
+    product of two nonzero reduced payloads is nonzero and reduced, so only
+    a column where two products meet can hold a zero, and the dict is
+    filtered only when one of them cancelled.
     """
     if len(vec) <= 1:
         if not vec:
@@ -40,18 +45,21 @@ def vec_apply(field: Field, vec: dict, rows) -> dict:
         ((i, c),) = vec.items()
         if c == field.one:
             return rows[i]
+    p = field.p
     out = {}
+    cancelled = False
     for i, c in vec.items():
-        row = rows[i]
-        if not row:
-            continue
-        for j, v in row.items():
-            t = c * v
+        for j, v in rows[i].items():
             if j in out:
-                out[j] = out[j] + t
-            else:
+                t = out[j] + c * v if p is None else (out[j] + c * v) % p
                 out[j] = t
-    return field.post_reduce(out) or EMPTY_ROW
+                if not t:
+                    cancelled = True
+            else:
+                out[j] = c * v if p is None else c * v % p
+    if cancelled:
+        out = {j: v for j, v in out.items() if v}
+    return out or EMPTY_ROW
 
 
 def vec_add(field: Field, a: dict, b: dict, coeff=None) -> dict:
@@ -66,13 +74,21 @@ def vec_add(field: Field, a: dict, b: dict, coeff=None) -> dict:
 
 
 def vec_sub(field: Field, a: dict, b: dict) -> dict:
+    """a - b, for reduced a and b, as a new dict; built as vec_apply builds its sum."""
+    p = field.p
     out = dict(a)
+    cancelled = False
     for j, v in b.items():
         if j in out:
-            out[j] = out[j] - v
+            t = out[j] - v if p is None else (out[j] - v) % p
+            out[j] = t
+            if not t:
+                cancelled = True
         else:
-            out[j] = -v
-    return field.post_reduce(out)
+            out[j] = -v if p is None else -v % p
+    if cancelled:
+        out = {j: v for j, v in out.items() if v}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -127,17 +143,21 @@ def _rref_generic(field: Field, rows, keep_from=0):
 
 
 def _axpy_into(field: Field, s: dict, f, r: dict):
-    """s -= f*r in place, touching only the columns of r."""
-    upd = {}
+    """s -= f*r in place, for nonzero f and reduced s and r, touching only the columns of r.
+
+    A column that cancels is deleted where it stands; a column new to s is
+    appended, in r's order.
+    """
+    p = field.p
     for k, v in r.items():
-        t = f * v
-        upd[k] = s[k] - t if k in s else -t
-    kept = field.post_reduce(upd)
-    for k in upd:
-        if k in kept:
-            s[k] = kept[k]
-        elif k in s:
-            del s[k]
+        if k in s:
+            t = s[k] - f * v if p is None else (s[k] - f * v) % p
+            if t:
+                s[k] = t
+            else:
+                del s[k]
+        else:
+            s[k] = -f * v if p is None else -f * v % p
 
 
 def rref_rows(field: Field, rows, ncols: int):

@@ -138,7 +138,7 @@ def test_center_commutes_with_degree_0_and_1_bases(q_engines, fp_engines):
 
 
 def test_a_commutator_rows_match_products(q_engines, fp_engines):
-    # the rows of the letter a are read off the words; they must be x a - a x
+    # the rows of the letter a are read off the words; they must be x a and a x
     fam = deformation(4)
     generic = build(make_frobenius(fam.algebra, list(fam.lam)), 5)
     cases = [(q_engines[name], 8) for name in CATALOG_NAMES]
@@ -147,11 +147,12 @@ def test_a_commutator_rows_match_products(q_engines, fp_engines):
     for g, top in cases:
         a = g.element_from_word("a")
         for d in range(top + 1):
-            rows, tdeg = next(_commutator_ops(g, d))
+            right, left, tdeg = next(_commutator_ops(g, d))
             assert tdeg == d
-            for i, row in enumerate(rows):
+            for i, (r, l) in enumerate(zip(right, left, strict=True)):
                 x = g.basis_element(d, i)
-                assert PiElement(g, d, row) == g.multiply(x, a) - g.multiply(a, x), (g.field.tag, d)
+                assert PiElement(g, d, r) == g.multiply(x, a), (g.field.tag, d)
+                assert PiElement(g, d, l) == g.multiply(a, x), (g.field.tag, d)
 
 
 def test_center_degree_reduces_once_per_generator(monkeypatch):
@@ -184,6 +185,24 @@ def test_center_degree_reduces_once_per_generator(monkeypatch):
             assert reduced == [live for live, _ in cuts] and all(reduced), (name, d, cuts)
             dims = [dim for _, dim in cuts] + [z.dim]
             assert all(a > b for a, b in zip(dims, dims[1:])), (name, d, dims)
+
+
+def test_center_commutes_only_its_subspace_rows(monkeypatch):
+    # each letter is applied, right and left, to the rows of the subspace
+    # cut so far, not to every word: the first letter after a sees the
+    # words a keeps, and every later one at most the rows the last cut left
+    seen = []
+    commutators = center_module._commutators
+    monkeypatch.setattr(center_module, "_commutators", lambda f, vecs, r, l: seen.append(len(vecs)) or commutators(f, vecs, r, l))
+    for name, tag in (("split4", "q"), ("bikwad", "q"), ("t4", "fp:5"), ("bikwad", "fp:2")):
+        g = build(catalog(name, field_from_descriptor(tag)), 13)
+        for d in (4, 8, 12):
+            seen.clear()
+            z = center_module._center_degree(g, d)
+            keep = sum(r == a for r, a in zip(g.is_r[d], g.starts_a[d]))
+            assert seen[0] == keep, (name, tag, d)
+            assert all(a >= b >= z.dim for a, b in zip(seen, seen[1:])), (name, tag, d, seen)
+            assert len(seen) <= len(g.pair.algebra.generating_slots()) + 2
 
 
 def test_odd_center_reduces_nothing(monkeypatch):

@@ -735,6 +735,24 @@ def test_warm_run_reads_its_centres(capsys, tmp_path, monkeypatch, argv):
     assert computed == []
 
 
+def test_warm_run_derives_no_operator(capsys, tmp_path, monkeypatch):
+    # a loaded build derives B and F only when they are read; a warm run
+    # whose centres the cache holds makes its ranks, split and resolution
+    # records from the saved parents, E and FB, and reads neither
+    derived = []
+    derive = engine.GradedAlgebra._derive_degree
+    monkeypatch.setattr(engine.GradedAlgebra, "_derive_degree", lambda g, d: derived.append(d) or derive(g, d))
+    argv = ["verify", "--suite", "ranks,split,resolution,center", "--field", "q", "--max-degree", "6"]
+    argv += ["--format", "json", "--cache-dir", str(tmp_path)]
+    code, cold, _ = run(capsys, argv)
+    assert code == 0 and derived
+    derived.clear()
+    code, warm, _ = run(capsys, argv)
+    assert (code, warm) == (0, cold) and derived == []
+    suites = collections.Counter(r["suite"] for r in json.loads(warm))
+    assert all(suites[s] for s in ("ranks", "split", "resolution", "center")), suites
+
+
 def test_centre_entry_with_row_keys_in_another_order_loads(tmp_path, monkeypatch):
     # a row's canonical form is its set of (index, payload) pairs, and the
     # order of the keys inside it follows the cuts that computed it; so an
@@ -1053,19 +1071,32 @@ def test_deform_needs_family(capsys):
 @pytest.mark.parametrize(
     "family, digest",
     [
-        ("1", "16467b3a40c112e809d5b73c0f0ba05ced2ddcddec26e5b9e43a5d3fd44e8fd8"),
-        ("2", "440ba9e79667b334a09fb38ce87d630707648cac4ffbf31d70e7a7db61caee34"),
-        ("3", "e1bbbfa042aff16e9efaf15745f9442c3b57c269382a6c9e8906767e4c91a538"),
-        ("4", "16ce2bc28b716958817b294fc48d3669ab37938e829036bf4f719b292ad7bc23"),
-        ("5", "0a5461931641ddf620d9a95f9583f79c1ba93ab4044b464b72a334477f7dff84"),
-        ("6", "2c2b475e0c02621ba13eda01505590c50f895cd3685b9981f7b17478bac5d365"),
-        ("6 --char2", "2c2b475e0c02621ba13eda01505590c50f895cd3685b9981f7b17478bac5d365"),
+        ("1", "b94b6b2b580a26773c38d8346ee62e00f578bd3eeab12e969aaae46b186a39f1"),
+        ("2", "ba70835c0c6dd2afa2c61343b56f903b6731f30ccac0e27c55539b1d164165e7"),
+        ("3", "ca4d4632db2d45a70c1271cdd34f027348f3473e158b4df450898e14fe124326"),
+        ("4", "f3e83ee02d34c92b414fbe6ffc2dbbadc149c0f5006cbb53f20ced36602fd15f"),
+        ("5", "bdf996663c295fd4ae25c82872a0d8c0c82066597c64a0d5c4205db62ecf31ee"),
+        ("6", "9d6c38e10b5bcfb0708a3b98189f790d12476b328b6d45062d0271edb63608c3"),
+        ("6 --char2", "f0dcf256aa8c50a0923cb78f62b2aa5285536a419ae12ce37e0a663d9d014ab7"),
     ],
+    ids=["1", "2", "3", "4", "5", "6", "6c"],
 )
 def test_deform_stdout_golden(capsys, family, digest):
     code, out, _ = run(capsys, ["deform", "--family", *family.split(), "--max-degree", "8", "--no-cache"])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_deform_table_names_its_family(capsys):
+    # family 6 and its char-2 variant share both fibres and every dimension;
+    # only the family column tells their tables apart
+    argv = ["deform", "--family", "6", "--max-degree", "4", "--no-cache"]
+    tables = [run(capsys, argv + extra) for extra in ([], ["--char2"], ["--format", "json"], ["--char2", "--format", "json"])]
+    assert all(code == 0 for code, _, _ in tables)
+    assert tables[0][1] != tables[1][1]
+    plain, char2 = (json.loads(out) for _, out, _ in tables[2:])
+    assert {r["family"] for r in plain} == {"6"} and {r["family"] for r in char2} == {"6c"}
+    assert [{**r, "family": None} for r in plain] == [{**r, "family": None} for r in char2]
 
 
 def test_deformations_run_makes_each_family_once(capsys, monkeypatch):

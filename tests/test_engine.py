@@ -516,6 +516,34 @@ def test_operator_rows_are_shared(tag):
                     assert v != g.field.one or r is loaded._units[k], (name, d, k)
 
 
+def test_b_and_f_are_derived_on_first_read(monkeypatch):
+    # a loaded build holds parents, E and FB; B and F are derived for every
+    # degree the first time either is read, once, equal to a direct build's
+    # and sharing its rows with FB as a direct build's do
+    derived = []
+    derive = GradedAlgebra._derive_degree
+    monkeypatch.setattr(GradedAlgebra, "_derive_degree", lambda g, d: derived.append(d) or derive(g, d))
+    fam = deformation(4)
+    cases = [(catalog(name, field_from_descriptor(tag)), 9) for tag in ("q", "fp:2", "fp:5") for name in CATALOG_NAMES]
+    cases += [(make_frobenius(fam.algebra, list(fam.lam)), 4)]
+    for pair, D in cases:
+        direct = GradedAlgebra(pair, D)
+        want = {"B": direct.B, "F": direct.F}  # a build derives its top degree on first read too
+        key = cache_key(pair, D)
+        derived.clear()
+        loaded = _decode(pair, D, _encode(direct, key), key)
+        assert loaded.dims() == direct.dims() and loaded.split_dims(D) == direct.split_dims(D)
+        assert derived == []
+        for read in ("B", "F", "B"):
+            assert getattr(loaded, read) == want[read]
+            assert derived == list(range(1, D + 1))
+        for d in range(1, D + 1):
+            fb = {id(r) for op in loaded.FB[d] for r in op} | {id(EMPTY_ROW)}
+            shared = {id(r) for op in direct.FB[d] for r in op} | {id(EMPTY_ROW)}
+            for h_rows, g_rows in zip((*loaded.B[d], loaded.F[d]), (*direct.B[d], direct.F[d])):
+                assert [id(r) in fb for r in h_rows] == [id(r) in shared for r in g_rows], (pair.field.tag, d)
+
+
 # ---------------------------------------------------------------------------
 # cache behavior
 

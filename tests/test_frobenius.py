@@ -7,6 +7,7 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from frobpi import cli
 from frobpi.fields import QQ, PrimeField, field_from_descriptor
 from frobpi.frobenius import (
     CATALOG_NAMES,
@@ -20,6 +21,7 @@ from frobpi.frobenius import (
     algebra_to_json,
     block_presentation,
     catalog,
+    catalog_algebra,
     deformation,
     fiber_matches_catalog,
     is_frobenius,
@@ -191,6 +193,27 @@ def test_fiber_matches_only_its_own_catalog_algebra(n):
     fam = deformation(n)
     for at, name in ((0, fam.special), (fam.generic_at, fam.generic)):
         assert [c for c in CATALOG_NAMES if fiber_matches_catalog(fam, at, c)] == [name]
+
+
+def test_fibre_and_classification_checks_make_no_pair(monkeypatch):
+    # both compare or test the catalog algebra alone: no functional, Gram
+    # matrix, inverse or dual basis is computed only to be dropped
+    made = []
+    init = FrobeniusPair.__init__
+    monkeypatch.setattr(FrobeniusPair, "__init__", lambda self, *a, **k: made.append(a) or init(self, *a, **k))
+    for name, (n, char2) in FAMILIES.items():
+        fam = deformation(n, char2)
+        assert fiber_matches_catalog(fam, 0, fam.special), name
+        if fam.generic_at is not None:
+            assert fiber_matches_catalog(fam, fam.generic_at, fam.generic), name
+    records = list(cli._suite_classification(None, None))
+    assert [r["algebra"] for r in records] == list(CATALOG_NAMES + REJECT_NAMES)
+    assert made == []
+    assert catalog_algebra("t4").equal_constants(catalog("t4").algebra)
+    assert catalog_algebra("bikwad", QQ).equal_constants(catalog("bikwad").algebra)
+    assert catalog_algebra("reject-s2-st-t3").equal_constants(catalog("reject-s2-st-t3"))
+    with pytest.raises(KeyError):
+        catalog_algebra("banana")
 
 
 # sha256 of algebra_to_json, which feeds cache.cache_key: a change here moves

@@ -12,6 +12,7 @@ from frobpi.linalg import (
     EMPTY_ROW,
     Subspace,
     left_kernel,
+    _axpy_into,
     _rref_generic,
     rref_rows,
     vec_add,
@@ -106,6 +107,78 @@ def test_vec_apply_matches_loop_then_reduce(field):
     assert not EMPTY_ROW
     with pytest.raises(TypeError):
         EMPTY_ROW[0] = field.one
+
+
+_KERNEL_FIELDS = [QQ, FP(2), FP(5), QU]
+
+
+def _payloads(field):
+    """Nonzero reduced payloads; over Q both int and Fraction forms, Fraction(n, 1) included."""
+    if field is QU:
+        u = RatF.gen()
+        return st.builds(
+            lambda a, b, c: (QU.convert(a) * u + QU.convert(b)) / (u + QU.convert(c)),
+            st.integers(-2, 2), st.integers(-2, 2), st.integers(1, 2),
+        ).filter(bool)
+    if field is QQ:
+        return st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3)).filter(bool)
+    # residues near p as often as near 1, so that products pass p
+    return st.integers(1, field.p - 1) | st.integers(1, field.p - 1).map(lambda x: field.p - x)
+
+
+@st.composite
+def _kernel_case(draw):
+    """A field, reduced rows, and a reduced vector over them; some rows are negated copies, so sums cancel."""
+    field = draw(st.sampled_from(_KERNEL_FIELDS))
+    entry = _payloads(field)
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols), min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.append(field.post_reduce({k: -v for k, v in draw(st.sampled_from(rows)).items()}))
+    rows = [r or EMPTY_ROW for r in rows]
+    vec = draw(st.dictionaries(st.integers(0, len(rows) - 1), st.one_of(st.just(field.one), entry), max_size=len(rows)))
+    return field, rows, vec, draw(entry)
+
+
+def _items(vec):
+    """A vector's entries in order, with each payload's type: the cache writes both."""
+    return [(k, type(v), v) for k, v in vec.items()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_kernel_case())
+def test_kernels_equal_accumulate_then_reduce(case):
+    # vec_apply, vec_sub and _axpy_into build each result in one dict; each
+    # must equal accumulating with the raw operators and reducing once, in
+    # value, payload type and column order, and keep the sharing rules
+    field, rows, vec, f = case
+    snapshot = [dict(r) for r in rows]
+
+    got = vec_apply(field, vec, rows)
+    assert _items(got) == _items(_apply_by_loop(field, vec, rows))
+    if len(vec) == 1 and next(iter(vec.values())) == field.one:
+        assert got is rows[next(iter(vec))]
+    elif not got:
+        assert got is EMPTY_ROW
+    else:
+        assert type(got) is dict and all(got is not r for r in rows)
+
+    for a in rows:
+        for b in rows:
+            want = dict(a)
+            for j, v in b.items():
+                want[j] = want[j] - v if j in want else -v
+            got = vec_sub(field, a, b)
+            assert _items(got) == _items(field.post_reduce(want))
+            assert type(got) is dict and got is not a and got is not b
+
+            s = dict(a)
+            want = dict(a)
+            for j, v in b.items():
+                want[j] = want[j] - f * v if j in want else -(f * v)
+            assert _axpy_into(field, s, f, b) is None
+            assert _items(s) == _items(field.post_reduce(want))
+    assert rows == snapshot
 
 
 def test_rref_canonical_given_row_order_shuffle():
