@@ -22,7 +22,7 @@ list of elements x: the monomials in given generators against the center
 from __future__ import annotations
 
 from .engine import DegreeRangeError, GradedAlgebra, PiElement
-from .linalg import EMPTY_ROW, Subspace, left_kernel, vec_apply, vec_sub
+from .linalg import EMPTY_ROW, Subspace, left_kernel, vec_apply
 
 
 def _need_room(g: GradedAlgebra, d: int):
@@ -45,13 +45,25 @@ def _commutator_ops(g: GradedAlgebra, d: int, slots=None):
         d,
     )
     for j in range(g.n) if slots is None else slots:
-        yield g.B[d][j], g.left0(d, j), d
+        yield g.right(d, j), g.left0(d, j), d
     yield from zip((g.E[d + 1], g.F[d + 1]), g.left1(d), (d + 1, d + 1))
 
 
 def _commutators(f, vecs, right, left):
-    """x l - l x for each x in vecs, given the rows of x -> x l and x -> l x."""
-    return [vec_sub(f, vec_apply(f, x, right), vec_apply(f, x, left)) for x in vecs]
+    """x l - l x for each x in vecs, given the rows of x -> x l and x -> l x; each summed as vec_apply sums."""
+    p, out = f.p, []
+    for x in vecs:
+        row, cancelled = {}, False
+        for ops, sign in ((right, 1), (left, -1)):
+            for i, c in x.items():
+                c = c if sign > 0 else -c
+                for j, v in ops[i].items():
+                    t = row[j] + c * v if j in row else c * v
+                    row[j] = t = t if p is None else t % p
+                    if not t:
+                        cancelled = True
+        out.append({j: v for j, v in row.items() if v} if cancelled else row)
+    return out
 
 
 def center_degree(g: GradedAlgebra, d: int) -> Subspace:
@@ -108,19 +120,6 @@ def _center_degree(g: GradedAlgebra, d: int) -> Subspace:
             if not z.rows:
                 break
     return z
-
-
-def centralizer_stack_kernel(g: GradedAlgebra, d: int) -> Subspace:
-    """Same subspace as center_degree, via one stacked commutator matrix over every word and letter."""
-    f = g.field
-    units = [{i: f.one} for i in range(g.dim(d))]
-    rows = [{} for _ in units]
-    total = 0
-    for right, left, tdeg in _commutator_ops(g, d):
-        for row, r in zip(rows, _commutators(f, units, right, left)):
-            row.update((total + j, v) for j, v in r.items())
-        total += g.dim(tdeg)
-    return left_kernel(f, rows, total)
 
 
 def center_dims(g: GradedAlgebra, D: int):

@@ -8,21 +8,26 @@ r = sum_q b'_q e f b_q the dual-basis relation (b'_q the basis dual to b_q
 under the Frobenius form).  The right multiples x r b_j add nothing: the
 Casimir element sum_q b'_q (x) b_q of a commutative Frobenius algebra
 commutes with S, so x r b_j = (x b_j) r, a combination of the rows of
-other words.  The rows therefore span exactly the new relations.  Row
-reducing them leaves a canonical word basis and the reduction map gives
-the right multiplication operators by each letter.  Left multiplication
-by an element, and so every product, folds through those operators, so
-one code path serves every coefficient field.  The parent table is the
+other words.  The rows therefore span exactly the new relations.  A word
+x = x' f b_k has x b_q e = sum_s c^s_{k q} (x' f b_s) e, so the n products
+(x' f b_s) e are formed once per parent x' and shared by its children,
+and each row is summed reduced, in one dict.  Row reducing the rows
+leaves a canonical word basis and the reduction map gives the right
+multiplication operators by each letter.  Left multiplication by an
+element, and so every product, folds through those operators, so one
+code path serves every coefficient field.  The parent table is the
 only record of the words: a word is spelled out through it when it is
 printed, a left-multiplication row extends its parent word's row, and the
 first letter of each word, which gives the projections onto the two
 one-sided pieces, is kept beside it.
 
 A degree is stored as what its reduction decided: the parents of its
-words and the operators E and FB.  B and F follow from FB, and they are
-derived on first read, for every degree not derived yet, in built and
-loaded builds alike: a build reads them for its next relations, while a
-build loaded from the disk cache with its centres may never read them.
+words and the operators E and FB.  The rest follows from FB on first
+read, in built and loaded builds alike: right(d, j), the right operator
+of one slot on one degree, which the centre cuts by only for the slots
+that generate S, and F, every degree not derived yet at once.  A build reads
+F, never B, for its next relations; a build loaded from the disk cache
+with its centres may read neither.
 
 Operator rows are stored once and shared, never copied: a B or F row that
 equals an FB row is that row, a left-multiplication row may be an E or FB
@@ -152,12 +157,8 @@ class GradedAlgebra:
         self.E = [None]  # E[d]: right append e, degree d-1 -> d
         self.FB = [None]  # FB[d][j]: right append f b_j
         self._F = [None]  # see the F property
-        self._B = [[]]  # see the B property
-        for j in range(n):
-            rows = [EMPTY_ROW]
-            for i in range(n):
-                rows.append({1 + k: v for k, v in pair.algebra.table[i][j].items()} or EMPTY_ROW)
-            self._B[0].append(rows)
+        self._B = [[[EMPTY_ROW] + [{1 + k: v for k, v in pair.algebra.table[i][j].items()} or EMPTY_ROW for i in range(n)]
+                    for j in range(n)]]  # _B[d][j]: right(d, j), or None until it is read
         self._l0 = [{} for _ in range(n)]  # per slot: degree -> rows
         self._l1 = ({}, {})  # e, f
         self._units = []  # _units[k]: the read-only row {k: 1}, grown by _unit
@@ -192,20 +193,18 @@ class GradedAlgebra:
         return len(self.is_r[d])
 
     def _build_degree(self, d):
-        f = self.field
-        n = self.n
+        f, n = self.field, self.n
         prev_isr = self.is_r[d - 1]
-        prev_dim = len(prev_isr)
         # column of x e, and of x f b_0 (x f b_m is m columns on), per word x of degree d-1
-        ecol = [None] * prev_dim
-        fcol = [None] * prev_dim
+        ecol = [None] * len(prev_isr)
+        fcol = [None] * len(prev_isr)
         coords = []
-        for i in range(prev_dim):
-            if not prev_isr[i]:
+        for i, r in enumerate(prev_isr):
+            if not r:
                 ecol[i] = len(coords)
                 coords.append((i, "e", None))
-        for i in range(prev_dim):
-            if prev_isr[i]:
+        for i, r in enumerate(prev_isr):
+            if r:
                 fcol[i] = len(coords)
                 coords += ((i, "f", m) for m in range(n))
         ncols = len(coords)
@@ -213,23 +212,29 @@ class GradedAlgebra:
         # one row per basis word x of degree d-2; see the module docstring
         rel = []
         if d >= 2:
-            e_prev = self.E[d - 1]
-            f_prev = self.F[d - 1]
-            b_prev = self.B[d - 2]
+            e_prev, f_prev, fb_x = self.E[d - 1], self.F[d - 1], self.FB[d - 2]
+            p, table, terms = f.p, self.pair.algebra.table, self._r2_terms
+            parents = self.parent[d - 2] or [(None, "f", k) for k in range(-1, n)]  # degree 0: b_k
+            P, last = e_prev[1:], None  # P[s] = x' f b_s e for the parent x' of x; b_s e at d = 2
             for x, isr in enumerate(self.is_r[d - 2]):
                 if isr:
                     # x f e: f-append then e-append
                     rel.append({ecol[i]: c for i, c in f_prev[x].items()})
                     continue
-                # x r
-                xe = [vec_apply(f, b_prev[q][x], e_prev) for q in range(n)]
-                row = {}
-                for (q, m), c in self._r2_terms.items():
-                    for w, cw in xe[q].items():
-                        col = fcol[w] + m
-                        t = c * cw
-                        row[col] = row[col] + t if col in row else t
-                rel.append(row)
+                # x r, with x = x' f b_k: x b_q e = sum_s c^s_{k q} P[s]
+                up, _, k = parents[x]
+                if up != last:
+                    P, last = [vec_apply(f, fb_x[s][up], e_prev) for s in range(n)], up
+                row, cancelled, xb = {}, False, table[k]
+                for (q, m), c in terms.items():
+                    for s, cs in xb[q].items():
+                        for w, cw in P[s].items():
+                            col = fcol[w] + m
+                            t = row[col] + c * cs * cw if col in row else c * cs * cw
+                            row[col] = t = t if p is None else t % p
+                            if not t:
+                                cancelled = True
+                rel.append({j: v for j, v in row.items() if v} if cancelled else row)
 
         pivots, rrows = rref_rows(f, rel, ncols)
         pivset = set(pivots)
@@ -259,39 +264,35 @@ class GradedAlgebra:
         self.parent.append(parent)
         self.E.append(e_rows)
         self.FB.append(fb)
+        self._B.append([None] * self.n)
+
+    def right(self, d, j):
+        """Right multiplication by b_j on degree d, square; derived from FB on first read.
+
+        (x f b_m) b_j = sum_q c^q_{m j} x f b_q.  Where b_m b_j is one slot
+        with coefficient 1, the row is that FB row itself (see vec_apply).
+        """
+        rows = self._B[d][j]
+        if rows is None:
+            f, table, cols = self.field, self.pair.algebra.table, list(zip(*self.FB[d]))  # cols[i][s] = i f b_s
+            rows = self._B[d][j] = [
+                EMPTY_ROW if kind == "e" else vec_apply(f, table[m][j], cols[i])
+                for i, kind, m in self.parent[d]
+            ]
+        return rows
 
     @property
     def B(self):
-        """B[d][j]: right multiplication by b_j on degree d, square; derived on first read."""
-        self._derive()
-        return self._B
+        """B[d][j] = right(d, j), every slot of every degree derived."""
+        return [[self.right(d, j) for j in range(self.n)] for d in range(len(self._B))]
 
     @property
     def F(self):
-        """F[d]: right append f, degree d-1 -> d, the unit-weighted FB; derived on first read."""
-        self._derive()
-        return self._F
-
-    def _derive(self):
-        """Derive B and F for every stored degree not derived yet."""
+        """F[d]: right append f, degree d-1 -> d, the unit-weighted FB (EMPTY_ROW where FB is); derived on first read."""
         for d in range(len(self._F), len(self.FB)):
-            self._derive_degree(d)
-
-    def _derive_degree(self, d):
-        """B and F of degree d, from its FB.
-
-        (x f b_m) b_j = sum_q c^q_{m j} x f b_q, and f is FB weighted by the
-        unit.  Where b_m b_j, or the unit, is one slot with coefficient 1, the
-        row is that FB row itself (see vec_apply).
-        """
-        f = self.field
-        table, parent = self.pair.algebra.table, self.parent[d]
-        fb_cols = list(zip(*self.FB[d]))  # x -> x f b_q, per q
-        self._B.append(
-            [[EMPTY_ROW if kind == "e" else vec_apply(f, table[m][j], fb_cols[i]) for i, kind, m in parent] for j in range(self.n)]
-        )
-        unit = self.pair.algebra.unit_vec()
-        self._F.append([vec_apply(f, unit, cols) for cols in fb_cols])
+            f, unit, cols = self.field, self.pair.algebra.unit_vec(), zip(*self.FB[d])
+            self._F.append([vec_apply(f, unit, col) if r else EMPTY_ROW for col, r in zip(cols, self.is_r[d - 1])])
+        return self._F
 
     # -- elements and multiplication ---------------------------------------
 
@@ -312,7 +313,7 @@ class GradedAlgebra:
                 isr = self.is_r[d]
                 vec = {i: c for i, c in vec.items() if isr[i]} or EMPTY_ROW
             elif L >= 0:
-                vec = vec_apply(f, vec, self.B[d][L])
+                vec = vec_apply(f, vec, self.right(d, L))
             elif L == E_LETTER or L == F_LETTER:
                 d += 1
                 if d > self.D:

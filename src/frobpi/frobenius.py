@@ -135,7 +135,7 @@ class CommAlgebra:
                 if j == k:
                     row[n] = f.neg(f.one)  # the right-hand side, b_j's coordinate k
                 aug.append(row)
-        piv, red = rref_rows(f, aug, n + 1)
+        piv, red = rref_rows(f, [f.post_reduce(r) for r in aug], n + 1)
         if n in piv:
             raise AlgebraStructureError("structure constants admit no unit")
         sol = [f.zero] * n
@@ -223,7 +223,7 @@ def _dense_inverse(f: Field, rows):
     """Inverse of a small dense matrix over f, or None when singular."""
     n = len(rows)
     aug = [{**dict(enumerate(row)), n + i: f.one} for i, row in enumerate(rows)]
-    piv, red = rref_rows(f, aug, 2 * n)
+    piv, red = rref_rows(f, [f.post_reduce(r) for r in aug], 2 * n)
     if len(piv) < n or list(piv[:n]) != list(range(n)):
         return None
     inv = [[red[i].get(n + j, f.zero) for j in range(n)] for i in range(n)]

@@ -11,6 +11,9 @@ rows are taken sparsest first, each row's leading entry is cancelled
 against the pivot rows kept so far until it leads at a new column, and the
 kept rows are back-substituted in one pass at the end.  The matrices frobpi
 reduces are nearly triangular already, so most rows are kept as they come.
+A reduction works on the rows it is handed, in place: they must be reduced
+and the caller's own, so a caller that holds shared or unreduced rows
+hands it reduced copies, as Subspace.from_vectors does.
 """
 
 from __future__ import annotations
@@ -66,10 +69,7 @@ def vec_add(field: Field, a: dict, b: dict, coeff=None) -> dict:
     out = dict(a)
     for j, v in b.items():
         t = v if coeff is None else coeff * v
-        if j in out:
-            out[j] = out[j] + t
-        else:
-            out[j] = t
+        out[j] = out[j] + t if j in out else t
     return field.post_reduce(out)
 
 
@@ -98,7 +98,7 @@ def vec_sub(field: Field, a: dict, b: dict) -> dict:
 def _rref_generic(field: Field, rows, keep_from=0):
     """Sparse elimination over any field, by leading terms, sparsest row first.
 
-    Each row is reduced into a copy of its own, and the copies are taken in
+    The rows, reduced in place (see the module docstring), are taken in
     order of nonzero count, fewest first; the sort is stable.  A row's
     leading entry is cancelled against the pivot row kept for that column
     until the row leads at a column that has none, or vanishes; it is then
@@ -121,7 +121,7 @@ def _rref_generic(field: Field, rows, keep_from=0):
     in the full reduction, and the pivots are the same.
     """
     reduced = {}
-    for r in sorted(map(field.post_reduce, rows), key=len):
+    for r in sorted(rows, key=len):
         while r:
             c = min(r)
             p = reduced.get(c)
@@ -161,7 +161,7 @@ def _axpy_into(field: Field, s: dict, f, r: dict):
 
 
 def rref_rows(field: Field, rows, ncols: int):
-    """Canonical reduced row echelon form.  Returns (pivots, rows).
+    """Canonical reduced row echelon form of rows, reduced in place.  Returns (pivots, rows).
 
     ncols is the width of the matrix; the sparse lane does not need it.
     """
@@ -179,7 +179,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field: Field, ambient: int, vectors):
-        piv, rows = rref_rows(field, list(vectors), ambient)
+        piv, rows = rref_rows(field, [field.post_reduce(v) for v in vectors], ambient)
         return cls(field, ambient, tuple(piv), tuple(rows))
 
     @classmethod

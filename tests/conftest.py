@@ -3,6 +3,7 @@
 import pytest
 
 from frobpi import CATALOG_NAMES, build, catalog
+from frobpi.engine import GradedAlgebra
 from frobpi.fields import field_from_descriptor
 from frobpi.frobenius import deformation, make_frobenius
 
@@ -16,6 +17,30 @@ def family_pair(name):
     """The named deformation family over Q(u), with its functional."""
     fam = deformation(*FAMILIES[name])
     return make_frobenius(fam.algebra, list(fam.lam))
+
+
+def record_derivations(monkeypatch):
+    """Record, in order, each operator a build derives from its FB rows.
+
+    ("B", d, j, algebra) is a slot's right rows, derived by
+    GradedAlgebra.right on their first read; ("F", d, None, algebra) is a
+    degree of F, derived on the first read of the F property.
+    """
+    derived = []
+    right, F = GradedAlgebra.right, GradedAlgebra.F.fget
+
+    def counted_right(g, d, j):
+        if g._B[d][j] is None:
+            derived.append(("B", d, j, g.pair.algebra))
+        return right(g, d, j)
+
+    def counted_F(g):
+        derived.extend(("F", d, None, g.pair.algebra) for d in range(len(g._F), len(g.FB)))
+        return F(g)
+
+    monkeypatch.setattr(GradedAlgebra, "right", counted_right)
+    monkeypatch.setattr(GradedAlgebra, "F", property(counted_F))
+    return derived
 
 
 @pytest.fixture(scope="session")

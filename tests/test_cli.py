@@ -22,6 +22,8 @@ from frobpi.cli import main
 from frobpi.fields import QQ, InvariantError
 from frobpi.frobenius import _blocks_algebra, deformation, make_frobenius
 
+from conftest import record_derivations
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -736,12 +738,10 @@ def test_warm_run_reads_its_centres(capsys, tmp_path, monkeypatch, argv):
 
 
 def test_warm_run_derives_no_operator(capsys, tmp_path, monkeypatch):
-    # a loaded build derives B and F only when they are read; a warm run
-    # whose centres the cache holds makes its ranks, split and resolution
-    # records from the saved parents, E and FB, and reads neither
-    derived = []
-    derive = engine.GradedAlgebra._derive_degree
-    monkeypatch.setattr(engine.GradedAlgebra, "_derive_degree", lambda g, d: derived.append(d) or derive(g, d))
+    # a loaded build derives B slots and F only when they are read; a warm
+    # run whose centres the cache holds makes its ranks, split and
+    # resolution records from the saved parents, E and FB, and reads neither
+    derived = record_derivations(monkeypatch)
     argv = ["verify", "--suite", "ranks,split,resolution,center", "--field", "q", "--max-degree", "6"]
     argv += ["--format", "json", "--cache-dir", str(tmp_path)]
     code, cold, _ = run(capsys, argv)
@@ -751,6 +751,22 @@ def test_warm_run_derives_no_operator(capsys, tmp_path, monkeypatch):
     assert (code, warm) == (0, cold) and derived == []
     suites = collections.Counter(r["suite"] for r in json.loads(warm))
     assert all(suites[s] for s in ("ranks", "split", "resolution", "center")), suites
+
+
+def test_center_suite_derives_only_generating_slots(capsys, monkeypatch):
+    # the centre cuts by the slots of generating_slots() alone, so past
+    # degree 1 no other slot's right rows are derived; degree 1 is read
+    # through every slot by the degree-0 rows of left multiplication by f
+    derived = record_derivations(monkeypatch)
+    code, _, _ = run(capsys, ["verify", "--suite", "center", "--no-cache", "--max-degree", "8"])
+    assert code in (0, 1)  # 1: over F_2 some centres exceed the formula
+    slots = collections.defaultdict(set)
+    for kind, d, j, algebra in derived:
+        if kind == "B" and d > 1:
+            slots[algebra].add(j)
+    assert len(slots) == len(CATALOG_NAMES) * len(cli.CENTER_FIELDS), len(slots)
+    for algebra, got in slots.items():
+        assert got == set(algebra.generating_slots()), algebra.names
 
 
 def test_centre_entry_with_row_keys_in_another_order_loads(tmp_path, monkeypatch):

@@ -21,7 +21,9 @@ from frobpi.center import center_dims, sigma_surjectivity_check
 from frobpi.engine import DegreeRangeError, GradedAlgebra, PiElement, WordSyntaxError
 from frobpi.fields import InputError, field_from_descriptor
 from frobpi.frobenius import deformation, make_frobenius, specialize_pair
-from frobpi.linalg import EMPTY_ROW, Subspace, rref_rows
+from frobpi.linalg import EMPTY_ROW, Subspace, rref_rows, vec_apply
+
+from conftest import record_derivations
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +170,62 @@ def test_one_independent_relation_row_per_word_over_qu(monkeypatch):
     for n, char2 in [(n, False) for n in range(1, 7)] + [(6, True)]:
         fam = deformation(n, char2)
         _check_one_row_per_word(monkeypatch, make_frobenius(fam.algebra, list(fam.lam)), 6)
+
+
+def _relation_rows_by_b(g, d):
+    """The relation rows of degree d, in order, as x f e and x r through B[d-2] and E[d-1].
+
+    x r = sum_{(q, m)} c_{q m} (x b_q e) f b_m, with c the build's relation
+    terms; each row is summed with the raw operators and reduced once.
+    """
+    f, n = g.field, g.n
+    isr = g.is_r[d - 1]
+    ecol, fcol, col = {}, {}, 0
+    for i, r in enumerate(isr):
+        if not r:
+            ecol[i], col = col, col + 1
+    for i, r in enumerate(isr):
+        if r:
+            fcol[i], col = col, col + n
+    rows, B, E, F = [], g.B[d - 2], g.E[d - 1], g.F[d - 1]
+    for x, r in enumerate(g.is_r[d - 2]):
+        if r:
+            rows.append({ecol[i]: c for i, c in F[x].items()})
+            continue
+        xe = [vec_apply(f, B[q][x], E) for q in range(n)]
+        row = {}
+        for (q, m), c in g._relation_terms().items():
+            for w, cw in xe[q].items():
+                row[fcol[w] + m] = row[fcol[w] + m] + c * cw if fcol[w] + m in row else c * cw
+        rows.append(f.post_reduce(row))
+    return rows
+
+
+def _check_relation_rows(monkeypatch, pair, D):
+    """The rows a build to D hands rref_rows are the B formula's, as dicts and in key order."""
+    seen = []
+    monkeypatch.setattr(engine, "rref_rows", lambda f, rows, ncols: seen.append([dict(r) for r in rows]) or rref_rows(f, rows, ncols))
+    g = GradedAlgebra(pair, D)
+    for d in range(2, D + 1):
+        want = _relation_rows_by_b(g, d)
+        assert seen[d - 1] == want, (pair.field.tag, d)
+        assert [list(r) for r in seen[d - 1]] == [list(r) for r in want], (pair.field.tag, d)
+
+
+@pytest.mark.parametrize("tag", ["q", "fp:2", "fp:3", "fp:5", "fp:7"])
+def test_relation_rows_match_the_b_formula(monkeypatch, tag):
+    # the build forms x b_q e from the products x' f b_s e of x's parent
+    # word x', never reading B; the rows and the order of their entries,
+    # which the reduced rows and the cache bytes follow, are B's
+    f = field_from_descriptor(tag)
+    for name in CATALOG_NAMES:
+        _check_relation_rows(monkeypatch, catalog(name, f), 16)
+
+
+def test_relation_rows_match_the_b_formula_over_qu(monkeypatch):
+    for n, char2 in [(n, False) for n in range(1, 7)] + [(6, True)]:
+        fam = deformation(n, char2)
+        _check_relation_rows(monkeypatch, make_frobenius(fam.algebra, list(fam.lam)), 6)
 
 
 # ---------------------------------------------------------------------------
@@ -517,16 +575,17 @@ def test_operator_rows_are_shared(tag):
 
 
 def test_b_and_f_are_derived_on_first_read(monkeypatch):
-    # a loaded build holds parents, E and FB; B and F are derived for every
-    # degree the first time either is read, once, equal to a direct build's
-    # and sharing its rows with FB as a direct build's do
-    derived = []
-    derive = GradedAlgebra._derive_degree
-    monkeypatch.setattr(GradedAlgebra, "_derive_degree", lambda g, d: derived.append(d) or derive(g, d))
+    # a loaded build holds parents, E and FB; right(d, j) derives one slot of
+    # one degree the first time it is read, B reads every slot through it,
+    # and F derives every degree not derived yet the first time it is read.
+    # Each is derived once, equal to a direct build's and sharing its rows
+    # with FB as a direct build's do
+    derived = record_derivations(monkeypatch)
     fam = deformation(4)
     cases = [(catalog(name, field_from_descriptor(tag)), 9) for tag in ("q", "fp:2", "fp:5") for name in CATALOG_NAMES]
     cases += [(make_frobenius(fam.algebra, list(fam.lam)), 4)]
     for pair, D in cases:
+        n = pair.n
         direct = GradedAlgebra(pair, D)
         want = {"B": direct.B, "F": direct.F}  # a build derives its top degree on first read too
         key = cache_key(pair, D)
@@ -534,9 +593,11 @@ def test_b_and_f_are_derived_on_first_read(monkeypatch):
         loaded = _decode(pair, D, _encode(direct, key), key)
         assert loaded.dims() == direct.dims() and loaded.split_dims(D) == direct.split_dims(D)
         assert derived == []
+        assert loaded.right(D, n - 1) == want["B"][D][n - 1] and loaded.right(D, n - 1) is loaded.right(D, n - 1)
         for read in ("B", "F", "B"):
             assert getattr(loaded, read) == want[read]
-            assert derived == list(range(1, D + 1))
+        slots = [("B", d, j) for d in range(1, D + 1) for j in range(n) if (d, j) != (D, n - 1)]
+        assert [e[:3] for e in derived] == [("B", D, n - 1), *slots, *(("F", d, None) for d in range(1, D + 1))]
         for d in range(1, D + 1):
             fb = {id(r) for op in loaded.FB[d] for r in op} | {id(EMPTY_ROW)}
             shared = {id(r) for op in direct.FB[d] for r in op} | {id(EMPTY_ROW)}
@@ -695,6 +756,17 @@ _CACHE_GOLDEN = [
         "family-4", "qu", 4,
         "ed86f802dc86e4e142a75b34615a1d3d679dcfbb88ee662a7f2fb78f0b624fe1",
         "e142c285bf3ea27a05cc974b613125772cf25278a3e9aee6f3874652b28cea01",
+    ),
+    # a unit of four entries, so F rows are real sums
+    (
+        "split4", "q", 8,
+        "5e4f81f3405942697e65cde584ecfc09a7e4b11a929082c87d1093b9c9f2a5db",
+        "c38838a171088615499899a1a232f81fe689b467a3f3abdb217ed8c629d0d370",
+    ),
+    (
+        "t3-plus-k", "fp:5", 8,
+        "f2bb27ce89fe5e3e3183974218e853d11225cf221ce5f421f9d333aabdbfdb99",
+        "471f439738de0ede04e5165ede96275abf6b4b88dbcdc13a8d4343cb639eec3e",
     ),
 ]
 

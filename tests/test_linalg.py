@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frobpi.center import _commutators
 from frobpi.fields import FP, QQ, QU, InvariantError, RatF
+from frobpi.frobenius import _blocks_algebra, _dense_inverse
 from frobpi.linalg import (
     EMPTY_ROW,
     Subspace,
@@ -127,9 +129,9 @@ def _payloads(field):
 
 
 @st.composite
-def _kernel_case(draw):
+def _kernel_case(draw, fields=_KERNEL_FIELDS):
     """A field, reduced rows, and a reduced vector over them; some rows are negated copies, so sums cancel."""
-    field = draw(st.sampled_from(_KERNEL_FIELDS))
+    field = draw(st.sampled_from(fields))
     entry = _payloads(field)
     ncols = draw(st.integers(1, 6))
     rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols), min_size=1, max_size=5))
@@ -185,7 +187,7 @@ def test_rref_canonical_given_row_order_shuffle():
     # the reduced form is a basis invariant: shuffling input rows cannot move it
     rng = random.Random(7)
     rows = _random_rows(rng, QQ, 12, 9)
-    piv1, red1 = rref_rows(QQ, rows, 9)
+    piv1, red1 = rref_rows(QQ, [dict(r) for r in rows], 9)
     shuffled = rows[:]
     rng.shuffle(shuffled)
     piv2, red2 = rref_rows(QQ, shuffled, 9)
@@ -203,7 +205,7 @@ def test_rref_invariant_under_column_reindexing():
         for j in rng.sample(range(ncols), 12):
             r[j] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
         rows.append({k: v for k, v in r.items() if v})
-    piv_wide, red_wide = rref_rows(QQ, rows, ncols)
+    piv_wide, red_wide = rref_rows(QQ, [dict(r) for r in rows], ncols)
     # same system with the occupied columns reindexed densely
     used = sorted({j for r in rows for j in r})
     remap = {j: i for i, j in enumerate(used)}
@@ -274,24 +276,25 @@ def _fill_in_rows(draw, field):
 def test_generic_rref_matches_dense_oracle(p, data):
     f = {None: QQ, 5: FP(5), "qu": QU}[p]
     ncols, rows = data.draw(_fill_in_rows(f))
-    before = [dict(r) for r in rows]
-    assert _rref_generic(f, rows) == _dense_gauss_jordan(f, rows, ncols)
-    # the elimination works in place on copies, never on the caller's rows
-    assert rows == before
+    # the elimination works in place on the rows it is handed, so the oracle reads them first
+    want = _dense_gauss_jordan(f, rows, ncols)
+    assert _rref_generic(f, rows) == want
 
 
 @pytest.mark.parametrize("field", [QQ, FP(5), QU], ids=["q", "fp5", "qu"])
-def test_generic_rref_reads_shared_rows_without_writing(field):
-    # a build hands the elimination EMPTY_ROW and read-only rows it shares,
-    # unit rows among them; they reduce as plain dict copies would, and a
-    # duplicate that cancels or a row that back-substitution changes is
-    # never written back
+def test_from_vectors_reads_shared_rows_without_writing(field):
+    # a caller hands Subspace.from_vectors EMPTY_ROW and read-only rows it
+    # shares, unit rows among them; it reduces copies, so they reduce as
+    # plain dict copies would, and a duplicate that cancels or a row that
+    # back-substitution changes is never written back
     one, two = field.one, field.convert(2)
     units = [types.MappingProxyType({k: one}) for k in range(4)]
     shared = types.MappingProxyType({1: one, 3: two})
     rows = [units[2], EMPTY_ROW, {0: two, 2: one, 3: one}, shared, units[0], units[3], units[2]]
-    assert _rref_generic(field, rows) == _rref_generic(field, [dict(r) for r in rows])
-    assert _rref_generic(field, rows) == _dense_gauss_jordan(field, rows, 4)
+    got = Subspace.from_vectors(field, 4, rows)
+    assert (list(got.pivots), list(got.rows)) == _rref_generic(field, [dict(r) for r in rows])
+    assert (list(got.pivots), list(got.rows)) == _dense_gauss_jordan(field, rows, 4)
+    assert rows[2] == {0: two, 2: one, 3: one}
     assert [dict(r) for r in units] == [{k: one} for k in range(4)]
     assert shared == {1: one, 3: two} and not EMPTY_ROW
 
@@ -344,7 +347,7 @@ def test_generic_rref_over_qu_with_fill_in():
     r3 = {2: QU.convert(3), 3: u}
     dependent = QU.post_reduce({j: u * r0.get(j, QU.zero) + r1.get(j, QU.zero) for j in range(5)})
     rows = [r0, r1, r2, r3, {}, dependent]
-    pivots, red = _rref_generic(QU, rows)
+    pivots, red = _rref_generic(QU, [dict(r) for r in rows])
     assert pivots == sorted(pivots) and len(set(pivots)) == len(pivots) == 4
     for c, r in zip(pivots, red):
         assert min(r) == c and r[c] == one
@@ -361,9 +364,9 @@ def test_partial_back_substitution_keeps_the_tail_rows():
         for _ in range(40):
             ncols = rng.randint(1, 16)
             rows = _random_rows(rng, f, rng.randint(1, 14), ncols, density=rng.choice([0.15, 0.4]))
-            full_piv, full_red = _rref_generic(f, rows)
+            full_piv, full_red = _rref_generic(f, [dict(r) for r in rows])
             for k in range(ncols + 1):
-                piv, red = _rref_generic(f, rows, keep_from=k)
+                piv, red = _rref_generic(f, [dict(r) for r in rows], keep_from=k)
                 assert piv == full_piv, (f, k)
                 tail = [(c, r) for c, r in zip(piv, red) if c >= k]
                 assert tail == [(c, r) for c, r in zip(full_piv, full_red) if c >= k], (f, k)
@@ -411,7 +414,7 @@ def test_kernel_annihilates():
         rows = _random_rows(rng, f, 10, 14)
         k = left_kernel(f, _transpose(rows, 14), 10)
         assert k.ambient == 14
-        piv, _ = rref_rows(f, rows, 14)
+        piv, _ = rref_rows(f, [dict(r) for r in rows], 14)
         assert k.dim + len(piv) == 14
         for kv in k.rows:
             img = {}
@@ -437,7 +440,7 @@ def test_left_kernel_in_a_basis():
         m = _random_rows(rng, f, basis.dim, 5, density=0.3)
         k = left_kernel(f, m, 5, basis=basis)
         assert k.ambient == 12
-        assert k.dim == basis.dim - len(rref_rows(f, m, 5)[0])
+        assert k.dim == basis.dim - len(rref_rows(f, [dict(r) for r in m], 5)[0])
         for v in k.rows:
             assert basis.contains(v)
             # a canonical basis row carries 1 at its own pivot, so the pivots read off x
@@ -512,3 +515,68 @@ def test_left_kernel_annihilates():
     for i, c in v.items():
         comb = vec_add(f, comb, rows[i], c)
     assert comb == {}
+
+
+# ---------------------------------------------------------------------------
+# who owns the rows a reduction is handed
+
+_OWNER_FIELDS = [QQ, FP(5), QU]
+
+
+@pytest.mark.parametrize("field", _OWNER_FIELDS, ids=["q", "fp5", "qu"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_reductions_write_only_rows_they_own(field, data):
+    # rref_rows reduces the fresh reduced rows it is handed in place, to the
+    # canonical form; Subspace.from_vectors reduces copies, so the rows it
+    # is handed, read-only, repeated or plain, are never written
+    ncols, rows = data.draw(_fill_in_rows(field))
+    want = _dense_gauss_jordan(field, rows, ncols)
+    assert rref_rows(field, [dict(r) for r in rows], ncols) == want
+    handed = [types.MappingProxyType(r) if i % 2 else r for i, r in enumerate(rows)] + rows[:1]
+    held = [dict(r) for r in handed]
+    got = Subspace.from_vectors(field, ncols, handed)
+    assert (list(got.pivots), list(got.rows)) == want
+    assert [dict(r) for r in handed] == held
+
+
+@pytest.mark.parametrize("field", _OWNER_FIELDS, ids=["q", "fp5", "qu"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_unit_and_inverse_read_their_rows_without_writing(field, data):
+    # _find_unit reads the table's plain-dict rows and _dense_inverse its
+    # matrix rows; both reduce rows of their own
+    entry = _payloads(field)
+    blocks = data.draw(st.lists(st.lists(entry, min_size=1, max_size=2), min_size=1, max_size=2))
+    n = sum(map(len, blocks))
+    alg = _blocks_algebra(field, blocks, [f"x{i}" for i in range(n)])
+    held = [[dict(r) for r in row] for row in alg.table]
+    assert alg._find_unit() == list(alg.unit)
+    assert [[dict(r) for r in row] for row in alg.table] == held
+    m = data.draw(st.lists(st.lists(st.one_of(st.just(field.zero), entry), min_size=n, max_size=n), min_size=n, max_size=n))
+    held = [list(r) for r in m]
+    inv = _dense_inverse(field, m)
+    assert m == held
+    if inv is not None:
+        for i in range(n):
+            for j in range(n):
+                acc = field.zero
+                for k in range(n):
+                    acc = field.add(acc, field.mul(m[i][k], inv[k][j]))
+                assert acc == (field.one if i == j else field.zero)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_commutators_are_right_minus_left(data):
+    # each x l - l x is summed in one dict: it equals the difference of the
+    # two products, holds no zero payload and leaves the operator rows as
+    # they were
+    field, right, vec, _ = data.draw(_kernel_case(fields=_OWNER_FIELDS))
+    left = data.draw(st.permutations(right))
+    snapshot = [dict(r) for r in (*right, *left)]
+    vecs = [vec, *({i: field.one} for i in range(len(right)))]
+    for x, got in zip(vecs, _commutators(field, vecs, right, left), strict=True):
+        assert got == vec_sub(field, vec_apply(field, x, right), vec_apply(field, x, left))
+        assert all(got.values()) and (got is EMPTY_ROW or all(got is not r for r in (*right, *left)))
+    assert [dict(r) for r in (*right, *left)] == snapshot
