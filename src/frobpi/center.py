@@ -21,8 +21,8 @@ list of elements x: the monomials in given generators against the center
 
 from __future__ import annotations
 
-from .engine import DegreeRangeError, GradedAlgebra, PiElement
-from .linalg import EMPTY_ROW, Subspace, left_kernel, vec_apply
+from .engine import A_LETTER, E_LETTER, F_LETTER, DegreeRangeError, GradedAlgebra, PiElement, letter_degree
+from .linalg import Subspace, left_kernel, vec_apply
 
 
 def _need_room(g: GradedAlgebra, d: int):
@@ -30,23 +30,16 @@ def _need_room(g: GradedAlgebra, d: int):
         raise DegreeRangeError(f"center at degree {d} needs build degree {d + 1}")
 
 
-def _commutator_ops(g: GradedAlgebra, d: int, slots=None):
+def _commutator_ops(g: GradedAlgebra, d: int):
     """Per letter l, the rows of x -> x l and of x -> l x on degree d, with the target degree.
 
-    The letters are a, then b_j for each j in slots (all n slots by
-    default), then e and f.  A letter's rows, and the left rows of a slot,
-    are built only when the iteration reaches it.  x a keeps the words that
-    end on the R side, and a x the words that start with a.
+    The letters are a, the slots of generating_slots() (see
+    _center_degree), e and f; a letter's rows are built only when the
+    iteration reaches it.
     """
     _need_room(g, d)
-    yield (
-        [g._unit(i) if r else EMPTY_ROW for i, r in enumerate(g.is_r[d])],
-        [g._unit(i) if a else EMPTY_ROW for i, a in enumerate(g.starts_a[d])],
-        d,
-    )
-    for j in range(g.n) if slots is None else slots:
-        yield g.right(d, j), g.left0(d, j), d
-    yield from zip((g.E[d + 1], g.F[d + 1]), g.left1(d), (d + 1, d + 1))
+    for L in (A_LETTER, *g.pair.algebra.generating_slots(), E_LETTER, F_LETTER):
+        yield g.right_op(L, d), g.left_op(L, d), d + letter_degree(L)
 
 
 def _commutators(f, vecs, right, left):
@@ -111,7 +104,7 @@ def _center_degree(g: GradedAlgebra, d: int) -> Subspace:
     z = Subspace(f, g.dim(d), keep, tuple({i: f.one} for i in keep))
     if not keep:
         return z
-    ops = _commutator_ops(g, d, slots=g.pair.algebra.generating_slots())
+    ops = _commutator_ops(g, d)
     next(ops)  # a, whose kernel z already is
     for right, left, tdeg in ops:
         m_rows = _commutators(f, z.rows, right, left)
@@ -137,7 +130,7 @@ def expected_center_dim(d: int) -> int:
 
 
 def is_central(x: PiElement) -> bool:
-    """x commutes with every letter, hence with the whole algebra they generate."""
+    """x commutes with a, e, f and the generating slots, hence with the whole algebra (see _center_degree)."""
     g = x.graded
     return not any(_commutators(g.field, [x.vec], right, left)[0] for right, left, _ in _commutator_ops(g, x.d))
 

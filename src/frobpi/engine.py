@@ -22,18 +22,20 @@ first letter of each word, which gives the projections onto the two
 one-sided pieces, is kept beside it.
 
 A degree is stored as what its reduction decided: the parents of its
-words and the operators E and FB.  The rest follows from FB on first
-read, in built and loaded builds alike: right(d, j), the right operator
-of one slot on one degree, which the centre cuts by only for the slots
-that generate S, and F, every degree not derived yet at once.  A build reads
-F, never B, for its next relations; a build loaded from the disk cache
-with its centres may read neither.
+words and the operators E and FB.  Every word letter L, that is a, a
+slot j, e or f, has one right operator right_op(L, d) and one left
+operator left_op(L, d) per degree; each is derived on first read, in
+built and loaded builds alike, so the slots the centre does not cut by
+are never derived.  A build reads the f rows, never a slot's, for its
+next relations; a build loaded from the disk cache with its centres may
+read neither.
 
-Operator rows are stored once and shared, never copied: a B or F row that
-equals an FB row is that row, a left-multiplication row may be an E or FB
-row, every zero row is linalg.EMPTY_ROW, and the unit row {k: 1} that a
-basis word k stores as the E or FB row of its own coordinate is one
-read-only row per k, kept for the whole build and reused in every degree.
+Operator rows are stored once and shared, never copied: a slot's or f's
+right row that equals an FB row is that row, a left-multiplication row
+may be an E or FB row, every zero row is linalg.EMPTY_ROW, and the unit
+row {k: 1} that a basis word k stores as the E or FB row of its own
+coordinate is one read-only row per k, kept for the whole build and
+reused in every degree.
 A build loaded from saved operators shares its rows the same way.  So no
 caller mutates a row it did not make.
 
@@ -56,6 +58,11 @@ from .linalg import EMPTY_ROW, rref_rows, vec_add, vec_apply, vec_sub
 A_LETTER = -1
 E_LETTER = -2
 F_LETTER = -3
+
+
+def letter_degree(L):
+    """The degree of the word letter L: 1 for e and f, 0 for a and the slots."""
+    return 1 if L == E_LETTER or L == F_LETTER else 0
 
 
 class DegreeRangeError(ValueError):
@@ -156,11 +163,12 @@ class GradedAlgebra:
         self.parent = [None]  # (i, 'e', None) or (i, 'f', m) for degree >= 1
         self.E = [None]  # E[d]: right append e, degree d-1 -> d
         self.FB = [None]  # FB[d][j]: right append f b_j
-        self._F = [None]  # see the F property
-        self._B = [[[EMPTY_ROW] + [{1 + k: v for k, v in pair.algebra.table[i][j].items()} or EMPTY_ROW for i in range(n)]
-                    for j in range(n)]]  # _B[d][j]: right(d, j), or None until it is read
-        self._l0 = [{} for _ in range(n)]  # per slot: degree -> rows
-        self._l1 = ({}, {})  # e, f
+        # _right[L][d]: right_op(L, d), or None until it is read; E is stored, and b_i b_j is read off the table
+        table = pair.algebra.table
+        self._right = {A_LETTER: [None], F_LETTER: [None]}
+        self._right |= {j: [[EMPTY_ROW] + [{1 + k: v for k, v in table[i][j].items()} or EMPTY_ROW for i in range(n)]]
+                        for j in range(n)}
+        self._left = {}  # _left[L]: degree -> left_op(L, d), the last two degrees computed
         self._units = []  # _units[k]: the read-only row {k: 1}, grown by _unit
         self.centers = {}  # degree -> centre Subspace; see center.center_degree
         self.on_centers_complete = None  # called with the build once centers holds 0..D-1
@@ -212,7 +220,7 @@ class GradedAlgebra:
         # one row per basis word x of degree d-2; see the module docstring
         rel = []
         if d >= 2:
-            e_prev, f_prev, fb_x = self.E[d - 1], self.F[d - 1], self.FB[d - 2]
+            e_prev, f_prev, fb_x = self.E[d - 1], self.right_op(F_LETTER, d - 2), self.FB[d - 2]
             p, table, terms = f.p, self.pair.algebra.table, self._r2_terms
             parents = self.parent[d - 2] or [(None, "f", k) for k in range(-1, n)]  # degree 0: b_k
             P, last = e_prev[1:], None  # P[s] = x' f b_s e for the parent x' of x; b_s e at d = 2
@@ -264,35 +272,63 @@ class GradedAlgebra:
         self.parent.append(parent)
         self.E.append(e_rows)
         self.FB.append(fb)
-        self._B.append([None] * self.n)
+        for rows in self._right.values():
+            rows.append(None)
 
-    def right(self, d, j):
-        """Right multiplication by b_j on degree d, square; derived from FB on first read.
+    def right_op(self, L, d):
+        """Rows of x -> x L on degree d, for the word letter L; derived on first read and kept.
 
-        (x f b_m) b_j = sum_q c^q_{m j} x f b_q.  Where b_m b_j is one slot
-        with coefficient 1, the row is that FB row itself (see vec_apply).
+        L is A_LETTER, a slot j >= 0, E_LETTER or F_LETTER; e and f land in
+        degree d + 1.  E is stored, and x a keeps the words that end on the R
+        side.  A slot follows from FB, (x f b_m) b_j = sum_q c^q_{m j} x f b_q,
+        and f is the unit-weighted FB, EMPTY_ROW where FB is; where the sum is
+        one FB row with coefficient 1, the row is that FB row itself (see
+        vec_apply).
         """
-        rows = self._B[d][j]
+        self._check_letter(L, d)
+        if L == E_LETTER:
+            return self.E[d + 1]
+        rows = self._right[L][d]
         if rows is None:
-            f, table, cols = self.field, self.pair.algebra.table, list(zip(*self.FB[d]))  # cols[i][s] = i f b_s
-            rows = self._B[d][j] = [
-                EMPTY_ROW if kind == "e" else vec_apply(f, table[m][j], cols[i])
-                for i, kind, m in self.parent[d]
-            ]
+            f = self.field
+            if L == A_LETTER:
+                rows = [self._unit(i) if r else EMPTY_ROW for i, r in enumerate(self.is_r[d])]
+            elif L == F_LETTER:
+                unit, cols = self.pair.algebra.unit_vec(), zip(*self.FB[d + 1])  # cols[i][s] = i f b_s
+                rows = [vec_apply(f, unit, col) if r else EMPTY_ROW for col, r in zip(cols, self.is_r[d])]
+            else:
+                table, cols = self.pair.algebra.table, list(zip(*self.FB[d]))
+                rows = [
+                    EMPTY_ROW if kind == "e" else vec_apply(f, table[m][L], cols[i])
+                    for i, kind, m in self.parent[d]
+                ]
+            self._right[L][d] = rows
         return rows
+
+    def left_op(self, L, d):
+        """Rows of x -> L x on degree d, for the word letter L as in right_op.
+
+        a x keeps the words that start with a.  Each other letter has its own
+        memo, so a letter no caller asks for is never built; see _left_rows.
+        """
+        self._check_letter(L, d)
+        if L == A_LETTER:
+            return [self._unit(i) if a else EMPTY_ROW for i, a in enumerate(self.starts_a[d])]
+        memo = self._left.setdefault(L, {})
+        return self._left_rows(memo, d, letter_degree(L), lambda: self._fold(self.unit_element().vec, 0, (L,))[0])
+
+    def _check_letter(self, L, d):
+        """L is a word letter, and x L and L x lie in the build for x of degree d."""
+        if not (L in self._right or L == E_LETTER):
+            raise ValueError(f"bad letter {L}")
+        top = self.D - letter_degree(L)
+        if not 0 <= d <= top:
+            raise DegreeRangeError(f"degree {d} outside 0..{top} for letter {L}")
 
     @property
     def B(self):
-        """B[d][j] = right(d, j), every slot of every degree derived."""
-        return [[self.right(d, j) for j in range(self.n)] for d in range(len(self._B))]
-
-    @property
-    def F(self):
-        """F[d]: right append f, degree d-1 -> d, the unit-weighted FB (EMPTY_ROW where FB is); derived on first read."""
-        for d in range(len(self._F), len(self.FB)):
-            f, unit, cols = self.field, self.pair.algebra.unit_vec(), zip(*self.FB[d])
-            self._F.append([vec_apply(f, unit, col) if r else EMPTY_ROW for col, r in zip(cols, self.is_r[d - 1])])
-        return self._F
+        """B[d][j] = right_op(j, d), every slot of every degree derived."""
+        return [[self.right_op(j, d) for j in range(self.n)] for d in range(self.D + 1)]
 
     # -- elements and multiplication ---------------------------------------
 
@@ -307,21 +343,10 @@ class GradedAlgebra:
         return PiElement(self, 0, {0: self.field.one, **{1 + j: c for j, c in unit.items()}})
 
     def _fold(self, vec, d, letters):
-        f = self.field
+        """vec, of degree d, times each letter in turn, and the degree it lands in."""
         for L in letters:
-            if L == A_LETTER:
-                isr = self.is_r[d]
-                vec = {i: c for i, c in vec.items() if isr[i]} or EMPTY_ROW
-            elif L >= 0:
-                vec = vec_apply(f, vec, self.right(d, L))
-            elif L == E_LETTER or L == F_LETTER:
-                d += 1
-                if d > self.D:
-                    raise DegreeRangeError(f"degree {d} exceeds build degree {self.D}")
-                op = self.E[d] if L == E_LETTER else self.F[d]
-                vec = vec_apply(f, vec, op)
-            else:
-                raise ValueError(f"bad letter {L}")
+            vec = vec_apply(self.field, vec, self.right_op(L, d))
+            d += letter_degree(L)
         return vec, d
 
     def multiply(self, x: PiElement, y: PiElement) -> PiElement:
@@ -364,7 +389,7 @@ class GradedAlgebra:
                 raise WordSyntaxError(f"unreadable word at ...{text[i:]!r}")
         if not letters:
             raise WordSyntaxError("empty word")
-        target = sum(1 for L in letters if L in (E_LETTER, F_LETTER))
+        target = sum(map(letter_degree, letters))
         if target > self.D:
             raise DegreeRangeError(f"word degree {target} exceeds build degree {self.D}")
         u = self.unit_element()
@@ -467,26 +492,6 @@ class GradedAlgebra:
         if not 0 <= d <= self.D - x.d:
             raise DegreeRangeError(f"degree {d} outside 0..{self.D - x.d} for a factor of degree {x.d}")
         return self._left_rows({}, d, x.d, lambda: x.vec)
-
-    def left0(self, d: int, j: int):
-        """Left multiplication rows for slot j, on degree d; a's are read off the words.
-
-        Each slot has its own memo, so a slot that no caller asks for is
-        never built.
-        """
-        return self._left_rows(self._l0[j], d, 0, lambda: {1 + j: self.field.one})
-
-    def left1(self, d: int):
-        """Left multiplication rows for e and f, degree d to d+1.
-
-        e and f are the unit folded through the letters e and f.
-        """
-        if d + 1 > self.D:
-            raise DegreeRangeError(f"degree {d + 1} exceeds build degree {self.D}")
-        return [
-            self._left_rows(memo, d, 1, lambda L=L: self._fold(self.unit_element().vec, 0, (L,))[0])
-            for memo, L in zip(self._l1, (E_LETTER, F_LETTER))
-        ]
 
     # -- one-sided pieces -----------------------------------------------------
 

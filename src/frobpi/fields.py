@@ -94,15 +94,6 @@ def _padd(a, b):
     return _strip(out)
 
 
-def _psub(a, b):
-    out = list(a)
-    if len(out) < len(b):
-        out.extend([0] * (len(b) - len(out)))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _strip(out)
-
-
 def _pmul(a, b):
     """Product of two integer polynomials; nonzero factors give a stripped result."""
     # a constant factor (most denominators are constants) skips the double loop
@@ -324,7 +315,7 @@ class RatF:
     def __sub__(self, o):
         if not isinstance(o, RatF):
             return NotImplemented
-        return _ratf_sub(self.n, self.d, o.n, o.d)
+        return _ratf_add(self.n, self.d, tuple([-c for c in o.n]), o.d)
 
     def __mul__(self, o):
         if not isinstance(o, RatF):
@@ -356,10 +347,11 @@ class RatF:
 
 # The same Q(u) sums and products recur within a build's relation rows and a
 # centre's commutators.  Each distinct one is normalised once while it stays in
-# a small LRU memo per operation, keyed on the canonical tuples; the results
-# are shared, which RatF's immutability allows.  The repeats are close
-# together: 256 entries were as fast as an unbounded memo on the deformation
-# suite at degree 5, and larger memos mostly add resident memory.
+# a small LRU memo per operation, keyed on the canonical tuples; a difference
+# is the sum with the negated numerator.  The results are shared, which RatF's
+# immutability allows.  The repeats are close together: 256 entries were as
+# fast as an unbounded memo on the deformation suite at degree 5, and larger
+# memos mostly add resident memory.
 MEMO_SIZE = 256
 _TRIVIAL = ((), (1,), (-1,))
 
@@ -369,13 +361,6 @@ def _ratf_add(n1, d1, n2, d2):
     if d1 == d2:
         return RatF(_padd(n1, n2), d1)
     return RatF(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _ratf_sub(n1, d1, n2, d2):
-    if d1 == d2:
-        return RatF(_psub(n1, n2), d1)
-    return RatF(_psub(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
 
 
 @lru_cache(maxsize=MEMO_SIZE)

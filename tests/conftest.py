@@ -3,7 +3,7 @@
 import pytest
 
 from frobpi import CATALOG_NAMES, build, catalog
-from frobpi.engine import GradedAlgebra
+from frobpi.engine import F_LETTER, GradedAlgebra
 from frobpi.fields import field_from_descriptor
 from frobpi.frobenius import deformation, make_frobenius
 
@@ -22,24 +22,19 @@ def family_pair(name):
 def record_derivations(monkeypatch):
     """Record, in order, each operator a build derives from its FB rows.
 
-    ("B", d, j, algebra) is a slot's right rows, derived by
-    GradedAlgebra.right on their first read; ("F", d, None, algebra) is a
-    degree of F, derived on the first read of the F property.
+    ("B", d, j, algebra) is slot j's right rows on degree d, and
+    ("F", d, None, algebra) f's right rows from degree d to d + 1, each
+    derived by GradedAlgebra.right_op on its first read.
     """
     derived = []
-    right, F = GradedAlgebra.right, GradedAlgebra.F.fget
+    right_op = GradedAlgebra.right_op
 
-    def counted_right(g, d, j):
-        if g._B[d][j] is None:
-            derived.append(("B", d, j, g.pair.algebra))
-        return right(g, d, j)
+    def counted(g, L, d):
+        if (L >= 0 or L == F_LETTER) and g._right[L][d] is None:
+            derived.append(("F", d, None, g.pair.algebra) if L == F_LETTER else ("B", d, L, g.pair.algebra))
+        return right_op(g, L, d)
 
-    def counted_F(g):
-        derived.extend(("F", d, None, g.pair.algebra) for d in range(len(g._F), len(g.FB)))
-        return F(g)
-
-    monkeypatch.setattr(GradedAlgebra, "right", counted_right)
-    monkeypatch.setattr(GradedAlgebra, "F", property(counted_F))
+    monkeypatch.setattr(GradedAlgebra, "right_op", counted)
     return derived
 
 

@@ -18,12 +18,12 @@ import pytest
 from frobpi import CATALOG_NAMES, build, cache, catalog, engine
 from frobpi.cache import CacheValidationError, _decode, _encode, _sha256, build_cached, cache_key
 from frobpi.center import center_dims, sigma_surjectivity_check
-from frobpi.engine import DegreeRangeError, GradedAlgebra, PiElement, WordSyntaxError
+from frobpi.engine import A_LETTER, E_LETTER, F_LETTER, DegreeRangeError, GradedAlgebra, PiElement, WordSyntaxError
 from frobpi.fields import InputError, field_from_descriptor
 from frobpi.frobenius import deformation, make_frobenius, specialize_pair
 from frobpi.linalg import EMPTY_ROW, Subspace, rref_rows, vec_apply
 
-from conftest import record_derivations
+from conftest import family_pair, record_derivations
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +187,7 @@ def _relation_rows_by_b(g, d):
     for i, r in enumerate(isr):
         if r:
             fcol[i], col = col, col + n
-    rows, B, E, F = [], g.B[d - 2], g.E[d - 1], g.F[d - 1]
+    rows, B, E, F = [], g.B[d - 2], g.E[d - 1], g.right_op(F_LETTER, d - 2)
     for x, r in enumerate(g.is_r[d - 2]):
         if r:
             rows.append({ecol[i]: c for i, c in F[x].items()})
@@ -454,30 +454,72 @@ def test_each_word_is_a_unit_row_in_qu_and_loaded_builds(monkeypatch, tmp_path):
 # left multiplication
 
 
+def _letters(g):
+    """Each word letter of g by its name: a, the basis names of S, e and f."""
+    return {"a": A_LETTER, **{nm: j for j, nm in enumerate(g.pair.algebra.names)}, "e": E_LETTER, "f": F_LETTER}
+
+
+def _letter_elements(g):
+    """Each word letter of g by its name, as an element made from the unit and the stored E and FB.
+
+    e is 1_S e, the b_k e weighted by the unit, and f is a f 1_S, the a f b_m
+    weighted by the unit; neither goes through right_op.
+    """
+    f, unit = g.field, g.pair.algebra.unit_vec()
+    out = {"a": PiElement(g, 0, {0: f.one})}
+    out |= {nm: PiElement(g, 0, {1 + j: f.one}) for j, nm in enumerate(g.pair.algebra.names)}
+    out["e"] = PiElement(g, 1, vec_apply(f, {1 + k: c for k, c in unit.items()}, g.E[1]))
+    out["f"] = PiElement(g, 1, vec_apply(f, unit, [fb[0] for fb in g.FB[1]]))
+    return out
+
+
+def _check_letter_ops(g, top):
+    """right_op(L, d) and left_op(L, d) are x L and L x for each basis word x, each letter L and each degree d <= top."""
+    elements = _letter_elements(g)
+    for name, L in _letters(g).items():
+        letter = elements[name]
+        assert g.element_from_word(name) == letter, (g.field.tag, name)
+        for d in range(top + 1):
+            right, left = g.right_op(L, d), g.left_op(L, d)
+            assert len(right) == len(left) == g.dim(d)
+            for i in range(g.dim(d)):
+                x = g.basis_element(d, i)
+                assert PiElement(g, d + letter.d, right[i]) == g.multiply(x, letter), (g.field.tag, name, d, i)
+                assert PiElement(g, d + letter.d, left[i]) == g.multiply(letter, x), (g.field.tag, name, d, i)
+
+
+@pytest.mark.parametrize("tag", ["q", "fp:3"])
+def test_letter_ops_are_products_with_the_letter(q_engines, fp_engines, tag):
+    for name in CATALOG_NAMES:
+        _check_letter_ops(q_engines[name] if tag == "q" else fp_engines[name, 3], 6)
+
+
+def test_letter_ops_are_products_with_the_letter_over_qu():
+    _check_letter_ops(build(family_pair("family 4"), 4), 3)
+
+
 @pytest.mark.parametrize("tag", ["q", "fp:3"])
 def test_left_rows_out_of_order_match_ascending(tag):
-    # each slot's memo and each of e's and f's keeps two degrees; any other
-    # degree is recomputed, to the same rows, whatever order they are asked in
+    # each letter's left memo keeps two degrees; any other degree is
+    # recomputed, to the same rows, whatever order they are asked in
     pair = catalog("t4", field_from_descriptor(tag))
     fresh = build(pair, 10)
-    left0 = [[fresh.left0(d, j) for j in range(fresh.n)] for d in range(10)]
-    left1 = [fresh.left1(d) for d in range(10)]
+    letters = _letters(fresh).values()
+    ascending = {L: [fresh.left_op(L, d) for d in range(10)] for L in letters}
     for j in range(fresh.n):
         b_j = PiElement(fresh, 0, {1 + j: fresh.field.one})
         for d in range(4):
             products = [fresh.multiply(b_j, fresh.basis_element(d, i)).vec for i in range(fresh.dim(d))]
-            assert left0[d][j] == products
+            assert ascending[j][d] == products
     g = build(pair, 10)
     center_dims(g, 9)
     # t alone generates k[t]/(t^4), so the centre cuts by slot 1 only, and
     # never builds the other slots' rows
-    assert [len(m) for m in g._l0] == [0, 2, 0, 0]
-    assert [len(m) for m in g._l1] == [2, 2]
+    assert {L: len(m) for L, m in g._left.items()} == {1: 2, E_LETTER: 2, F_LETTER: 2}
     for d in (9, 6, 6, 2, 0, 0, 7, 3, 9):
-        for j in (3, 0, 2, 1):
-            assert g.left0(d, j) == left0[d][j]
-        assert g.left1(d) == left1[d]
-        assert all(len(m) <= 2 for m in (*g._l0, *g._l1))
+        for L in (3, F_LETTER, 0, 2, A_LETTER, 1, E_LETTER):
+            assert g.left_op(L, d) == ascending[L][d]
+            assert all(len(m) <= 2 for m in g._left.values())
 
 
 def test_left_rejects_a_degree_out_of_range(bikwad_q):
@@ -491,10 +533,10 @@ def _stored_rows(g, D):
     """Every operator row list the build keeps or hands out, degrees 0..D."""
     for d in range(D + 1):
         if d:
-            yield from [g.E[d], g.F[d], *g.FB[d]]
-        yield from [*g.B[d], *(g.left0(d, j) for j in range(g.n))]
-        if d < g.D:
-            yield from g.left1(d)
+            yield from [g.E[d], g.right_op(F_LETTER, d - 1), *g.FB[d]]
+        degree_0 = (A_LETTER, *range(g.n))
+        yield from [g.right_op(L, d) for L in degree_0]
+        yield from [g.left_op(L, d) for L in (*degree_0, *((E_LETTER, F_LETTER) if d < g.D else ()))]
 
 
 def _check_rows_reduced(g, D):
@@ -563,7 +605,7 @@ def test_operator_rows_are_shared(tag):
                 fb = {id(r) for op in h.FB[d] for r in op} | {id(EMPTY_ROW)}
                 assert all(id(r) in fb for op in h.B[d] for r in op), (name, d)
                 if name in ("t4", "bikwad"):
-                    assert all(id(r) in fb for r in h.F[d]), (name, d)
+                    assert all(id(r) in fb for r in h.right_op(F_LETTER, d - 1)), (name, d)
             for rows in _stored_rows(h, 12):
                 assert all(r is EMPTY_ROW for r in rows if not r), name
         # a loaded row {k: 1} is the build's one unit row, as in a fresh build
@@ -574,12 +616,16 @@ def test_operator_rows_are_shared(tag):
                     assert v != g.field.one or r is loaded._units[k], (name, d, k)
 
 
+def _f_rows(g):
+    """f's right rows from each degree below the build degree."""
+    return [g.right_op(F_LETTER, d) for d in range(g.D)]
+
+
 def test_b_and_f_are_derived_on_first_read(monkeypatch):
-    # a loaded build holds parents, E and FB; right(d, j) derives one slot of
-    # one degree the first time it is read, B reads every slot through it,
-    # and F derives every degree not derived yet the first time it is read.
-    # Each is derived once, equal to a direct build's and sharing its rows
-    # with FB as a direct build's do
+    # a loaded build holds parents, E and FB; right_op derives one letter's
+    # rows on one degree the first time they are read, and B reads every
+    # slot through it.  Each is derived once, equal to a direct build's and
+    # sharing its rows with FB as a direct build's do
     derived = record_derivations(monkeypatch)
     fam = deformation(4)
     cases = [(catalog(name, field_from_descriptor(tag)), 9) for tag in ("q", "fp:2", "fp:5") for name in CATALOG_NAMES]
@@ -587,21 +633,23 @@ def test_b_and_f_are_derived_on_first_read(monkeypatch):
     for pair, D in cases:
         n = pair.n
         direct = GradedAlgebra(pair, D)
-        want = {"B": direct.B, "F": direct.F}  # a build derives its top degree on first read too
+        want = {"B": direct.B, "F": _f_rows(direct)}  # a build derives its top degree on first read too
         key = cache_key(pair, D)
         derived.clear()
         loaded = _decode(pair, D, _encode(direct, key), key)
         assert loaded.dims() == direct.dims() and loaded.split_dims(D) == direct.split_dims(D)
         assert derived == []
-        assert loaded.right(D, n - 1) == want["B"][D][n - 1] and loaded.right(D, n - 1) is loaded.right(D, n - 1)
+        assert loaded.right_op(n - 1, D) == want["B"][D][n - 1] and loaded.right_op(n - 1, D) is loaded.right_op(n - 1, D)
         for read in ("B", "F", "B"):
-            assert getattr(loaded, read) == want[read]
+            assert (loaded.B if read == "B" else _f_rows(loaded)) == want[read]
         slots = [("B", d, j) for d in range(1, D + 1) for j in range(n) if (d, j) != (D, n - 1)]
-        assert [e[:3] for e in derived] == [("B", D, n - 1), *slots, *(("F", d, None) for d in range(1, D + 1))]
+        assert [e[:3] for e in derived] == [("B", D, n - 1), *slots, *(("F", d, None) for d in range(D))]
         for d in range(1, D + 1):
             fb = {id(r) for op in loaded.FB[d] for r in op} | {id(EMPTY_ROW)}
             shared = {id(r) for op in direct.FB[d] for r in op} | {id(EMPTY_ROW)}
-            for h_rows, g_rows in zip((*loaded.B[d], loaded.F[d]), (*direct.B[d], direct.F[d])):
+            h_ops = (*loaded.B[d], loaded.right_op(F_LETTER, d - 1))
+            g_ops = (*direct.B[d], direct.right_op(F_LETTER, d - 1))
+            for h_rows, g_rows in zip(h_ops, g_ops):
                 assert [id(r) in fb for r in h_rows] == [id(r) in shared for r in g_rows], (pair.field.tag, d)
 
 
@@ -633,7 +681,7 @@ def _check_round_trip(cache_dir, pair, D):
         assert g.E == direct.E
         assert g.FB == direct.FB
         assert g.B == direct.B
-        assert g.F == direct.F
+        assert _f_rows(g) == _f_rows(direct)
     ones = [direct.basis_element(1, i) for i in range(direct.dim(1))]
     loaded = [c2.basis_element(1, i) for i in range(c2.dim(1))]
     for x, px in zip(ones, loaded):
