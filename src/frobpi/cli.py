@@ -2,9 +2,9 @@
 
 Exit codes: 0 when every reported check passes, 1 when any check fails,
 2 on usage or input errors (InputError), 3 on an internal error (any other
-ValueError, or a broken invariant) or an unreadable cache file.  Output is
-deterministic for a fixed command line, and running with or without a
-cache directory produces identical results.
+exception, a broken invariant among them) or an unreadable cache file.
+Output is deterministic for a fixed command line, and running with or
+without a cache directory produces identical results.
 
 `verify` builds each catalog (pair, field) once, runs every selected suite
 that reads the build on it, and drops it before making the next one, so
@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -580,6 +581,10 @@ def main(argv=None) -> int:
         return 3
     except CacheValidationError as e:
         print(f"frobpi: {e}", file=sys.stderr)
+        return 3
+    except Exception as e:
+        traceback.print_exc()
+        print(f"frobpi: internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
 
 

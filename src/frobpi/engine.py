@@ -16,10 +16,9 @@ leaves a canonical word basis and the reduction map gives the right
 multiplication operators by each letter.  Left multiplication by an
 element, and so every product, folds through those operators, so one
 code path serves every coefficient field.  The parent table is the
-only record of the words: a word is spelled out through it when it is
-printed, a left-multiplication row extends its parent word's row, and the
-first letter of each word, which gives the projections onto the two
-one-sided pieces, is kept beside it.
+only record of the words: a left-multiplication row extends its parent
+word's row, and the first letter of each word, which gives the
+projections onto the two one-sided pieces, is kept beside it.
 
 A degree is stored as what its reduction decided: the parents of its
 words and the operators E and FB.  Every word letter L, that is a, a
@@ -51,9 +50,9 @@ from __future__ import annotations
 
 import types
 
-from .fields import Field, InputError, signed_sum
+from .fields import Field
 from .frobenius import FrobeniusPair
-from .linalg import EMPTY_ROW, rref_rows, vec_add, vec_apply, vec_sub
+from .linalg import EMPTY_ROW, rref_rows, vec_apply
 
 A_LETTER = -1
 E_LETTER = -2
@@ -67,10 +66,6 @@ def letter_degree(L):
 
 class DegreeRangeError(ValueError):
     """Degree outside the built range."""
-
-
-class WordSyntaxError(ValueError):
-    """Unreadable word text."""
 
 
 class PiElement:
@@ -92,20 +87,17 @@ class PiElement:
 
     def __add__(self, other):
         self._like(other)
-        return PiElement(self.graded, self.d, vec_add(self.graded.field, self.vec, other.vec))
+        f = self.graded.field
+        return PiElement(self.graded, self.d, vec_apply(f, {0: f.one, 1: f.one}, [self.vec, other.vec]))
 
     def __sub__(self, other):
         self._like(other)
-        return PiElement(self.graded, self.d, vec_sub(self.graded.field, self.vec, other.vec))
+        f = self.graded.field
+        return PiElement(self.graded, self.d, vec_apply(f, {0: f.one, 1: f.neg(f.one)}, [self.vec, other.vec]))
 
     def __neg__(self):
         f = self.graded.field
         return PiElement(self.graded, self.d, {k: f.neg(v) for k, v in self.vec.items()})
-
-    def scale(self, c):
-        f = self.graded.field
-        c = f.convert(c)
-        return PiElement(self.graded, self.d, {k: f.mul(v, c) for k, v in self.vec.items()})
 
     def __mul__(self, other):
         if isinstance(other, PiElement):
@@ -121,7 +113,7 @@ class PiElement:
         return hash((self.d, tuple(sorted(self.vec))))
 
     def __repr__(self):
-        return f"Pi[{self.d}]({self.graded.format_element(self)})"
+        return f"Pi[{self.d}]({self.vec})"
 
 
 class GradedAlgebra:
@@ -157,7 +149,6 @@ class GradedAlgebra:
         self.field: Field = pair.field
         self.n = n = pair.n
         self.D = D
-        self._check_names()
         self.is_r = [[True] + [False] * n]  # True when the word ends on the R side
         self.starts_a = [[True] + [False] * n]  # True when the word starts with a
         self.parent = [None]  # (i, 'e', None) or (i, 'f', m) for degree >= 1
@@ -181,11 +172,6 @@ class GradedAlgebra:
         while len(units) <= k:
             units.append(types.MappingProxyType({len(units): self.field.one}))
         return units[k]
-
-    def _check_names(self):
-        bad = set(self.pair.algebra.names) & {"a", "e", "f"}
-        if bad:
-            raise InputError(f"basis names collide with letters: {sorted(bad)}")
 
     def _relation_terms(self):
         """The dual-basis relation r: (q, m) -> coefficient of (b_q e)(f b_m) in r."""
@@ -364,97 +350,6 @@ class GradedAlgebra:
             letters += (E_LETTER,) if kind == "e" else (m, F_LETTER)
         letters.append(A_LETTER if i == 0 else i - 1)
         return tuple(reversed(letters))
-
-    def element_from_word(self, text: str) -> PiElement:
-        """The element spelled by text in basis names of S and the letters a, e, f.
-
-        The longest name that matches is read first, a basis name before a
-        letter of the same length.
-        """
-        names = [(nm, j) for j, nm in enumerate(self.pair.algebra.names)]
-        names += [("a", A_LETTER), ("e", E_LETTER), ("f", F_LETTER)]
-        names.sort(key=lambda t: -len(t[0]))
-        letters = []
-        i = 0
-        while i < len(text):
-            if text[i].isspace() or text[i] == "*":
-                i += 1
-                continue
-            for nm, letter in names:
-                if text.startswith(nm, i):
-                    letters.append(letter)
-                    i += len(nm)
-                    break
-            else:
-                raise WordSyntaxError(f"unreadable word at ...{text[i:]!r}")
-        if not letters:
-            raise WordSyntaxError("empty word")
-        target = sum(map(letter_degree, letters))
-        if target > self.D:
-            raise DegreeRangeError(f"word degree {target} exceeds build degree {self.D}")
-        u = self.unit_element()
-        vec, d = self._fold(u.vec, 0, letters)
-        return PiElement(self, d, vec)
-
-    def element_from_expr(self, text: str) -> PiElement:
-        """Signed sums of words with optional integer coefficients."""
-        terms = []
-        cur = ""
-        sign = 1
-        pending = []
-        for ch in text:
-            if ch in "+-":
-                if cur.strip():
-                    pending.append((sign, cur.strip()))
-                cur = ""
-                sign = 1 if ch == "+" else -1
-            else:
-                cur += ch
-        if cur.strip():
-            pending.append((sign, cur.strip()))
-        if not pending:
-            raise WordSyntaxError("empty expression")
-        out = None
-        for sg, word in pending:
-            coeff = sg
-            if "*" in word:
-                head, tail = word.split("*", 1)
-                if head.strip().isdigit():
-                    coeff = sg * int(head.strip())
-                    word = tail
-            el = self.element_from_word(word).scale(coeff)
-            out = el if out is None else out + el
-        return out
-
-    def word_str(self, word) -> str:
-        names = self.pair.algebra.names
-        unit_slot = None
-        uv = self.pair.algebra.unit_vec()
-        if len(uv) == 1:
-            (j, c), = uv.items()
-            if c == self.field.one:
-                unit_slot = j
-        parts = []
-        for idx, L in enumerate(word):
-            if L == A_LETTER:
-                if len(word) == 1:
-                    parts.append("a")
-            elif L == E_LETTER:
-                parts.append("e")
-            elif L == F_LETTER:
-                parts.append("f")
-            else:
-                drop = L == unit_slot and (
-                    (idx > 0 and word[idx - 1] == F_LETTER)
-                    or (idx == 0 and len(word) > 1 and word[1] == E_LETTER)
-                )
-                if not drop:
-                    parts.append(names[L])
-        return "".join(parts) or "1"
-
-    def format_element(self, x: PiElement) -> str:
-        items = sorted((self.word_str(self.word(x.d, i)), i, c) for i, c in x.vec.items())
-        return signed_sum((self.field.fmt(c), w) for w, _, c in items)
 
     # -- left multiplication ------------------------------------------------
 

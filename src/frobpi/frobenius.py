@@ -60,6 +60,8 @@ class CommAlgebra:
 
     def __init__(self, field: Field, names, table, unit=None):
         n = len(names)
+        if not n:
+            raise AlgebraStructureError("the basis must not be empty")
         if len(set(names)) != n:
             raise AlgebraStructureError("basis names must be distinct")
         self.field = field

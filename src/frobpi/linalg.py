@@ -65,32 +65,6 @@ def vec_apply(field: Field, vec: dict, rows) -> dict:
     return out or EMPTY_ROW
 
 
-def vec_add(field: Field, a: dict, b: dict, coeff=None) -> dict:
-    out = dict(a)
-    for j, v in b.items():
-        t = v if coeff is None else coeff * v
-        out[j] = out[j] + t if j in out else t
-    return field.post_reduce(out)
-
-
-def vec_sub(field: Field, a: dict, b: dict) -> dict:
-    """a - b, for reduced a and b, as a new dict; built as vec_apply builds its sum."""
-    p = field.p
-    out = dict(a)
-    cancelled = False
-    for j, v in b.items():
-        if j in out:
-            t = out[j] - v if p is None else (out[j] - v) % p
-            out[j] = t
-            if not t:
-                cancelled = True
-        else:
-            out[j] = -v if p is None else -v % p
-    if cancelled:
-        out = {j: v for j, v in out.items() if v}
-    return out
-
-
 # ---------------------------------------------------------------------------
 # row reduction
 

@@ -3,7 +3,7 @@
 import pytest
 
 from frobpi import CATALOG_NAMES, build, catalog
-from frobpi.engine import F_LETTER, GradedAlgebra
+from frobpi.engine import A_LETTER, E_LETTER, F_LETTER, GradedAlgebra, PiElement
 from frobpi.fields import field_from_descriptor
 from frobpi.frobenius import deformation, make_frobenius
 
@@ -58,21 +58,37 @@ def bikwad_q(q_engines):
     return q_engines["bikwad"]
 
 
+def letters(g):
+    """Each word letter of g by its name: a, the basis names of S, e and f."""
+    return {"a": A_LETTER, **{nm: j for j, nm in enumerate(g.pair.algebra.names)}, "e": E_LETTER, "f": F_LETTER}
+
+
+def word_sum(g, *words):
+    """The sum of the words, each a tuple of letter names as in letters(g), as an element of g.
+
+    Each word is the unit folded through its letters by GradedAlgebra._fold;
+    the words must all have the same degree, their count of e and f.
+    """
+    by_name, unit = letters(g), g.unit_element().vec
+    folds = [g._fold(unit, 0, [by_name[nm] for nm in w]) for w in words]
+    terms = [PiElement(g, d, vec) for vec, d in folds]
+    return sum(terms[1:], terms[0])
+
+
 def bikwad_words(g):
     """u, v, A, B and C of the square presentation bikwad, as elements of g.
 
     u and v live in degree 2 and normalize through the sign automorphisms
     negating t and s; their squares A and B in degree 4, and C in degree 6,
-    are central.
+    are central.  Each is the sum of a word w and the two words that move
+    w's last one or two letters to its front.
     """
-    ex = g.element_from_expr
-    return (
-        ex("sef + efs + fse"),
-        ex("tef + eft + fte"),
-        ex("sefsef + efsefs + fsefse"),
-        ex("teftef + efteft + ftefte"),
-        ex("sefsteftef + efsefsteft + fsefstefte"),
-    )
+
+    def cyclic(w):
+        return word_sum(g, w, w[-2:] + w[:-2], w[-1:] + w[:-1])
+
+    sef, tef = ("s", "e", "f"), ("t", "e", "f")
+    return cyclic(sef), cyclic(tef), cyclic(sef + sef), cyclic(tef + tef), cyclic(sef + ("st", "e", "f") + tef)
 
 
 def normalizes(x, sign_letter):
@@ -83,8 +99,8 @@ def normalizes(x, sign_letter):
     sigma(y) x for every y.
     """
     g = x.graded
-    for name in ("a", "1", "s", "t", "st", "e", "f"):
-        letter = g.element_from_word(name)
+    for name in letters(g):
+        letter = word_sum(g, (name,))
         twisted = -letter if name in g.pair.algebra.names and sign_letter in name else letter
         if g.multiply(x, letter) != g.multiply(twisted, x):
             return False

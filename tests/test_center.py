@@ -30,7 +30,7 @@ from frobpi.frobenius import (
     make_frobenius,
     specialize_pair,
 )
-from conftest import FAMILIES, bikwad_words, family_pair, normalizes
+from conftest import FAMILIES, bikwad_words, family_pair, normalizes, word_sum
 
 
 def test_expected_center_dim_values():
@@ -158,7 +158,7 @@ def test_a_commutator_rows_match_products(q_engines, fp_engines):
     cases += [(fp_engines[name, p], 8) for p in (2, 5) for name in CATALOG_NAMES]
     cases += [(generic, 4)]
     for g, top in cases:
-        a = g.element_from_word("a")
+        a = word_sum(g, ("a",))
         for d in range(top + 1):
             right, left, tdeg = next(_commutator_ops(g, d))
             assert tdeg == d

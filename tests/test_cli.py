@@ -236,6 +236,11 @@ def _scalar_is_a_number(doc):
     return doc
 
 
+def _empty_basis(doc):
+    # rank 0: the build used to fail with an IndexError traceback
+    return {"field": "q", "basis": [], "constants": [], "lambda": []}
+
+
 @pytest.mark.parametrize(
     "spoil",
     [
@@ -252,6 +257,7 @@ def _scalar_is_a_number(doc):
         _scalar_is_a_number,
         _bool_index,
         _repeated_index,
+        _empty_basis,
     ],
 )
 def test_bad_algebra_file_is_usage_error(capsys, tmp_path, spoil):
@@ -317,15 +323,27 @@ def test_quiver_stops_at_the_first_coefficient_past_the_digit_limit():
     "edit,err",
     [
         ({"lambda": ["1", "0", "0", "0"]}, "functional has singular Gram matrix"),
-        ({"basis": ["1", "a", "t2", "t3"]}, "basis names collide with letters: ['a']"),
     ],
 )
 def test_unusable_algebra_is_usage_error(capsys, tmp_path, edit, err):
-    # the file parses, but its functional or its names cannot be used
+    # the file parses, but its functional cannot be used
     path = tmp_path / "t4.json"
     path.write_text(json.dumps({**json.loads(algebra_to_json(catalog("t4"))), **edit}))
     argv = ["dims", "--algebra", str(path), "--max-degree", "2", "--no-cache"]
     assert run(capsys, argv) == (2, "", f"frobpi: {err}\n")
+
+
+def test_letter_names_are_basis_names_like_any_other(capsys, tmp_path):
+    # words are letter tuples, never text, so basis names a, e and f are
+    # read as no letter and give the table the other names give
+    doc = json.loads(algebra_to_json(catalog("t4")))
+    tables = []
+    for k, names in enumerate((doc["basis"], ["a", "e", "f", "t3"])):
+        (tmp_path / str(k)).mkdir()
+        path = tmp_path / str(k) / "t4.json"
+        path.write_text(json.dumps({**doc, "basis": names}))
+        tables.append(run(capsys, ["dims", "--algebra", str(path), "--max-degree", "6", "--no-cache"]))
+    assert tables[0] == tables[1] and tables[0][0] == 0
 
 
 @pytest.mark.parametrize("cache_dir", [True, False])
@@ -396,6 +414,17 @@ def test_engine_value_error_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, argv)
     assert code == 3 and out == ""
     assert err == "frobpi: internal error: planted\n"
+
+
+def test_uncaught_exception_exit_code(capsys, monkeypatch):
+    # any other exception is a bug as well: exit 3, not 1, and the message names it
+    def broken(args):
+        raise IndexError("planted")
+
+    monkeypatch.setattr(cli, "cmd_dims", broken)
+    code, out, err = run(capsys, ["dims", "--pair", "t4", "--max-degree", "1", "--no-cache"])
+    assert code == 3 and out == ""
+    assert err.endswith("frobpi: internal error: IndexError: planted\n")
 
 
 def test_degree_range_error_exit_code(capsys, monkeypatch):

@@ -17,9 +17,7 @@ from frobpi.linalg import (
     _axpy_into,
     _rref_generic,
     rref_rows,
-    vec_add,
     vec_apply,
-    vec_sub,
 )
 from frobpi._kernels import rref_mod
 
@@ -43,8 +41,8 @@ def test_vec_helpers():
     f = QQ
     a = {0: Fraction(1), 2: Fraction(-2)}
     b = {0: Fraction(-1), 1: Fraction(3)}
-    assert vec_add(f, a, b) == {1: Fraction(3), 2: Fraction(-2)}
-    assert vec_sub(f, a, a) == {}
+    assert vec_apply(f, {0: f.one, 1: f.one}, [a, b]) == {1: Fraction(3), 2: Fraction(-2)}
+    assert vec_apply(f, {0: f.one, 1: f.neg(f.one)}, [a, a]) is EMPTY_ROW
     rows = [{1: Fraction(1)}, {0: Fraction(2)}, {}]
     assert vec_apply(f, {0: Fraction(1), 1: Fraction(1)}, rows) == {
         0: Fraction(2),
@@ -150,30 +148,28 @@ def _items(vec):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_kernel_case())
 def test_kernels_equal_accumulate_then_reduce(case):
-    # vec_apply, vec_sub and _axpy_into build each result in one dict; each
+    # vec_apply and _axpy_into build each result in one dict; each
     # must equal accumulating with the raw operators and reducing once, in
-    # value, payload type and column order, and keep the sharing rules
+    # value, payload type and column order, and keep the sharing rules.  A
+    # single entry equal to 1 hands out the row itself, payload types
+    # included, where the loop would multiply by that entry: Fraction(1, 1)
+    # times an int payload is a Fraction
     field, rows, vec, f = case
     snapshot = [dict(r) for r in rows]
 
     got = vec_apply(field, vec, rows)
-    assert _items(got) == _items(_apply_by_loop(field, vec, rows))
+    want = _apply_by_loop(field, vec, rows)
     if len(vec) == 1 and next(iter(vec.values())) == field.one:
-        assert got is rows[next(iter(vec))]
-    elif not got:
-        assert got is EMPTY_ROW
+        assert got is rows[next(iter(vec))] and got == want
     else:
-        assert type(got) is dict and all(got is not r for r in rows)
+        assert _items(got) == _items(want)
+        if not got:
+            assert got is EMPTY_ROW
+        else:
+            assert type(got) is dict and all(got is not r for r in rows)
 
     for a in rows:
         for b in rows:
-            want = dict(a)
-            for j, v in b.items():
-                want[j] = want[j] - v if j in want else -v
-            got = vec_sub(field, a, b)
-            assert _items(got) == _items(field.post_reduce(want))
-            assert type(got) is dict and got is not a and got is not b
-
             s = dict(a)
             want = dict(a)
             for j, v in b.items():
@@ -427,7 +423,7 @@ def test_kernel_annihilates():
                     img[i] = acc
             assert img == {}
         # Subspace.contains tells kernel vectors from the columns m does not kill
-        assert k.contains(vec_add(f, k.rows[0], k.rows[-1], f.convert(3)))
+        assert k.contains(vec_apply(f, {0: f.one, 1: f.convert(3)}, [k.rows[0], k.rows[-1]]))
         for q in range(14):
             assert k.contains({q: f.one}) == all(q not in r for r in rows)
 
@@ -445,10 +441,7 @@ def test_left_kernel_in_a_basis():
             assert basis.contains(v)
             # a canonical basis row carries 1 at its own pivot, so the pivots read off x
             x = {i: v[c] for i, c in enumerate(basis.pivots) if c in v}
-            comb = {}
-            for i, c in x.items():
-                comb = vec_add(f, comb, m[i], c)
-            assert comb == {}
+            assert not vec_apply(f, x, m)
         # the same subspace as the unit-basis kernel, mapped through b
         xs = left_kernel(f, m, 5).rows
         ref = Subspace.from_vectors(f, 12, [vec_apply(f, x, basis.rows) for x in xs])
@@ -511,10 +504,7 @@ def test_left_kernel_annihilates():
     lk = left_kernel(f, rows, 3)
     assert lk.dim == 1
     (v,) = lk.rows
-    comb = {}
-    for i, c in v.items():
-        comb = vec_add(f, comb, rows[i], c)
-    assert comb == {}
+    assert not vec_apply(f, v, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -569,14 +559,20 @@ def test_unit_and_inverse_read_their_rows_without_writing(field, data):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.data())
 def test_commutators_are_right_minus_left(data):
-    # each x l - l x is summed in one dict: it equals the difference of the
-    # two products, holds no zero payload and leaves the operator rows as
-    # they were
+    # each x l - l x is summed in one dict: it equals accumulating both
+    # products with the raw operators, subtracting and reducing once, holds
+    # no zero payload and leaves the operator rows as they were
     field, right, vec, _ = data.draw(_kernel_case(fields=_OWNER_FIELDS))
     left = data.draw(st.permutations(right))
     snapshot = [dict(r) for r in (*right, *left)]
     vecs = [vec, *({i: field.one} for i in range(len(right)))]
     for x, got in zip(vecs, _commutators(field, vecs, right, left), strict=True):
-        assert got == vec_sub(field, vec_apply(field, x, right), vec_apply(field, x, left))
+        want = {}
+        for i, c in x.items():
+            for j, v in right[i].items():
+                want[j] = want[j] + c * v if j in want else c * v
+            for j, v in left[i].items():
+                want[j] = want[j] - c * v if j in want else -(c * v)
+        assert got == field.post_reduce(want)
         assert all(got.values()) and (got is EMPTY_ROW or all(got is not r for r in (*right, *left)))
     assert [dict(r) for r in (*right, *left)] == snapshot
