@@ -59,8 +59,14 @@ def bikwad_q(q_engines):
 
 
 def letters(g):
-    """Each word letter of g by its name: a, the basis names of S, e and f."""
-    return {"a": A_LETTER, **{nm: j for j, nm in enumerate(g.pair.algebra.names)}, "e": E_LETTER, "f": F_LETTER}
+    """Each word letter of g by its name: a, the basis names of S, e and f.
+
+    A basis name a, e or f would hide a letter or be hidden by one, so it is refused.
+    """
+    names = g.pair.algebra.names
+    clash = {"a", "e", "f"}.intersection(names)
+    assert not clash, f"basis names {sorted(clash)} spell letters"
+    return {"a": A_LETTER, **{nm: j for j, nm in enumerate(names)}, "e": E_LETTER, "f": F_LETTER}
 
 
 def word_sum(g, *words):
